@@ -8,9 +8,11 @@
 
 namespace roarray::dsp {
 
-/// Wraps an angle to [0, 360) degrees.
+/// Wraps an angle to [0, 360) degrees. Inside (-360, 360) fmod is exact
+/// and returns its argument, so the call is skipped there; the result is
+/// bit-identical either way.
 [[nodiscard]] inline double wrap_deg_360(double deg) noexcept {
-  double w = std::fmod(deg, 360.0);
+  double w = std::abs(deg) < 360.0 ? deg : std::fmod(deg, 360.0);
   if (w < 0.0) w += 360.0;
   return w;
 }

@@ -78,11 +78,20 @@ struct LocalizeResult {
 /// fusion layer. Observations with non-finite AoA or non-positive /
 /// non-finite weight are screened out; if none survive the result
 /// carries a typed error status instead of a silent bogus fix. Throws
-/// std::invalid_argument on a non-positive grid step. A non-null pool
-/// splits the candidate grid by row; the per-row minima are reduced in
-/// row order with the same strict-less tie-breaking as the serial scan,
-/// so the result is identical at any thread count (the fusion refinement
-/// is single-threaded and deterministic by construction).
+/// std::invalid_argument on a non-positive grid step.
+///
+/// The grid argmin is exact, not a heuristic. The grid is cut into
+/// 16 x 16-candidate tiles; each tile gets a conservative lower bound on
+/// the cost of every candidate in it (per AP, the circular distance from
+/// phi_hat_i to the tile's AoA interval, widened by a rounding slack).
+/// Tiles are evaluated candidate by candidate in ascending bound order,
+/// and the search stops at the first tile whose bound exceeds the best
+/// cost found. Candidates within 1e-9 m of an AP are skipped, and cost
+/// ties resolve to the lowest (row, column), so position and cost are
+/// bit-identical to a full row-major scan with a strict-less update.
+/// The search is serial: `pool` no longer splits the grid and is kept
+/// for source compatibility only; the fusion refinement is
+/// single-threaded and deterministic by construction.
 [[nodiscard]] LocalizeResult localize(std::span<const ApObservation> observations,
                                       const LocalizeConfig& cfg,
                                       const runtime::ThreadPool* pool = nullptr);

@@ -10,6 +10,20 @@
 
 namespace roarray::serve {
 
+namespace {
+
+/// True when every CSI entry has a finite real and imaginary part. A NaN
+/// or Inf would otherwise flow through sanitize, the SVD and the solver.
+[[nodiscard]] bool all_finite(const linalg::CMat& csi) noexcept {
+  const linalg::cxd* p = csi.data();
+  for (index_t k = 0; k < csi.size(); ++k) {
+    if (!std::isfinite(p[k].real()) || !std::isfinite(p[k].imag())) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 const char* submit_status_name(SubmitStatus status) noexcept {
   switch (status) {
     case SubmitStatus::kAccepted: return "accepted";
@@ -79,7 +93,7 @@ SubmitStatus LocalizationService::submit(Request req, ResponseCallback on_done) 
     }
     for (const linalg::CMat& csi : ap.packets) {
       if (csi.rows() != cfg_.array.num_antennas ||
-          csi.cols() != cfg_.array.num_subcarriers) {
+          csi.cols() != cfg_.array.num_subcarriers || !all_finite(csi)) {
         invalid = true;
         break;
       }

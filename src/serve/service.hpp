@@ -88,7 +88,8 @@ enum class SubmitStatus {
   kAccepted,
   kQueueFull,        ///< backpressure: queue_capacity requests pending.
   kStopped,          ///< service is stopping / stopped.
-  kInvalidRequest,   ///< unknown ap_id, empty burst, or CSI shape mismatch.
+  kInvalidRequest,   ///< unknown ap_id, empty burst, CSI shape mismatch,
+                     ///< or a non-finite (NaN / Inf) CSI entry.
 };
 
 [[nodiscard]] const char* submit_status_name(SubmitStatus status) noexcept;

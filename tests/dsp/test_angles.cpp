@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <complex>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "dsp/constants.hpp"
@@ -22,6 +26,29 @@ TEST(Angles, Wrap360) {
   EXPECT_DOUBLE_EQ(wrap_deg_360(360.0), 0.0);
   EXPECT_DOUBLE_EQ(wrap_deg_360(-30.0), 330.0);
   EXPECT_DOUBLE_EQ(wrap_deg_360(725.0), 5.0);
+}
+
+// wrap_deg_360 skips std::fmod inside (-360, 360), where fmod is exact
+// and returns its argument; the result must match the plain fmod form
+// bit for bit everywhere, signed zeros and non-finite inputs included.
+TEST(Angles, Wrap360MatchesFmodFormBitForBit) {
+  const auto via_fmod = [](double deg) {
+    double w = std::fmod(deg, 360.0);
+    if (w < 0.0) w += 360.0;
+    return w;
+  };
+  const double below = std::nextafter(360.0, 0.0);  // 359.999...
+  // volatile keeps the compiler from folding either side at compile time.
+  volatile double inputs[] = {0.0, -0.0, below, -below, 360.0, -360.0,
+                              1e300, -1e300, -30.0, 725.0, 1e-300, -1e-300,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+  for (const double deg : inputs) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(wrap_deg_360(deg)),
+              std::bit_cast<std::uint64_t>(via_fmod(deg)))
+        << "deg " << deg;
+  }
 }
 
 TEST(Angles, Wrap180) {

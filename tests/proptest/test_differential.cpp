@@ -7,7 +7,9 @@
 //   * the Kronecker operator matches its materialized dense matrix on
 //     random non-square sizes;
 //   * sparse recovery, MUSIC, and SpotFi agree on high-SNR scenes with
-//     well-separated paths.
+//     well-separated paths;
+//   * localize's bound-and-prune grid argmin matches an exhaustive scan
+//     bit for bit.
 //
 // Metamorphic: a known input transformation must produce a known output
 // transformation —
@@ -19,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <complex>
 #include <limits>
 #include <optional>
@@ -625,6 +629,161 @@ TEST(ProptestDifferential, RobustFusionMatchesNaiveWhenAllInliers) {
         return std::nullopt;
       },
       /*shrink=*/{}, show_fusion_case, cfg);
+}
+
+// ---------------------------------------------------------------------------
+// Grid-argmin differential: localize's bound-and-prune grid search must
+// return exactly (bit for bit, position and cost) what an exhaustive
+// row-major scan returns. The scan below is the oracle; it lives only
+// here.
+
+namespace {
+
+struct GridArgminCase {
+  roarray::channel::Room room;
+  double step = 0.1;
+  std::vector<roarray::loc::ApObservation> obs;
+};
+
+struct OracleFix {
+  roarray::channel::Vec2 position;
+  double cost = std::numeric_limits<double>::max();
+};
+
+/// Every candidate, iy outer and ix inner, strict-less update; candidates
+/// within 1e-9 m of an AP are skipped.
+OracleFix exhaustive_grid_argmin(const GridArgminCase& c) {
+  const auto nx = static_cast<index_t>(std::floor(c.room.width_m / c.step)) + 1;
+  const auto ny = static_cast<index_t>(std::floor(c.room.height_m / c.step)) + 1;
+  OracleFix best;
+  for (index_t iy = 0; iy < ny; ++iy) {
+    for (index_t ix = 0; ix < nx; ++ix) {
+      const roarray::channel::Vec2 cand{static_cast<double>(ix) * c.step,
+                                        static_cast<double>(iy) * c.step};
+      double cost = 0.0;
+      bool degenerate = false;
+      for (const roarray::loc::ApObservation& o : c.obs) {
+        if (roarray::channel::distance(cand, o.pose.position) < 1e-9) {
+          degenerate = true;
+          break;
+        }
+        const double phi = o.pose.aoa_of_point(cand);
+        const double d = roarray::dsp::angle_diff_deg(phi, o.aoa_deg);
+        cost += o.weight * d * d;
+      }
+      if (degenerate) continue;
+      if (cost < best.cost) {
+        best.cost = cost;
+        best.position = cand;
+      }
+    }
+  }
+  return best;
+}
+
+pt::Gen<GridArgminCase> gen_grid_argmin_case() {
+  return [](pt::Rng& rng) {
+    using U = std::uniform_real_distribution<double>;
+    GridArgminCase c;
+    c.room = {U(0.5, 20.0)(rng), U(0.5, 14.0)(rng)};
+    // Steps that divide neither the room nor the 16-cell tile, floored so
+    // the exhaustive oracle stays under ~40k candidates.
+    c.step = pt::element_of<double>({0.1, 0.07, 0.13, 0.25, 0.3})(rng);
+    if (U(0.0, 1.0)(rng) < 0.4) c.step = U(0.05, 0.6)(rng);
+    c.step = std::max(c.step, std::sqrt(c.room.width_m * c.room.height_m / 40000.0));
+    const auto nx = static_cast<int>(std::floor(c.room.width_m / c.step));
+    const auto ny = static_cast<int>(std::floor(c.room.height_m / c.step));
+    const roarray::channel::Vec2 target{U(0.0, c.room.width_m)(rng),
+                                        U(0.0, c.room.height_m)(rng)};
+    const int n = std::uniform_int_distribution<int>(1, 6)(rng);
+    for (int i = 0; i < n; ++i) {
+      roarray::loc::ApObservation o;
+      const double where = U(0.0, 1.0)(rng);
+      if (where < 0.3) {  // exactly on a grid candidate.
+        o.pose.position = {
+            static_cast<double>(std::uniform_int_distribution<int>(0, nx)(rng)) * c.step,
+            static_cast<double>(std::uniform_int_distribution<int>(0, ny)(rng)) * c.step};
+      } else if (where < 0.4) {  // outside the room.
+        o.pose.position = {U(-3.0, c.room.width_m + 3.0)(rng),
+                           U(-3.0, c.room.height_m + 3.0)(rng)};
+      } else {
+        o.pose.position = {U(0.0, c.room.width_m)(rng), U(0.0, c.room.height_m)(rng)};
+      }
+      o.pose.axis_deg = U(0.0, 1.0)(rng) < 0.3
+                            ? pt::element_of<double>({0.0, 45.0, 90.0, 180.0, -90.0})(rng)
+                            : U(-360.0, 720.0)(rng);
+      const bool at_target = roarray::channel::distance(o.pose.position, target) < 1e-6;
+      const double kind = U(0.0, 1.0)(rng);
+      if (kind < 0.35 && !at_target) {
+        o.aoa_deg = o.pose.aoa_of_point(target);
+      } else if (kind < 0.55 && !at_target) {
+        o.aoa_deg = o.pose.aoa_of_point(target) + std::normal_distribution<double>(0.0, 5.0)(rng);
+      } else if (kind < 0.85) {
+        o.aoa_deg = pt::element_of<double>({0.0, 180.0, 200.0, -30.0, 359.5, -180.0, 540.0})(rng);
+      } else {
+        o.aoa_deg = U(0.0, 180.0)(rng);
+      }
+      const double wk = U(0.0, 1.0)(rng);
+      o.weight = wk < 0.15 ? 1e-9 * U(0.5, 2.0)(rng) : wk < 0.3 ? 1.0 : U(0.1, 10.0)(rng);
+      c.obs.push_back(o);
+    }
+    return c;
+  };
+}
+
+/// Drops one observation at a time (keeping at least one).
+std::vector<GridArgminCase> shrink_grid_argmin_case(const GridArgminCase& c) {
+  std::vector<GridArgminCase> out;
+  for (std::size_t i = 0; c.obs.size() > 1 && i < c.obs.size(); ++i) {
+    GridArgminCase s = c;
+    s.obs.erase(s.obs.begin() + static_cast<std::ptrdiff_t>(i));
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+std::string show_grid_argmin_case(const GridArgminCase& c) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "room " << c.room.width_m << " x " << c.room.height_m << ", step " << c.step
+     << ", obs";
+  for (const auto& o : c.obs) {
+    os << " [(" << o.pose.position.x << "," << o.pose.position.y << ") axis "
+       << o.pose.axis_deg << " aoa " << o.aoa_deg << " w " << o.weight << "]";
+  }
+  return os.str();
+}
+
+}  // namespace
+
+TEST(ProptestDifferential, GridArgminMatchesExhaustiveScanBitForBit) {
+  pt::CheckConfig cfg;
+  cfg.cases = 150;
+  pt::check<GridArgminCase>(
+      "bound-and-prune grid argmin == exhaustive row-major scan, bit for bit",
+      gen_grid_argmin_case(),
+      [](const GridArgminCase& c) -> std::optional<std::string> {
+        roarray::loc::LocalizeConfig lcfg;
+        lcfg.room = c.room;
+        lcfg.grid_step_m = c.step;
+        lcfg.robust = false;
+        const auto fix = roarray::loc::localize(c.obs, lcfg);
+        const OracleFix want = exhaustive_grid_argmin(c);
+        if (!fix.valid) return "localize returned an invalid fix";
+        const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+        if (bits(fix.position.x) != bits(want.position.x) ||
+            bits(fix.position.y) != bits(want.position.y) ||
+            bits(fix.cost) != bits(want.cost)) {
+          std::ostringstream os;
+          os.precision(17);
+          os << "localize (" << fix.position.x << ", " << fix.position.y << ") cost "
+             << fix.cost << " vs scan (" << want.position.x << ", " << want.position.y
+             << ") cost " << want.cost;
+          return os.str();
+        }
+        return std::nullopt;
+      },
+      shrink_grid_argmin_case, show_grid_argmin_case, cfg);
 }
 
 // ---------------------------------------------------------------------------

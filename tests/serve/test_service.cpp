@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -125,6 +126,36 @@ TEST(ServeAdmission, RejectsMalformedRequests) {
             serve::SubmitStatus::kInvalidRequest);
   EXPECT_EQ(svc.stats().rejected_invalid, 4u);
   EXPECT_EQ(svc.stats().accepted, 0u);
+}
+
+TEST(ServeAdmission, RejectsNonFiniteCsiButServesValidSibling) {
+  serve::LocalizationService svc(small_config(0));
+  serve::Request nan_packet = clean_request(1, 0);
+  nan_packet.aps[1].packets[1](2, 17) = {std::nan(""), 0.0};
+  EXPECT_EQ(svc.submit(std::move(nan_packet), [](const serve::Response&) {
+              ADD_FAILURE() << "rejected request got a callback";
+            }),
+            serve::SubmitStatus::kInvalidRequest);
+  serve::Request inf_packet = clean_request(2, 0);
+  inf_packet.aps[0].packets[0](0, 0) = {0.0, -HUGE_VAL};
+  EXPECT_EQ(svc.submit(std::move(inf_packet), {}),
+            serve::SubmitStatus::kInvalidRequest);
+
+  serve::Response resp;
+  bool called = false;
+  ASSERT_EQ(svc.submit(clean_request(3, 0),
+                       [&](const serve::Response& r) {
+                         resp = r;
+                         called = true;
+                       }),
+            serve::SubmitStatus::kAccepted);
+  svc.drain();
+  ASSERT_TRUE(called);
+  EXPECT_EQ(resp.status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(resp.client_id, 3u);
+  EXPECT_TRUE(resp.location.valid);
+  EXPECT_EQ(svc.stats().rejected_invalid, 2u);
+  EXPECT_EQ(svc.stats().accepted, 1u);
 }
 
 TEST(ServeAdmission, QueueFullIsTypedBackpressure) {

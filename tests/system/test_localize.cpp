@@ -187,6 +187,117 @@ TEST(Localize, RobustFixShrugsOffOneLyingApWhereNaiveDrifts) {
   EXPECT_FALSE(robust.fusion.per_ap[2].inlier);
 }
 
+// --- Grid argmin tie-breaking and degenerate candidates. The grid search
+// visits tiles of candidates out of row-major order; ties must still
+// resolve to the first tied candidate in row-major order (iy, then ix),
+// exactly as a full row-major scan with a strict-less update would.
+
+LocalizeConfig naive_config(double width, double height, double step) {
+  LocalizeConfig cfg;
+  cfg.room = channel::Room{width, height};
+  cfg.grid_step_m = step;
+  cfg.robust = false;
+  return cfg;
+}
+
+Vec2 grid_point(int ix, int iy, double step) {
+  return {static_cast<double>(ix) * step, static_cast<double>(iy) * step};
+}
+
+TEST(LocalizeGrid, OneApRayTieResolvesToFirstRowMajorCell) {
+  // Array along +x, observed AoA 0: every candidate on the AP's row to
+  // its right sees AoA exactly 0, so a whole ray of cells costs 0.
+  const double step = 0.1;
+  ApObservation o;
+  o.pose = ApPose{grid_point(20, 30, step), 0.0};
+  o.aoa_deg = 0.0;
+  const LocalizeResult r = localize({&o, 1}, naive_config(18.0, 12.0, step));
+  ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.cost, 0.0);
+  EXPECT_EQ(r.position.x, grid_point(21, 30, step).x);
+  EXPECT_EQ(r.position.y, grid_point(21, 30, step).y);
+}
+
+TEST(LocalizeGrid, TieAcrossTilesPrefersLowerRowInALaterTile) {
+  // With a power-of-two step every coordinate is exact, so candidates at
+  // offsets k * (10, -3) cells from an AP on a grid point share one
+  // bearing bit for bit (k = 1, 2, 4): cells (10, 12), (20, 9), (40, 3),
+  // in 16-cell tile columns 0, 1 and 2 of tile row 0. The lowest row is
+  // in the last of those tiles.
+  const double step = 0.125;
+  ApObservation o;
+  o.pose = ApPose{grid_point(0, 15, step), 0.0};
+  o.aoa_deg = o.pose.aoa_of_point(grid_point(10, 12, step));
+  const LocalizeConfig cfg = naive_config(5.5, 5.5, step);
+  // The first candidate in row-major order whose AoA is exactly the
+  // observed one is the expected fix.
+  Vec2 first{-1.0, -1.0};
+  const int n = static_cast<int>(std::floor(5.5 / step)) + 1;
+  for (int iy = 0; iy < n && first.x < 0.0; ++iy) {
+    for (int ix = 0; ix < n; ++ix) {
+      const Vec2 c = grid_point(ix, iy, step);
+      if (channel::distance(c, o.pose.position) < 1e-9) continue;
+      if (o.pose.aoa_of_point(c) == o.aoa_deg) {
+        first = c;
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(o.pose.aoa_of_point(grid_point(40, 3, step)), o.aoa_deg);
+  ASSERT_LE(first.y, grid_point(40, 3, step).y);
+
+  const LocalizeResult r = localize({&o, 1}, cfg);
+  ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.cost, 0.0);
+  EXPECT_EQ(r.position.x, first.x);
+  EXPECT_EQ(r.position.y, first.y);
+}
+
+TEST(LocalizeGrid, SymmetricTwoApTieResolvesToLowerRow) {
+  // Two arrays on the line y = 6 with their axes along +x see a target and
+  // its mirror image across that line at the same AoA, bit for bit (the
+  // step keeps coordinates exact), so both cells cost exactly 0.
+  const double step = 0.25;
+  const Vec2 target = grid_point(30, 14, step);  // (7.5, 3.5)
+  const Vec2 mirror = grid_point(30, 34, step);  // (7.5, 8.5)
+  std::vector<ApObservation> obs(2);
+  obs[0].pose = ApPose{grid_point(2, 24, step), 0.0};
+  obs[1].pose = ApPose{grid_point(70, 24, step), 0.0};
+  for (ApObservation& o : obs) {
+    o.aoa_deg = o.pose.aoa_of_point(target);
+    ASSERT_EQ(o.pose.aoa_of_point(mirror), o.aoa_deg);
+  }
+  const LocalizeResult r = localize(obs, naive_config(18.0, 12.0, step));
+  ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.cost, 0.0);
+  EXPECT_EQ(r.position.x, target.x);
+  EXPECT_EQ(r.position.y, target.y);
+}
+
+TEST(LocalizeGrid, CandidateOnAnApIsSkipped) {
+  // AP 0 sits on grid candidate (50, 40), exactly or 0.5 nm off it (both
+  // inside the 1e-9 m on-AP radius), its axis along +x and its observed
+  // AoA 180: the candidates left of it on its row score 0 for it. AP 1
+  // points straight at AP 0, so the on-AP candidate would win if it were
+  // scored.
+  const double step = 0.1;
+  const Vec2 cell = grid_point(50, 40, step);
+  for (const double offset : {0.0, 5e-10}) {
+    std::vector<ApObservation> obs(2);
+    obs[0].pose = ApPose{{cell.x + offset, cell.y}, 0.0};
+    obs[0].aoa_deg = 180.0;
+    obs[1].pose = ApPose{{9.0, 0.5}, 0.0};
+    obs[1].aoa_deg = obs[1].pose.aoa_of_point(obs[0].pose.position);
+    const LocalizeResult r = localize(obs, naive_config(18.0, 12.0, step));
+    ASSERT_TRUE(r.valid);
+    EXPECT_FALSE(r.position.x == cell.x && r.position.y == cell.y)
+        << "offset " << offset;
+    EXPECT_GT(r.cost, 0.0);
+    EXPECT_TRUE(std::isfinite(r.cost));
+    EXPECT_LT(channel::distance(r.position, cell), 0.5);
+  }
+}
+
 class LocalizeTargetSweep
     : public ::testing::TestWithParam<std::pair<double, double>> {};
 
