@@ -44,6 +44,15 @@
 #                                     with nonzero sustained throughput
 #                                     in both serving modes. Also runs
 #                                     inside the full leg.
+#   scripts/ci.sh --perfbench-smoke   run the repo benchmark
+#                                     (perfbench/run.py, seed 1, 2 s,
+#                                     traced) once per workload declared
+#                                     in BENCHMARK.json and fail unless
+#                                     every result line reports
+#                                     "correct": true — the benchmark's
+#                                     own bit-identity checks gate the
+#                                     change. Also runs inside the full
+#                                     leg.
 #   scripts/ci.sh --analyze [jobs]    semantic-analyzer leg: builds
 #                                     tools/roarray_analyze, runs its
 #                                     fixture self-test, then runs the
@@ -99,6 +108,10 @@ case "${1:-}" in
     MODE=serve_smoke
     shift
     ;;
+  --perfbench-smoke)
+    MODE=perfbench_smoke
+    shift
+    ;;
 esac
 JOBS="${1:-$(nproc)}"
 
@@ -151,6 +164,28 @@ EOF
     }
     echo "serve smoke: BENCH_serve.json has nonzero sustained_rps (grep check)"
   fi
+}
+
+# Runs every BENCHMARK.json workload briefly through perfbench/run.py
+# (which builds perfbench/ into .bench_build/) and requires
+# "correct": true on each result line: the benchmark cross-checks its
+# own results (e.g. the cached and uncached estimator on the same round
+# must agree bit for bit) and reports any mismatch there.
+perfbench_smoke() {
+  echo "== Perfbench smoke (every workload, \"correct\": true) =="
+  local workloads
+  workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+  for w in ${workloads}; do
+    local result
+    result=$(python3 perfbench/run.py --workload "${w}" --seed 1 --seconds 2 \
+      --trace 1 | tail -n 1)
+    if ! grep -q '"correct": true' <<<"${result}"; then
+      echo "perfbench smoke FAILED: ${w}: ${result}" >&2
+      exit 1
+    fi
+    echo "-- ${w}: correct"
+  done
 }
 
 # Builds the source tools and runs the semantic analyzer (self-test
@@ -313,6 +348,12 @@ if [[ "$MODE" == backends ]]; then
   exit 0
 fi
 
+if [[ "$MODE" == perfbench_smoke ]]; then
+  perfbench_smoke
+  echo "Perfbench smoke OK"
+  exit 0
+fi
+
 if [[ "$MODE" == serve_smoke ]]; then
   cmake --preset default >/dev/null
   cmake --build --preset default -j "${JOBS}" --target serve_throughput
@@ -363,6 +404,8 @@ if ! grep -q '"robust_no_worse_than_naive_clean": true' \
 fi
 
 serve_smoke
+
+perfbench_smoke
 
 echo "== ASan+UBSan build =="
 cmake --preset asan-ubsan

@@ -100,6 +100,16 @@ struct Backend {
   /// group-prox "zero the row" marker). Bit-identical across tables.
   void (*row_scale)(cxd* col, index_t n, const double* scale);
 
+  /// Squared row norms of one column of the group-prox gradient step:
+  /// row_sq[i] += re^2 + im^2 of (from[i] - step * grad[i]), the step
+  /// itself not stored (the solver writes only the rows the prox keeps).
+  /// Callers sweep columns in ascending order, so each row sums its
+  /// columns in order. Bit-identical across tables: every table rounds
+  /// each multiply, subtract and add separately (no FMA contraction; see
+  /// simd_avx2.cpp).
+  void (*gradient_row_sq)(const cxd* from, const cxd* grad, double step,
+                          index_t n, double* row_sq);
+
   /// out[i] = scale * step^i via the phase recurrence lm *= step
   /// (steering vectors / dictionary factors). simd advances four
   /// elements per step with a step^4 stride; tolerance vs scalar:

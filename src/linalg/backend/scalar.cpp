@@ -1,6 +1,6 @@
 // The portable backend: today's hand-separated real-arithmetic kernels,
-// moved here verbatim from linalg/gemm.cpp, sparse/prox.hpp and
-// dsp/steering.cpp. The loops moved but the arithmetic (expression
+// moved here verbatim from linalg/gemm.cpp, sparse/prox.hpp,
+// sparse/fista.cpp and dsp/steering.cpp. The loops moved but the arithmetic (expression
 // trees, traversal order, zero-skips) did not, so this table reproduces
 // the pre-backend results bit-for-bit. Keep it that way: the golden
 // corpus and the cross-backend differential tests both anchor on this
@@ -202,6 +202,25 @@ void row_scale(cxd* col, index_t n, const double* scale) {
   }
 }
 
+}  // namespace
+
+/// Squared row norms of one column of the group-prox gradient step: the
+/// arithmetic of sparse::solve_group_l1's former fused pass, moved here
+/// verbatim minus its store of the step. Outside the anonymous namespace
+/// because the NEON table publishes this loop as its entry.
+void gradient_row_sq_scalar(const cxd* from, const cxd* grad, double step,
+                            index_t n, double* row_sq) {
+  const double* fd = reinterpret_cast<const double*>(from);
+  const double* gd = reinterpret_cast<const double*>(grad);
+  for (index_t i = 0; i < n; ++i) {
+    const double xr = fd[2 * i] - step * gd[2 * i];
+    const double xi = fd[2 * i + 1] - step * gd[2 * i + 1];
+    row_sq[i] += xr * xr + xi * xi;
+  }
+}
+
+namespace {
+
 /// out[i] = scale * step^i via the running-product recurrence — the
 /// exact expression steering_joint_sub evaluates (scale enters each
 /// element as one multiply; the recurrence itself is never scaled, so
@@ -226,7 +245,7 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
 constexpr Backend kScalar = {
     "scalar",        &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &phase_ramp,     &phase_ramp_accum,
+    &gradient_row_sq_scalar,          &phase_ramp,       &phase_ramp_accum,
 };
 
 }  // namespace

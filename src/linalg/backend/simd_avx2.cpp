@@ -297,10 +297,12 @@ void gemm_tile(index_t i0, index_t i1, index_t j0, index_t j1, index_t m,
 // complex multiply-accumulate on interleaved lanes.
 #define ROARRAY_SIGN_EVEN() _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0)
 
-/// C(:, j0:j1) = A B(:, j0:j1) for a compile-time row count M <= 16.
-/// Whole C column lives in registers (ceil(M/2) vectors); per reduction
-/// step: one contiguous A-column load, one in-lane permute, two FMAs
-/// per vector. Zero-skip matches the scalar kernel per entry.
+/// C(:, j0:j1) = A B(:, j0:j1) for a compile-time row count M <= 16,
+/// one column at a time. Whole C column lives in registers (ceil(M/2)
+/// vectors); per reduction step: one contiguous A-column load, one
+/// in-lane permute, two FMAs per vector. Zero-skip matches the scalar
+/// kernel per entry. Used as is for M > 7, and for the leftover columns
+/// of cols_blocked below.
 template <int M>
 void cols_kernel(index_t j0, index_t j1, index_t k, const cxd* a,
                  const cxd* b, cxd* c) {
@@ -338,13 +340,170 @@ void cols_kernel(index_t j0, index_t j1, index_t k, const cxd* a,
   }
 }
 
+/// Columns per pass of cols_blocked: enough independent accumulator
+/// chains to hide the FMA latency, few enough that the NB * ceil(M/2)
+/// accumulators plus the shared A registers fit the 16 ymm registers
+/// (M = 7 spills a few and still runs ~2x faster than one column).
+template <int M>
+inline constexpr int kColsBlock = M <= 4 ? 4 : 2;
+
+/// cols_kernel for M <= 7, NB = kColsBlock<M> columns per pass. One
+/// column alone gives each reduction step a chain of two dependent FMAs
+/// per accumulator, so cols_kernel waits on FMA latency at small M; here
+/// NB columns share each A-column load and interleave NB independent
+/// chains. Exactness: every output element sees cols_kernel's FMA
+/// sequence (same operands, same order), and a column whose B entry is
+/// zero does no FMA at that step (the per-entry zero-skip), so results
+/// are bit-identical to cols_kernel. The zero tests run four reduction
+/// steps at a time on whole vectors: a group of steps whose NB x 4
+/// entries are all +/-0 is skipped after one OR-and-test (the row-sparse
+/// FISTA iterates make this the common case), otherwise one compare per
+/// vector yields every entry's verdict. The accumulators are named
+/// locals, not an array (see the tile_panel note on gcc spilling
+/// __m256d arrays).
+template <int M>
+void cols_blocked(index_t j0, index_t j1, index_t k, const cxd* a,
+                  const cxd* b, cxd* c) {
+  constexpr int NB = kColsBlock<M>;
+  constexpr int NV = M / 2;
+  constexpr bool kTail = (M % 2) != 0;
+  static_assert(NV <= 3 && NB <= 4, "named accumulators cover M <= 7");
+  const __m256d sign = ROARRAY_SIGN_EVEN();
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256i magnitude = _mm256_set1_epi64x(0x7fffffffffffffffLL);
+  const double* ad = reinterpret_cast<const double*>(a);
+  // Reduction step KK for every column whose verdict bit (bit 8C of NZ)
+  // is set. accCV: column C, row pair V; tailC: column C's odd last row.
+#define ROARRAY_CB_MAC(C, KK, NZ)                                          \
+  do {                                                                     \
+    if ((NZ) & (1u << (8 * (C)))) {                                        \
+      const double* bc = bd + 2 * ((C) * k + (KK));                        \
+      const __m256d vbr = _mm256_broadcast_sd(bc);                         \
+      const __m256d vbi = _mm256_xor_pd(_mm256_broadcast_sd(bc + 1), sign); \
+      if constexpr (NV > 0) {                                              \
+        acc##C##0 = _mm256_fmadd_pd(va0, vbr, acc##C##0);                  \
+        acc##C##0 = _mm256_fmadd_pd(vp0, vbi, acc##C##0);                  \
+      }                                                                    \
+      if constexpr (NV > 1) {                                              \
+        acc##C##1 = _mm256_fmadd_pd(va1, vbr, acc##C##1);                  \
+        acc##C##1 = _mm256_fmadd_pd(vp1, vbi, acc##C##1);                  \
+      }                                                                    \
+      if constexpr (NV > 2) {                                              \
+        acc##C##2 = _mm256_fmadd_pd(va2, vbr, acc##C##2);                  \
+        acc##C##2 = _mm256_fmadd_pd(vp2, vbi, acc##C##2);                  \
+      }                                                                    \
+      if constexpr (kTail) {                                               \
+        tail##C = _mm_fmadd_pd(ta, _mm256_castpd256_pd128(vbr), tail##C);  \
+        tail##C = _mm_fmadd_pd(tp, _mm256_castpd256_pd128(vbi), tail##C);  \
+      }                                                                    \
+    }                                                                      \
+  } while (0)
+#define ROARRAY_CB_STEP(KK, NZ)                                            \
+  do {                                                                     \
+    const double* ak = ad + 2 * (KK) * M;                                  \
+    [[maybe_unused]] const __m256d va0 =                                   \
+        NV > 0 ? _mm256_loadu_pd(ak) : zero;                               \
+    [[maybe_unused]] const __m256d va1 =                                   \
+        NV > 1 ? _mm256_loadu_pd(ak + 4) : zero;                           \
+    [[maybe_unused]] const __m256d va2 =                                   \
+        NV > 2 ? _mm256_loadu_pd(ak + 8) : zero;                           \
+    [[maybe_unused]] const __m256d vp0 = _mm256_permute_pd(va0, 0x5);      \
+    [[maybe_unused]] const __m256d vp1 = _mm256_permute_pd(va1, 0x5);      \
+    [[maybe_unused]] const __m256d vp2 = _mm256_permute_pd(va2, 0x5);      \
+    [[maybe_unused]] const __m128d ta =                                    \
+        kTail ? _mm_loadu_pd(ak + 4 * NV) : _mm_setzero_pd();              \
+    [[maybe_unused]] const __m128d tp = _mm_shuffle_pd(ta, ta, 0x1);       \
+    ROARRAY_CB_MAC(0, KK, NZ);                                             \
+    if constexpr (NB > 1) ROARRAY_CB_MAC(1, KK, NZ);                       \
+    if constexpr (NB > 2) ROARRAY_CB_MAC(2, KK, NZ);                       \
+    if constexpr (NB > 3) ROARRAY_CB_MAC(3, KK, NZ);                       \
+  } while (0)
+#define ROARRAY_CB_STORE(C)                                                \
+  do {                                                                     \
+    double* cj = reinterpret_cast<double*>(c + (j + (C)) * M);             \
+    if constexpr (NV > 0) _mm256_storeu_pd(cj, acc##C##0);                 \
+    if constexpr (NV > 1) _mm256_storeu_pd(cj + 4, acc##C##1);             \
+    if constexpr (NV > 2) _mm256_storeu_pd(cj + 8, acc##C##2);             \
+    if constexpr (kTail) _mm_storeu_pd(cj + 4 * NV, tail##C);              \
+  } while (0)
+  index_t j = j0;
+  for (; j + NB <= j1; j += NB) {
+    const double* bd = reinterpret_cast<const double*>(b + j * k);
+    [[maybe_unused]] __m256d acc00 = zero, acc01 = zero, acc02 = zero;
+    [[maybe_unused]] __m256d acc10 = zero, acc11 = zero, acc12 = zero;
+    [[maybe_unused]] __m256d acc20 = zero, acc21 = zero, acc22 = zero;
+    [[maybe_unused]] __m256d acc30 = zero, acc31 = zero, acc32 = zero;
+    [[maybe_unused]] __m128d tail0 = _mm_setzero_pd(), tail1 = tail0,
+                             tail2 = tail0, tail3 = tail0;
+    index_t kk = 0;
+    for (; kk + 4 <= k; kk += 4) {
+      // Steps kk..kk+3: two vectors per column hold all four entries.
+      __m256d any = zero;
+      for (int cc = 0; cc < NB; ++cc) {
+        const double* bc = bd + 2 * (cc * k + kk);
+        any = _mm256_or_pd(
+            any, _mm256_or_pd(_mm256_loadu_pd(bc), _mm256_loadu_pd(bc + 4)));
+      }
+      // Every entry +/-0 (only sign bits set): no column does any FMA.
+      if (_mm256_testz_si256(_mm256_castpd_si256(any), magnitude)) continue;
+      // Bit 8cc + 2s: column cc's entry at step kk + s is nonzero (NaN
+      // counts as nonzero, as in the scalar test).
+      unsigned bits = 0;
+      for (int cc = 0; cc < NB; ++cc) {
+        const double* bc = bd + 2 * (cc * k + kk);
+        const unsigned lo = static_cast<unsigned>(_mm256_movemask_pd(
+            _mm256_cmp_pd(_mm256_loadu_pd(bc), zero, _CMP_NEQ_UQ)));
+        const unsigned hi = static_cast<unsigned>(_mm256_movemask_pd(
+            _mm256_cmp_pd(_mm256_loadu_pd(bc + 4), zero, _CMP_NEQ_UQ)));
+        bits |= (lo | (hi << 4)) << (8 * cc);
+      }
+      bits = (bits | (bits >> 1)) & 0x55555555u;
+      for (int s = 0; s < 4; ++s) {
+        const unsigned nz = (bits >> (2 * s)) & 0x01010101u;
+        if (nz == 0) continue;
+        ROARRAY_CB_STEP(kk + s, nz);
+      }
+    }
+    for (; kk < k; ++kk) {  // k % 4 leftover steps: scalar zero tests
+      unsigned nz = 0;
+      for (int cc = 0; cc < NB; ++cc) {
+        const double* bc = bd + 2 * (cc * k + kk);
+        nz |= static_cast<unsigned>((bc[0] != 0.0) | (bc[1] != 0.0))
+              << (8 * cc);
+      }
+      if (nz == 0) continue;
+      ROARRAY_CB_STEP(kk, nz);
+    }
+    ROARRAY_CB_STORE(0);
+    if constexpr (NB > 1) ROARRAY_CB_STORE(1);
+    if constexpr (NB > 2) ROARRAY_CB_STORE(2);
+    if constexpr (NB > 3) ROARRAY_CB_STORE(3);
+  }
+#undef ROARRAY_CB_MAC
+#undef ROARRAY_CB_STEP
+#undef ROARRAY_CB_STORE
+  if (j < j1) cols_kernel<M>(j, j1, k, a, b, c);
+}
+
 using ColsKernel = void (*)(index_t, index_t, index_t, const cxd*,
                             const cxd*, cxd*);
+
+/// Fixed-height kernel for row count M: column-blocked up to M = 7,
+/// one column at a time above (where one column already carries four or
+/// more independent accumulator chains).
+template <int M>
+constexpr ColsKernel cols_entry() {
+  if constexpr (M <= 7) {
+    return &cols_blocked<M>;
+  } else {
+    return &cols_kernel<M>;
+  }
+}
 
 template <int... Ms>
 constexpr std::array<ColsKernel, sizeof...(Ms)> cols_table(
     std::integer_sequence<int, Ms...>) {
-  return {&cols_kernel<Ms + 1>...};
+  return {cols_entry<Ms + 1>()...};
 }
 
 constexpr auto kColsKernels =
@@ -355,34 +514,33 @@ void gemm_cols(index_t m, index_t j0, index_t j1, index_t k, const cxd* a,
   kColsKernels[static_cast<std::size_t>(m - 1)](j0, j1, k, a, b, c);
 }
 
-/// C(:, j0:j1) = A B(:, j0:j1) for k <= 8: the B factors are hoisted
-/// into per-depth broadcast registers once per column, then each C
-/// vector is produced in one pass over the k contiguous A columns. No
-/// zero-skip, matching the scalar fixed-depth kernel (exact +/-0
-/// terms).
-void gemm_cols_depth(index_t m, index_t j0, index_t j1, index_t k,
-                     const cxd* a, const cxd* b, cxd* c) {
+/// C(:, j0:j1) = A B(:, j0:j1) for a compile-time depth K <= 8: the B
+/// factors are hoisted into per-depth broadcast registers once per
+/// column, then each C vector is produced in one pass over the K
+/// contiguous A columns. K is a template parameter so the fully
+/// unrolled broadcast arrays live in registers (a runtime K keeps them
+/// in a loop-indexed stack array, reloaded every step). No zero-skip,
+/// matching the scalar fixed-depth kernel (exact +/-0 terms).
+template <int K>
+void cols_depth_kernel(index_t m, index_t j0, index_t j1, const cxd* a,
+                       const cxd* b, cxd* c) {
   const __m256d sign = ROARRAY_SIGN_EVEN();
   const double* ad = reinterpret_cast<const double*>(a);
-  __m256d vbr[kSmallDepthLimit] = {};
-  __m256d vbi[kSmallDepthLimit] = {};
-  __m128d tbr[kSmallDepthLimit] = {};
-  __m128d tbi[kSmallDepthLimit] = {};
   for (index_t j = j0; j < j1; ++j) {
-    const cxd* bj = b + j * k;
-    for (index_t kk = 0; kk < k; ++kk) {
-      const double br = bj[kk].real();
-      const double bi = bj[kk].imag();
-      vbr[kk] = _mm256_set1_pd(br);
-      vbi[kk] = _mm256_xor_pd(_mm256_set1_pd(bi), sign);
-      tbr[kk] = _mm_set1_pd(br);
-      tbi[kk] = _mm_setr_pd(-bi, bi);
+    const double* bj = reinterpret_cast<const double*>(b + j * K);
+    __m256d vbr[K];
+    __m256d vbi[K];
+#pragma GCC unroll 8
+    for (int kk = 0; kk < K; ++kk) {
+      vbr[kk] = _mm256_broadcast_sd(bj + 2 * kk);
+      vbi[kk] = _mm256_xor_pd(_mm256_broadcast_sd(bj + 2 * kk + 1), sign);
     }
     double* cj = reinterpret_cast<double*>(c + j * m);
     index_t i = 0;
     for (; i + 2 <= m; i += 2) {
       __m256d acc = _mm256_setzero_pd();
-      for (index_t kk = 0; kk < k; ++kk) {
+#pragma GCC unroll 8
+      for (int kk = 0; kk < K; ++kk) {
         const __m256d va = _mm256_loadu_pd(ad + 2 * kk * m + 2 * i);
         acc = _mm256_fmadd_pd(va, vbr[kk], acc);
         acc = _mm256_fmadd_pd(_mm256_permute_pd(va, 0x5), vbi[kk], acc);
@@ -391,14 +549,33 @@ void gemm_cols_depth(index_t m, index_t j0, index_t j1, index_t k,
     }
     if (i < m) {  // odd row count: final complex in an xmm lane
       __m128d acc = _mm_setzero_pd();
-      for (index_t kk = 0; kk < k; ++kk) {
+#pragma GCC unroll 8
+      for (int kk = 0; kk < K; ++kk) {
         const __m128d ta = _mm_loadu_pd(ad + 2 * kk * m + 2 * i);
-        acc = _mm_fmadd_pd(ta, tbr[kk], acc);
-        acc = _mm_fmadd_pd(_mm_shuffle_pd(ta, ta, 0x1), tbi[kk], acc);
+        acc = _mm_fmadd_pd(ta, _mm256_castpd256_pd128(vbr[kk]), acc);
+        acc = _mm_fmadd_pd(_mm_shuffle_pd(ta, ta, 0x1),
+                           _mm256_castpd256_pd128(vbi[kk]), acc);
       }
       _mm_storeu_pd(cj + 2 * i, acc);
     }
   }
+}
+
+using ColsDepthKernel = void (*)(index_t, index_t, index_t, const cxd*,
+                                 const cxd*, cxd*);
+
+template <int... Ks>
+constexpr std::array<ColsDepthKernel, sizeof...(Ks)> cols_depth_table(
+    std::integer_sequence<int, Ks...>) {
+  return {&cols_depth_kernel<Ks + 1>...};
+}
+
+constexpr auto kColsDepthKernels =
+    cols_depth_table(std::make_integer_sequence<int, kSmallDepthLimit>{});
+
+void gemm_cols_depth(index_t m, index_t j0, index_t j1, index_t k,
+                     const cxd* a, const cxd* b, cxd* c) {
+  kColsDepthKernels[static_cast<std::size_t>(k - 1)](m, j0, j1, a, b, c);
 }
 
 /// C(i0:i1, j0:j1) = A(:, i0:i1)^H B(:, j0:j1). Each dot product keeps
@@ -536,6 +713,55 @@ void row_scale(cxd* col, index_t n, const double* scale) {
   }
 }
 
+// gcc lowers _mm256_mul_pd / _mm256_sub_pd to plain vector arithmetic,
+// and with this TU's -mfma it contracts a multiply feeding an add or
+// subtract into one FMA (gcc 12, -O2 -std=c++20), intrinsics or not.
+// Kernels that promise the scalar table's rounding switch contraction
+// off for their own body; clang contracts only within one source
+// expression, so the intrinsic calls already stay separate there.
+#if defined(__clang__)
+#define ROARRAY_NO_FP_CONTRACT
+#else
+#define ROARRAY_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#endif
+
+/// Squared row norms of one column of the group-prox gradient step,
+/// four rows per iteration: row_sq += re^2 + im^2 of from - step * grad.
+/// Each multiply, subtract and add rounds on its own, like the scalar
+/// loop (which the baseline x86-64 target compiles without FMA), so the
+/// two tables are bit-identical here. hadd pairs re^2 + im^2 of rows
+/// (i, i+2) and (i+1, i+3); the 64-bit permute restores row order.
+ROARRAY_NO_FP_CONTRACT
+void gradient_row_sq(const cxd* from, const cxd* grad, double step,
+                     index_t n, double* row_sq) {
+  const double* fd = reinterpret_cast<const double*>(from);
+  const double* gd = reinterpret_cast<const double*>(grad);
+  const __m256d vs = _mm256_set1_pd(step);
+  index_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x0 = _mm256_sub_pd(
+        _mm256_loadu_pd(fd + 2 * i),
+        _mm256_mul_pd(vs, _mm256_loadu_pd(gd + 2 * i)));
+    const __m256d x1 = _mm256_sub_pd(
+        _mm256_loadu_pd(fd + 2 * i + 4),
+        _mm256_mul_pd(vs, _mm256_loadu_pd(gd + 2 * i + 4)));
+    const __m256d sq = _mm256_permute4x64_pd(
+        _mm256_hadd_pd(_mm256_mul_pd(x0, x0), _mm256_mul_pd(x1, x1)), 0xD8);
+    _mm256_storeu_pd(row_sq + i,
+                     _mm256_add_pd(_mm256_loadu_pd(row_sq + i), sq));
+  }
+  for (; i < n; ++i) {  // row tail: the same operations on one complex
+    const __m128d x = _mm_sub_pd(
+        _mm_loadu_pd(fd + 2 * i),
+        _mm_mul_pd(_mm256_castpd256_pd128(vs), _mm_loadu_pd(gd + 2 * i)));
+    const __m128d sq = _mm_mul_pd(x, x);
+    const __m128d norm = _mm_add_sd(sq, _mm_unpackhi_pd(sq, sq));
+    row_sq[i] = _mm_cvtsd_f64(_mm_add_sd(_mm_set_sd(row_sq[i]), norm));
+  }
+}
+
+#undef ROARRAY_NO_FP_CONTRACT
+
 /// out[i] (+)= scale * step^i, four elements per iteration: two
 /// two-element chains each advanced by step^4 (one permute, one
 /// multiply, one fmaddsub per chain). The chained products drift from
@@ -597,7 +823,7 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
 constexpr Backend kAvx2 = {
     "simd-avx2",     &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &phase_ramp,     &phase_ramp_accum,
+    &gradient_row_sq, &phase_ramp,     &phase_ramp_accum,
 };
 
 }  // namespace

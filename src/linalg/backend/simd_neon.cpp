@@ -23,6 +23,10 @@
 
 namespace roarray::linalg::backend {
 
+// Defined in scalar.cpp (see kNeon below).
+void gradient_row_sq_scalar(const cxd* from, const cxd* grad, double step,
+                            index_t n, double* row_sq);
+
 namespace {
 
 /// acc += (ar, ai) * (br + i bi) on interleaved lanes: one lane swap,
@@ -200,10 +204,12 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
   phase_ramp_impl<true>(scale, step, n, out);
 }
 
+// The group-prox gradient pass reuses the scalar loop (scalar.cpp), so
+// the two tables agree bit for bit on it.
 constexpr Backend kNeon = {
     "simd-neon",     &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &phase_ramp,     &phase_ramp_accum,
+    &gradient_row_sq_scalar,          &phase_ramp,       &phase_ramp_accum,
 };
 
 }  // namespace

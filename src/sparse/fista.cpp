@@ -1,8 +1,12 @@
 #include "sparse/fista.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sparse/power.hpp"
@@ -18,11 +22,16 @@ double resolve_kappa(const LinearOperator& op, const CVec& y,
   return cfg.kappa_ratio * kappa_max(op, y);
 }
 
-double resolve_step(const LinearOperator& op, const SolveConfig& cfg) {
+/// 1 / (safety * lambda_max(S^H S)); `solver` names the caller in the
+/// zero-operator error.
+double resolve_step(const LinearOperator& op, const SolveConfig& cfg,
+                    const char* solver) {
   const double norm_sq =
       cfg.lipschitz_hint > 0.0 ? cfg.lipschitz_hint : operator_norm_sq(op);
   const double lip = norm_sq * cfg.lipschitz_safety;
-  if (lip <= 0.0) throw std::domain_error("solve_l1: zero operator");
+  if (lip <= 0.0) {
+    throw std::domain_error(std::string(solver) + ": zero operator");
+  }
   return 1.0 / lip;
 }
 
@@ -42,28 +51,115 @@ double half_residual_sq(const cxd* s, const cxd* y, index_t count) {
   return 0.5 * acc;
 }
 
-/// Fused momentum bookkeeping over `count` complex elements: writes
-/// z = x_new + beta (x_new - x) and accumulates ||x_new - x||^2 and
-/// ||x_new||^2 for the relative-change stopping rule, all in one pass
-/// (the unfused version walks the iterate four times).
+/// Fused momentum bookkeeping over the listed rows of n x k column-major
+/// blocks: writes z = x_new + beta (x_new - x) and accumulates
+/// ||x_new - x||^2 and ||x_new||^2 for the relative-change stopping
+/// rule, all in one pass (the unfused version walks the iterate four
+/// times). Terms accumulate column by column, rows ascending — the
+/// dense element order with the unlisted rows left out (see LiveRows
+/// for why leaving them out is exact).
 void momentum_update(const cxd* x_new, const cxd* x, double beta, cxd* z,
-                     index_t count, double& diff_sq, double& new_sq) {
+                     index_t n, index_t k, const index_t* rows,
+                     index_t nrows, double& diff_sq, double& new_sq) {
   const double* nd = reinterpret_cast<const double*>(x_new);
   const double* od = reinterpret_cast<const double*>(x);
   double* zd = reinterpret_cast<double*>(z);
   double ds = 0.0;
   double ns = 0.0;
-  for (index_t i = 0; i < count; ++i) {
-    const double dr = nd[2 * i] - od[2 * i];
-    const double di = nd[2 * i + 1] - od[2 * i + 1];
-    ds += dr * dr + di * di;
-    ns += nd[2 * i] * nd[2 * i] + nd[2 * i + 1] * nd[2 * i + 1];
-    zd[2 * i] = nd[2 * i] + beta * dr;
-    zd[2 * i + 1] = nd[2 * i + 1] + beta * di;
+  for (index_t j = 0; j < k; ++j) {
+    for (index_t r = 0; r < nrows; ++r) {
+      const index_t i = j * n + rows[r];
+      const double dr = nd[2 * i] - od[2 * i];
+      const double di = nd[2 * i + 1] - od[2 * i + 1];
+      ds += dr * dr + di * di;
+      ns += nd[2 * i] * nd[2 * i] + nd[2 * i + 1] * nd[2 * i + 1];
+      zd[2 * i] = nd[2 * i] + beta * dr;
+      zd[2 * i + 1] = nd[2 * i + 1] + beta * di;
+    }
   }
   diff_sq = ds;
   new_sq = ns;
 }
+
+/// Which rows of the n x k iterates x, x_new and z may be nonzero, as
+/// ascending row lists. A row the prox sets to zero is exact +0 in every
+/// column (+0 in both parts), and a row that is +0 in both x_new and x
+/// adds nothing to momentum_update: dr = di = +0, so diff_sq and new_sq
+/// gain +0 (the identity on an accumulator >= +0, NaN and inf included),
+/// and z = +0 + beta * (+0) = +0 for the solvers' beta >= 0. Running the
+/// momentum pass over the rows live in x_new or x only therefore leaves
+/// every result bit for bit unchanged; z needs an explicit +0 only where
+/// it was live before. On the solver iterates ~1.5 % of rows are live,
+/// and every list operation here costs O(live rows), not O(n).
+class LiveRows {
+ public:
+  explicit LiveRows(index_t n)
+      : x_(static_cast<std::size_t>(n)),
+        x_new_(static_cast<std::size_t>(n)),
+        z_(static_cast<std::size_t>(n)),
+        spare_(static_cast<std::size_t>(n)) {}
+
+  /// Room for n rows: the caller lists x_new's new live rows here,
+  /// ascending, then calls set_new.
+  [[nodiscard]] index_t* spare() { return spare_.data(); }
+
+  /// x_new's live rows are now spare()[0, count). Calls clear(row) for
+  /// every row the x_new buffer may still hold nonzero from an earlier
+  /// write that is not live any more.
+  template <class Clear>
+  void set_new(index_t count, const Clear& clear) {
+    for_each_dropped(x_new_.data(), x_new_count_, spare_.data(), count,
+                     clear);
+    std::swap(x_new_, spare_);
+    x_new_count_ = count;
+  }
+
+  [[nodiscard]] const index_t* new_rows() const { return x_new_.data(); }
+
+  /// Makes the active rows (live in x_new or x) z's live rows, writing
+  /// +0 over the k columns of every z row that leaves the set. Returns
+  /// the active count; active() lists them ascending.
+  index_t update(cxd* z, index_t n, index_t k) {
+    const auto end = std::set_union(
+        x_new_.begin(), x_new_.begin() + x_new_count_, x_.begin(),
+        x_.begin() + x_count_, spare_.begin());
+    const auto count = static_cast<index_t>(end - spare_.begin());
+    for_each_dropped(z_.data(), z_count_, spare_.data(), count,
+                     [&](index_t row) {
+                       for (index_t j = 0; j < k; ++j) z[j * n + row] = cxd{};
+                     });
+    std::swap(z_, spare_);
+    z_count_ = count;
+    return count;
+  }
+
+  [[nodiscard]] const index_t* active() const { return z_.data(); }
+
+  /// Mirrors std::swap(x, x_new) at the end of an iteration.
+  void swap_iterates() {
+    std::swap(x_, x_new_);
+    std::swap(x_count_, x_new_count_);
+  }
+
+ private:
+  /// Calls f(row) for every row of the ascending list `before` that the
+  /// ascending list `after` lacks.
+  template <class F>
+  static void for_each_dropped(const index_t* before, index_t nbefore,
+                               const index_t* after, index_t nafter,
+                               const F& f) {
+    index_t p = 0;
+    for (index_t q = 0; q < nbefore; ++q) {
+      while (p < nafter && after[p] < before[q]) ++p;
+      if (p == nafter || after[p] != before[q]) f(before[q]);
+    }
+  }
+
+  std::vector<index_t> x_, x_new_, z_, spare_;
+  index_t x_count_ = 0;
+  index_t x_new_count_ = 0;
+  index_t z_count_ = 0;
+};
 
 /// sz = sx_new + beta (sx_new - sx): the momentum identity on the
 /// cached forward applications (reuse path).
@@ -116,9 +212,11 @@ double l1_objective(const LinearOperator& op, const CVec& y, const CVec& x,
 //
 // All large per-iteration buffers (iterate, momentum point, gradient,
 // residual, cached applications) are allocated once and recycled via
-// swaps; element-wise passes over the grid-sized iterate are fused (see
-// the helpers above). This matters: the unknown block is tall (grid
-// size x snapshots) and the naive expression-by-expression loop spends
+// swaps; element-wise passes over the grid-sized iterate are fused, and
+// the momentum pass (and the group prox's write) visit only the rows
+// that can be nonzero (see the helpers above). This matters: the
+// unknown block is tall (grid size x snapshots), only a few percent of
+// its rows are live, and the naive expression-by-expression loop spends
 // more time re-walking and re-allocating it than in the operator.
 
 SolveResult solve_l1(const LinearOperator& op, const CVec& y,
@@ -128,7 +226,7 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
 
   SolveResult out;
   out.kappa = resolve_kappa(op, y, cfg);
-  const double step = resolve_step(op, cfg);
+  const double step = resolve_step(op, cfg, "solve_l1");
   const double shrink = step * out.kappa;
   const bool accelerated = cfg.algorithm == Algorithm::kFista;
   const bool reuse = cfg.reuse_applies;
@@ -142,6 +240,8 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
   CVec sz(m);     // S z, maintained only on the reuse path
   CVec sx_new(m);
   CVec residual(m);
+  LiveRows live(n);
+  out.objective.reserve(static_cast<std::size_t>(cfg.max_iterations));
   double t = 1.0;
   double prev_obj = half_residual_sq(sx.data(), y.data(), m);  // x = 0
 
@@ -184,13 +284,26 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
     }
     double diff_sq = 0.0;
     double new_sq = 0.0;
-    momentum_update(x_new.data(), x.data(), beta, z.data(), n, diff_sq, new_sq);
+    // Live elements of x_new: all but the +0 ones (soft_threshold writes
+    // +0 for every element it shrinks to zero). x_new is written in full
+    // above, so no stale element needs clearing.
+    index_t nlive = 0;
+    for (index_t i = 0; i < n; ++i) {
+      live.spare()[nlive] = i;
+      nlive += (std::bit_cast<std::uint64_t>(x_new[i].real()) |
+                std::bit_cast<std::uint64_t>(x_new[i].imag())) != 0;
+    }
+    live.set_new(nlive, [](index_t) {});
+    const index_t nactive = live.update(z.data(), n, 1);
+    momentum_update(x_new.data(), x.data(), beta, z.data(), n, 1,
+                    live.active(), nactive, diff_sq, new_sq);
     const double rel_change =
         std::sqrt(diff_sq) / std::max(1.0, std::sqrt(new_sq));
     if (reuse) extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m);
 
     prev_obj = obj;
     std::swap(x, x_new);
+    live.swap_iterates();
     std::swap(sx, sx_new);
     if (callback) callback(it, x);
     if (rel_change < cfg.tolerance) {
@@ -232,10 +345,11 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     }
     out.kappa = cfg.kappa_ratio * mx;
   }
-  const double step = resolve_step(op, cfg);
+  const double step = resolve_step(op, cfg, "solve_group_l1");
   const double shrink = step * out.kappa;
   const bool accelerated = cfg.algorithm == Algorithm::kFista;
   const bool reuse = cfg.reuse_applies;
+  const auto& bk = linalg::backend::active();
 
   CMat x(n, k);
   CMat z(n, k);
@@ -246,48 +360,45 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   CMat sx_new(m, k);
   CMat residual(m, k);
   std::vector<double> row_scale(static_cast<std::size_t>(n));
+  LiveRows live(n);
+  out.objective.reserve(static_cast<std::size_t>(cfg.max_iterations));
   double t = 1.0;
   double prev_obj = half_residual_sq(sx.data(), y.data(), m * k);  // x = 0
 
   // x_new = prox_{shrink ||.||_{2,1}}(from - step * grad), returning
-  // ||x_new||_{2,1} for the objective. One column-major pass writes the
-  // gradient step and accumulates the squared row norms; a second
-  // applies the row shrink factors. The returned l2,1 value is the
-  // analytic post-shrink norm (row norm times its shrink factor).
+  // ||x_new||_{2,1} for the objective. A column-major backend pass
+  // accumulates the squared row norms of the gradient step (without
+  // storing it), row_shrink_factors turns them into shrink factors and
+  // lists the kept rows, and only those rows are written: the gradient
+  // step times the factor, the roundings of a full gradient-step write
+  // followed by Backend::row_scale. Rows the x_new buffer still holds
+  // from an earlier write get +0; every other row already is +0. The
+  // returned l2,1 value is the analytic post-shrink norm (row norm times
+  // its shrink factor).
   auto prox_gradient_step = [&](const CMat& from, const CMat& g) {
-    const double* fd = reinterpret_cast<const double*>(from.data());
-    const double* gd = reinterpret_cast<const double*>(g.data());
-    double* xd = reinterpret_cast<double*>(x_new.data());
     std::fill(row_scale.begin(), row_scale.end(), 0.0);
     for (index_t j = 0; j < k; ++j) {
-      const index_t off = 2 * j * n;
-      for (index_t i = 0; i < n; ++i) {
-        const double xr = fd[off + 2 * i] - step * gd[off + 2 * i];
-        const double xi = fd[off + 2 * i + 1] - step * gd[off + 2 * i + 1];
-        xd[off + 2 * i] = xr;
-        xd[off + 2 * i + 1] = xi;
-        row_scale[static_cast<std::size_t>(i)] += xr * xr + xi * xi;
-      }
+      bk.gradient_row_sq(from.data() + j * n, g.data() + j * n, step, n,
+                         row_scale.data());
     }
-    double l21 = 0.0;
-    for (index_t i = 0; i < n; ++i) {
-      const double norm = std::sqrt(row_scale[static_cast<std::size_t>(i)]);
-      if (norm <= shrink) {
-        row_scale[static_cast<std::size_t>(i)] = -1.0;
-      } else {
-        const double s = 1.0 - shrink / norm;
-        row_scale[static_cast<std::size_t>(i)] = s;
-        l21 += norm * s;
-      }
-    }
-    // The shrink pass is the backend row_scale kernel (bit-identical
-    // across tables); the fused gradient+accumulate pass above stays
-    // scalar because splitting it would double the memory traffic.
-    const auto& bk = linalg::backend::active();
+    const RowShrink shrunk =
+        row_shrink_factors(row_scale.data(), n, shrink, live.spare());
+    live.set_new(shrunk.kept, [&](index_t row) {
+      for (index_t j = 0; j < k; ++j) x_new(row, j) = cxd{};
+    });
+    const index_t* rows = live.new_rows();
     for (index_t j = 0; j < k; ++j) {
-      bk.row_scale(x_new.data() + j * n, n, row_scale.data());
+      const double* fd = reinterpret_cast<const double*>(from.data() + j * n);
+      const double* gd = reinterpret_cast<const double*>(g.data() + j * n);
+      double* xd = reinterpret_cast<double*>(x_new.data() + j * n);
+      for (index_t r = 0; r < shrunk.kept; ++r) {
+        const index_t i = rows[r];
+        const double s = row_scale[static_cast<std::size_t>(i)];
+        xd[2 * i] = (fd[2 * i] - step * gd[2 * i]) * s;
+        xd[2 * i + 1] = (fd[2 * i + 1] - step * gd[2 * i + 1]) * s;
+      }
     }
-    return l21;
+    return shrunk.l21;
   };
 
   for (int it = 1; it <= cfg.max_iterations; ++it) {
@@ -329,14 +440,16 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     }
     double diff_sq = 0.0;
     double new_sq = 0.0;
-    momentum_update(x_new.data(), x.data(), beta, z.data(), n * k, diff_sq,
-                    new_sq);
+    const index_t nactive = live.update(z.data(), n, k);
+    momentum_update(x_new.data(), x.data(), beta, z.data(), n, k,
+                    live.active(), nactive, diff_sq, new_sq);
     const double rel_change =
         std::sqrt(diff_sq) / std::max(1.0, std::sqrt(new_sq));
     if (reuse) extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m * k);
 
     prev_obj = obj;
     std::swap(x, x_new);
+    live.swap_iterates();
     std::swap(sx, sx_new);
     if (rel_change < cfg.tolerance) {
       out.converged = true;

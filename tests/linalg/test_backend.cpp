@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +81,9 @@ TEST(BackendDispatch, DispatchInfoIsConsistent) {
   EXPECT_EQ(d.simd_compiled, simd_compiled());
   // A supported SIMD table implies a compiled one, and the published
   // table pointer agrees with the support flag.
-  if (d.simd_supported) EXPECT_TRUE(d.simd_compiled);
+  if (d.simd_supported) {
+    EXPECT_TRUE(d.simd_compiled);
+  }
   EXPECT_EQ(simd() != nullptr, d.simd_compiled && d.simd_supported);
   const std::string req = d.requested;
   EXPECT_TRUE(req == "auto" || req == "scalar" || req == "simd") << req;
@@ -333,6 +337,210 @@ TEST_F(BackendDifferential, PooledGemmIsBitIdenticalPerTable) {
                              static_cast<std::size_t>(serial.size()) *
                                  sizeof(cxd)))
         << be->name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact oracles for the simd fixed-height / fixed-depth kernels. The
+// reference below performs, per output element, exactly the FMA
+// sequence the simd kernels issue on interleaved lanes: for each
+// reduction step, re = fma(ar, br, re) then re = fma(ai, -bi, re), and
+// im = fma(ai, br, im) then im = fma(ar, bi, im), starting from +0.
+// std::fma rounds once whatever the target, so the oracle is exact on
+// any build. gemm_cols skips a step for a column whose B entry is +/-0
+// in both parts (NaN counts as nonzero); gemm_cols_depth never skips.
+// Comparisons are bitwise, except that any two NaNs compare equal: the
+// payload and sign of a NaN result depend on which operand slot the
+// compiler gave the NaN, which is not part of the kernels' contract.
+
+bool same_double(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void fma_oracle(index_t m, index_t n, index_t k, const cxd* a, const cxd* b,
+                bool zero_skip, cxd* c) {
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < m; ++i) {
+      double re = 0.0;
+      double im = 0.0;
+      for (index_t kk = 0; kk < k; ++kk) {
+        const double br = b[j * k + kk].real();
+        const double bi = b[j * k + kk].imag();
+        if (zero_skip && br == 0.0 && bi == 0.0) continue;
+        const double ar = a[kk * m + i].real();
+        const double ai = a[kk * m + i].imag();
+        re = std::fma(ar, br, re);
+        re = std::fma(ai, -bi, re);
+        im = std::fma(ai, br, im);
+        im = std::fma(ar, bi, im);
+      }
+      c[j * m + i] = cxd{re, im};
+    }
+  }
+}
+
+/// B entries for the zero-skip oracles: signed zeros in either part,
+/// NaN and Inf, whole all-zero columns and single-nonzero columns, and
+/// k-step runs where every column of a block is zero (the simd kernel
+/// skips those four steps at a time).
+CMat oracle_b(index_t k, index_t n, std::mt19937_64& rng) {
+  CMat b = rt::random_cmat(k, n, rng);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  std::uniform_int_distribution<int> pick(0, 11);
+  for (index_t j = 0; j < n; ++j) {
+    const int kind = pick(rng);
+    for (index_t kk = 0; kk < k; ++kk) {
+      cxd& e = b(kk, j);
+      if (kind == 0) {
+        e = cxd{0.0, 0.0};                          // all-zero column
+      } else if (kind == 1) {
+        e = kk == k / 2 ? e : cxd{-0.0, 0.0};       // single nonzero
+      } else if (kind == 2 && kk % 5 == 1) {
+        e = cxd{0.0, -0.0};
+      } else if (kind == 3 && kk == 0) {
+        e = cxd{-0.0, 1.5};                         // zero real part only
+      } else if (kind == 4 && kk == k - 1) {
+        e = cxd{qnan, 0.0};
+      } else if (kind == 5 && kk == k / 3) {
+        e = cxd{0.0, -inf};
+      } else if (kind >= 6 && (kk / 4) % 2 == 0) {
+        e = cxd{0.0, 0.0};                          // zero 4-step runs
+      }
+    }
+  }
+  return b;
+}
+
+void expect_bitwise(const std::vector<cxd>& got, const std::vector<cxd>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!same_double(got[i].real(), want[i].real()) ||
+        !same_double(got[i].imag(), want[i].imag())) {
+      ADD_FAILURE() << what << " element " << i << ": " << got[i]
+                    << " vs oracle " << want[i];
+      return;
+    }
+  }
+}
+
+/// Random A, with an Inf in one row every other draw: a step the
+/// zero-skip drops must not turn into Inf * 0 = NaN.
+CMat oracle_a(index_t m, index_t k, std::mt19937_64& rng) {
+  CMat a = rt::random_cmat(m, k, rng);
+  if (std::uniform_int_distribution<int>(0, 1)(rng) == 1) {
+    a(m - 1, k / 2) = cxd{std::numeric_limits<double>::infinity(), 0.5};
+  }
+  return a;
+}
+
+TEST_F(BackendDifferential, GemmColsMatchesFmaOracleBitwise) {
+  auto rng = rt::make_rng(708);
+  for (index_t m = 1; m <= kSmallRowLimit; ++m) {
+    for (const index_t k : {index_t{1}, index_t{3}, index_t{4}, index_t{9},
+                            index_t{30}, index_t{91}}) {
+      for (index_t n = 1; n <= 13; ++n) {
+        const CMat a = oracle_a(m, k, rng);
+        const CMat b = oracle_b(k, n, rng);
+        std::vector<cxd> want(static_cast<std::size_t>(m * n));
+        fma_oracle(m, n, k, a.data(), b.data(), true, want.data());
+        std::vector<cxd> got(want.size(), cxd{7.0, 7.0});
+        simd_->gemm_cols(m, 0, n, k, a.data(), b.data(), got.data());
+        expect_bitwise(got, want,
+                       "gemm_cols m=" + std::to_string(m) +
+                           " k=" + std::to_string(k) +
+                           " n=" + std::to_string(n));
+        // A column sub-range (the pool's split) computes the same
+        // columns bit for bit and leaves the others untouched.
+        if (n > 2) {
+          std::vector<cxd> part(want.size(), cxd{7.0, 7.0});
+          simd_->gemm_cols(m, 1, n - 1, k, a.data(), b.data(), part.data());
+          for (index_t j = 0; j < n; ++j) {
+            for (index_t i = 0; i < m; ++i) {
+              const auto e = static_cast<std::size_t>(j * m + i);
+              const cxd expect =
+                  (j == 0 || j == n - 1) ? cxd{7.0, 7.0} : want[e];
+              ASSERT_TRUE(same_double(part[e].real(), expect.real()) &&
+                          same_double(part[e].imag(), expect.imag()))
+                  << "gemm_cols sub-range m=" << m << " n=" << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(BackendDifferential, GemmColsDepthMatchesFmaOracleBitwise) {
+  auto rng = rt::make_rng(709);
+  for (index_t k = 1; k <= kSmallDepthLimit; ++k) {
+    for (const index_t m : {index_t{1}, index_t{2}, index_t{7}, index_t{8},
+                            index_t{17}, index_t{91}}) {
+      for (index_t n = 1; n <= 13; ++n) {
+        const CMat a = oracle_a(m, k, rng);
+        const CMat b = oracle_b(k, n, rng);
+        std::vector<cxd> want(static_cast<std::size_t>(m * n));
+        fma_oracle(m, n, k, a.data(), b.data(), false, want.data());
+        std::vector<cxd> got(want.size(), cxd{7.0, 7.0});
+        simd_->gemm_cols_depth(m, 0, n, k, a.data(), b.data(), got.data());
+        expect_bitwise(got, want,
+                       "gemm_cols_depth k=" + std::to_string(k) +
+                           " m=" + std::to_string(m) +
+                           " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
+TEST_F(BackendDifferential, GradientRowSqIsBitIdentical) {
+  // The group-prox gradient pass must round exactly like the scalar
+  // loop on every table (no FMA contraction), tails and non-finite
+  // entries included.
+  auto rng = rt::make_rng(710);
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (index_t n = 1; n <= 13; ++n) {
+    for (const double step : {0.37, 1e-3, 2.5}) {
+      CVec from = rt::random_cvec(n, rng);
+      CVec grad = rt::random_cvec(n, rng);
+      if (n > 2) from[2] = cxd{qnan, 1.0};
+      if (n > 5) grad[5] = cxd{-inf, 0.5};
+      if (n > 7) from[7] = cxd{0.0, -0.0};
+      if (n > 7) grad[7] = cxd{-0.0, 0.0};
+      std::vector<double> acc_s(static_cast<std::size_t>(n));
+      for (index_t i = 0; i < n; ++i) {
+        acc_s[static_cast<std::size_t>(i)] = 0.25 * static_cast<double>(i);
+      }
+      std::vector<double> acc_v = acc_s;
+      scalar().gradient_row_sq(from.data(), grad.data(), step, n,
+                               acc_s.data());
+      simd_->gradient_row_sq(from.data(), grad.data(), step, n, acc_v.data());
+      for (index_t i = 0; i < n; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        EXPECT_TRUE(same_double(acc_v[u], acc_s[u]))
+            << "n=" << n << " step=" << step << " row " << i << ": "
+            << acc_v[u] << " vs " << acc_s[u];
+      }
+    }
+  }
+}
+
+TEST(BackendScalar, GradientRowSqMatchesTheFusedSolverLoop) {
+  // The scalar entry is the solver's former fused pass: the squared
+  // norm of (from - step * grad), accumulated on top of row_sq.
+  auto rng = rt::make_rng(711);
+  const index_t n = 9;
+  const CVec from = rt::random_cvec(n, rng);
+  const CVec grad = rt::random_cvec(n, rng);
+  const double step = 0.61;
+  std::vector<double> acc(static_cast<std::size_t>(n), 1.0);
+  scalar().gradient_row_sq(from.data(), grad.data(), step, n, acc.data());
+  for (index_t i = 0; i < n; ++i) {
+    const double xr = from[i].real() - step * grad[i].real();
+    const double xi = from[i].imag() - step * grad[i].imag();
+    EXPECT_EQ(acc[static_cast<std::size_t>(i)], 1.0 + (xr * xr + xi * xi));
   }
 }
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "../test_util.hpp"
 
 namespace roarray::sparse {
@@ -115,6 +122,109 @@ TEST(NormL21, MatchesManualRowSum) {
   x(0, 1) = cxd{0.0, 4.0};  // row norm 5
   x(1, 0) = cxd{1.0, 0.0};  // row norm 1
   EXPECT_NEAR(norm_l21_rows(x), 6.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The shared row decision (row_shrink_factors) and its sqrt prefilter.
+
+bool same_double(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(ShrinkSqFloor, LiesStrictlyBelowTheExactSquare) {
+  // fma(t, t, -S2) is the exact rounding error of S2 = fl(t * t), so
+  // t^2 = S2 + err exactly, and floor - S2 is exact (Sterbenz): the
+  // floor is below the real t^2 iff floor - S2 < err.
+  auto rng = rt::make_rng(731);
+  std::uniform_real_distribution<double> expo(-500.0, 500.0);
+  std::uniform_real_distribution<double> mant(1.0, 2.0);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const double t = std::ldexp(mant(rng), static_cast<int>(expo(rng)));
+    const double s2 = t * t;
+    const double floor_sq = shrink_sq_floor(t);
+    ASSERT_GT(floor_sq, 0.0) << t;
+    const double err = std::fma(t, t, -s2);
+    ASSERT_LT(floor_sq - s2, err) << "t=" << t;
+    ASSERT_LE(std::sqrt(floor_sq), t) << "t=" << t;
+    ASSERT_GT(floor_sq, s2 * (1.0 - 1e-15)) << "t=" << t;  // still tight
+  }
+}
+
+TEST(ShrinkSqFloor, DisabledWhereTheArgumentFails) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  for (const double t : {0.0, -0.0, -1.0, 1e-160, 4.9e-324, 1e160, inf,
+                         qnan}) {
+    EXPECT_TRUE(std::isnan(shrink_sq_floor(t))) << t;  // matches nothing
+  }
+  EXPECT_GT(shrink_sq_floor(1.0), 0.0);
+}
+
+TEST(RowShrinkFactors, MatchesThePlainSqrtDecisionBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  auto rng = rt::make_rng(732);
+  std::uniform_real_distribution<double> unit(0.0, 3.0);
+  for (const double t : {1.0, 0.3, 0.7071067811865476, 1e-150, 1.5e-154,
+                         1e150, 0.0, -0.5, qnan}) {
+    // Squared norms at the decision boundary: fl(t^2) and its ulp
+    // neighbours, the prefilter floor and its neighbours, plus signed
+    // zeros, NaN, inf and random rows on both sides of the floor.
+    std::vector<double> rows;
+    const double s2 = t * t;
+    double up = s2;
+    double down = s2;
+    rows.push_back(s2);
+    for (int u = 0; u < 3; ++u) {
+      up = std::nextafter(up, inf);
+      down = std::nextafter(down, -inf);
+      rows.push_back(up);
+      rows.push_back(down);
+    }
+    const double floor_sq = shrink_sq_floor(t);
+    rows.push_back(floor_sq);
+    rows.push_back(std::nextafter(floor_sq, inf));
+    rows.push_back(std::nextafter(floor_sq, -inf));
+    for (const double v : {0.0, -0.0, qnan, inf, 1e-300, 1e300}) {
+      rows.push_back(v);
+    }
+    for (int r = 0; r < 40; ++r) rows.push_back(unit(rng) * s2);
+    for (int r = 0; r < 9; ++r) rows.push_back(0.1 * s2);
+
+    std::vector<double> want = rows;
+    double want_l21 = 0.0;
+    std::vector<index_t> want_kept;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const double norm = std::sqrt(want[i]);
+      if (norm <= t) {
+        want[i] = -1.0;
+      } else {
+        want[i] = 1.0 - t / norm;
+        want_l21 += norm * want[i];
+        want_kept.push_back(static_cast<index_t>(i));
+      }
+    }
+    const auto n = static_cast<index_t>(rows.size());
+    std::vector<double> got = rows;
+    std::vector<index_t> kept(rows.size(), -1);
+    const RowShrink r = row_shrink_factors(got.data(), n, t, kept.data());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(same_double(got[i], want[i]))
+          << "t=" << t << " row " << i << " (row_sq " << rows[i]
+          << "): " << got[i] << " vs " << want[i];
+    }
+    EXPECT_TRUE(same_double(r.l21, want_l21)) << "t=" << t;
+    ASSERT_EQ(r.kept, static_cast<index_t>(want_kept.size())) << "t=" << t;
+    for (std::size_t i = 0; i < want_kept.size(); ++i) {
+      EXPECT_EQ(kept[i], want_kept[i]) << "t=" << t;
+    }
+    // Without a kept-row list the factors and the sum are the same.
+    std::vector<double> again = rows;
+    const RowShrink r2 = row_shrink_factors(again.data(), n, t);
+    EXPECT_TRUE(same_double(r2.l21, r.l21));
+    EXPECT_EQ(r2.kept, r.kept);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "dsp/grid.hpp"
 #include "dsp/steering.hpp"
 #include "linalg/eig.hpp"
@@ -356,6 +359,30 @@ TEST_P(SteeringRecovery, TwoPathsRecoveredAtVaryingSnr) {
 
 INSTANTIATE_TEST_SUITE_P(SnrSweep, SteeringRecovery,
                          ::testing::Values(30.0, 20.0, 10.0, 5.0));
+
+TEST(SolverErrors, ZeroOperatorNamesTheCallingSolver) {
+  // A zero operator has no Lipschitz step; the error names the solver
+  // the caller actually ran.
+  const DenseOperator zero(CMat(4, 6));
+  CVec y(4);
+  y[0] = cxd{1.0, 0.0};
+  CMat ym(4, 2);
+  ym(1, 1) = cxd{0.0, 1.0};
+  std::string l1_msg;
+  std::string group_msg;
+  try {
+    (void)solve_l1(zero, y);
+  } catch (const std::domain_error& e) {
+    l1_msg = e.what();
+  }
+  try {
+    (void)solve_group_l1(zero, ym);
+  } catch (const std::domain_error& e) {
+    group_msg = e.what();
+  }
+  EXPECT_EQ(l1_msg, "solve_l1: zero operator");
+  EXPECT_EQ(group_msg, "solve_group_l1: zero operator");
+}
 
 }  // namespace
 }  // namespace roarray::sparse

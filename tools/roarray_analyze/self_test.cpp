@@ -444,6 +444,22 @@ const char* const kTwoModules =
        {{"hot-alloc", "owning std::vector"}}});
 
   fx.push_back(
+      {"hot-alloc: hot-fn reaches a pass in an anonymous namespace",
+       kOneModule,
+       "",
+       "hot-fn momentum_update\n",
+       {{"src/sparse/f.cpp",
+         "namespace sparse {\n"
+         "namespace {\n"
+         "void momentum_update(const double* x, double* z, long n) {\n"
+         "  std::vector<double> planted(static_cast<unsigned long>(n));\n"
+         "  for (long i = 0; i < n; ++i) z[i] = x[i];\n"
+         "}\n"
+         "}  // namespace\n"
+         "}  // namespace sparse\n"}},
+       {{"hot-alloc", "owning std::vector"}}});
+
+  fx.push_back(
       {"hot-alloc: references and pointers to containers are fine",
        kOneModule,
        "",
