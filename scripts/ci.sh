@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: builds and tests the Release configuration, then the
 # AddressSanitizer+UBSan configuration (CMake presets "default" and
-# "asan-ubsan", the latter with detect_leaks=1). The sanitizer leg
+# "asan-ubsan", the latter with detect_leaks=1 and libstdc++'s
+# -D_GLIBCXX_ASSERTIONS precondition checks). The sanitizer leg
 # reruns the whole ctest suite with a multi-threaded runtime
 # (ROARRAY_THREADS) so data races and lifetime bugs in the pool/cache
 # layer surface under instrumentation. The repo-invariant linter
@@ -407,7 +408,7 @@ serve_smoke
 
 perfbench_smoke
 
-echo "== ASan+UBSan build =="
+echo "== ASan+UBSan (+ _GLIBCXX_ASSERTIONS) build =="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 

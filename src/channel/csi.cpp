@@ -11,6 +11,21 @@ namespace roarray::channel {
 using linalg::cxd;
 using linalg::index_t;
 
+namespace {
+
+/// One draw of N(mean, sigma^2) for any sigma >= 0, from a unit normal.
+/// std::normal_distribution requires sigma > 0 (libstdc++ asserts it
+/// under _GLIBCXX_ASSERTIONS); libstdc++ computes its draws as
+/// z * sigma + mean from the same unit draws, so with one `unit` per
+/// former distribution object the values and the RNG stream are
+/// unchanged bit for bit, and sigma == 0 yields the mean.
+double normal_draw(std::normal_distribution<double>& unit,
+                   std::mt19937_64& rng, double mean, double sigma) {
+  return unit(rng) * sigma + mean;
+}
+
+}  // namespace
+
 CMat synthesize_csi(const std::vector<Path>& paths, const dsp::ArrayConfig& cfg,
                     const CsiImpairments& imp) {
   cfg.validate();
@@ -83,10 +98,12 @@ double add_noise(CMat& csi, double snr_db, std::mt19937_64& rng) {
   const double noise_power = signal_power / std::pow(10.0, snr_db / 10.0);
   // Circularly symmetric: variance split evenly between re and im.
   const double sigma_component = std::sqrt(noise_power / 2.0);
-  std::normal_distribution<double> n(0.0, sigma_component);
+  std::normal_distribution<double> n;
   for (index_t j = 0; j < csi.cols(); ++j) {
     for (index_t i = 0; i < csi.rows(); ++i) {
-      csi(i, j) += cxd{n(rng), n(rng)};
+      const double re = normal_draw(n, rng, 0.0, sigma_component);
+      const double im = normal_draw(n, rng, 0.0, sigma_component);
+      csi(i, j) += cxd{re, im};
     }
   }
   return std::sqrt(noise_power);
@@ -102,7 +119,7 @@ PacketBurst generate_burst(const std::vector<Path>& paths,
     throw std::invalid_argument("generate_burst: negative detection delay bound");
   }
   std::uniform_real_distribution<double> delay(0.0, cfg.max_detection_delay_s);
-  std::normal_distribution<double> jitter(0.0, cfg.path_phase_jitter_rad);
+  std::normal_distribution<double> jitter;
 
   // Polarization deviation: overall cos^2 power loss plus per-antenna
   // manifold distortion, fixed for the burst (the client does not move).
@@ -113,11 +130,16 @@ PacketBurst generate_burst(const std::vector<Path>& paths,
     const double c = std::cos(dev);
     pol_scale = std::max(c * c, 0.05);
     const double distortion = std::sin(dev);
-    std::normal_distribution<double> amp(0.0, 0.4 * distortion);
-    std::normal_distribution<double> ph(0.0, 1.2 * distortion);
+    std::normal_distribution<double> amp;
+    std::normal_distribution<double> ph;
     pol_gains.resize(static_cast<std::size_t>(array_cfg.num_antennas));
     for (auto& g : pol_gains) {
-      g = std::polar(std::max(0.1, 1.0 + amp(rng)), ph(rng));
+      // Phase first: the order gcc evaluated the former one-expression
+      // std::polar(amp, phase) call in (right to left), pinned here so
+      // existing seeds keep their streams on every compiler.
+      const double phase = normal_draw(ph, rng, 0.0, 1.2 * distortion);
+      const double a = normal_draw(amp, rng, 0.0, 0.4 * distortion);
+      g = std::polar(std::max(0.1, 1.0 + a), phase);
     }
   }
 
@@ -142,7 +164,8 @@ PacketBurst generate_burst(const std::vector<Path>& paths,
     std::vector<Path> jittered = paths;
     if (cfg.path_phase_jitter_rad > 0.0) {
       for (Path& path : jittered) {
-        path.gain *= std::polar(1.0, jitter(rng));
+        path.gain *= std::polar(
+            1.0, normal_draw(jitter, rng, 0.0, cfg.path_phase_jitter_rad));
       }
     }
     CMat c = synthesize_csi(jittered, array_cfg, imp);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -115,6 +116,7 @@ class LiveRows {
   }
 
   [[nodiscard]] const index_t* new_rows() const { return x_new_.data(); }
+  [[nodiscard]] index_t new_count() const { return x_new_count_; }
 
   /// Makes the active rows (live in x_new or x) z's live rows, writing
   /// +0 over the k columns of every z row that leaves the set. Returns
@@ -134,6 +136,11 @@ class LiveRows {
   }
 
   [[nodiscard]] const index_t* active() const { return z_.data(); }
+  [[nodiscard]] index_t active_count() const { return z_count_; }
+
+  /// x's live rows (the iterate a monotone restart steps from).
+  [[nodiscard]] const index_t* x_rows() const { return x_.data(); }
+  [[nodiscard]] index_t x_count() const { return x_count_; }
 
   /// Mirrors std::swap(x, x_new) at the end of an iteration.
   void swap_iterates() {
@@ -186,6 +193,149 @@ void gradient_step(const cxd* from, const cxd* grad, double step, cxd* x_new,
   }
 }
 
+// The plain applies, for the one never-screened block of an operator
+// without Kronecker structure (CVec for solve_l1, CMat for the group
+// solver).
+void dense_adjoint(const LinearOperator& op, const CVec& r, CVec& g,
+                   const runtime::ThreadPool*) {
+  g = op.apply_adjoint(r);
+}
+void dense_adjoint(const LinearOperator& op, const CMat& r, CMat& g,
+                   const runtime::ThreadPool* pool) {
+  op.apply_adjoint_mat_into(r, g, pool);
+}
+void dense_forward(const LinearOperator& op, const CVec& x, CVec& y,
+                   const runtime::ThreadPool*) {
+  y = op.apply(x);
+}
+void dense_forward(const LinearOperator& op, const CMat& x, CMat& y,
+                   const runtime::ThreadPool* pool) {
+  op.apply_mat_into(x, y, pool);
+}
+
+/// Per-iteration ToA-block screening (DESIGN.md §5 item 10). Unknown
+/// row i = j N_l + a lies in ToA block j. When block j of the point a
+/// gradient step starts from is +0, the step's rows there are
+/// -step * g with g = left^H bp_j, bp the ToA correlation of the
+/// residual (the adjoint's first stage), and Cauchy-Schwarz bounds each
+/// of those rows' squared norm by step^2 Lmax^2 B_j, where Lmax^2 is the
+/// largest squared column norm of left and B_j the squared norm of bp_j
+/// over every snapshot column. Whenever
+///     fl(fl(step^2 Lmax^2 (1 + kDelta)) (B_j + kUnderflowPad)) < fl(shrink^2)
+/// every row of the block falls below shrink^2 exactly, so the prox
+/// zeros it (the sqrt prefilter or the sqrt test; for one column also
+/// both soft_threshold compares): the block is screened, its gradient
+/// is never formed, and the gradient-step, row-decision and forward
+/// passes skip it. kDelta covers the roundings on both sides and
+/// kUnderflowPad the underflow in B_j; the test is switched off (coef_
+/// is NaN) unless step, Lmax^2 and shrink^2 lie in [2^-300, 2^300] and
+/// M k <= 2^16, the ranges the derivation in DESIGN.md assumes. NaN or
+/// inf in B_j fails the compare, so such a block is never screened.
+/// Every result stays bit for bit the unscreened one. A non-Kronecker
+/// operator is one block that is never screened. The masks and the
+/// applies' scratch are allocated here, once per solve.
+class BlockScreen {
+ public:
+  /// even_ranges: keep every run of unscreened rows at an even start
+  /// and length (the end of the unknowns excepted), by screening ToA
+  /// blocks in pairs when N_l is odd. The simd soft_threshold handles
+  /// elements in pairs and a last odd one on its own, so only ranges
+  /// aligned like the full vector reproduce its every element.
+  BlockScreen(const LinearOperator& op, index_t k, double step, double shrink,
+              bool even_ranges)
+      : op_(op),
+        kron_(op.kronecker()),
+        k_(k),
+        nl_(kron_ != nullptr ? kron_->left().cols() : op.cols()),
+        nr_(kron_ != nullptr ? kron_->right().cols() : 1),
+        even_ranges_(even_ranges && nl_ % 2 != 0),
+        open_(static_cast<std::size_t>(nr_), 1),
+        live_(static_cast<std::size_t>(nr_)) {
+    const auto in_range = [](double v) {
+      return v >= 0x1p-300 && v <= 0x1p300;
+    };
+    if (kron_ != nullptr && in_range(step) && in_range(shrink * shrink) &&
+        in_range(kron_->left_col_norm_sq_max()) &&
+        kron_->left().rows() * k <= (index_t{1} << 16)) {
+      coef_ = step * step * kron_->left_col_norm_sq_max() * (1.0 + kDelta);
+      shrink_sq_ = shrink * shrink;
+    }
+  }
+
+  /// grad = S^H residual on every block not screened against `from`,
+  /// whose live rows are from_rows[0, nfrom), ascending (every other row
+  /// of it is +0). Screened blocks of grad are left unwritten.
+  template <class Block>
+  void screen_gradient(const Block& residual, const index_t* from_rows,
+                       index_t nfrom, Block& grad,
+                       const runtime::ThreadPool* pool) {
+    if (kron_ == nullptr) {
+      dense_adjoint(op_, residual, grad, pool);
+      return;
+    }
+    kron_->toa_correlate(residual.data(), k_, bp_, ws_, pool);
+    // Blocks live in `from` stay open; every other block is screened
+    // when its bound passes.
+    std::fill(open_.begin(), open_.end(), std::uint8_t{0});
+    for (index_t r = 0; r < nfrom; ++r) {
+      open_[static_cast<std::size_t>(from_rows[r] / nl_)] = 1;
+    }
+    const index_t len = 2 * bp_.rows();  // doubles per bp column
+    for (index_t j = 0; j < nr_; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      if (open_[jj] != 0) continue;
+      const double* d = reinterpret_cast<const double*>(bp_.data()) + j * len;
+      double bj = 0.0;
+      for (index_t i = 0; i < len; ++i) bj += d[i] * d[i];
+      open_[jj] = !(coef_ * (bj + kUnderflowPad) < shrink_sq_);
+    }
+    if (even_ranges_) {
+      for (std::size_t j = 0; j + 1 < open_.size(); j += 2) {
+        open_[j] = open_[j + 1] = open_[j] | open_[j + 1];
+      }
+    }
+    kron_->aoa_expand(bp_, k_, open_.data(), grad.data(), ws_, pool);
+  }
+
+  /// Calls f(r0, r1) for every maximal run [r0, r1) of rows the last
+  /// screen_gradient left unscreened, ascending.
+  template <class F>
+  void for_each_open_range(const F& f) const {
+    for_each_block_run(open_.data(), nr_,
+                       [&](index_t j0, index_t j1) { f(j0 * nl_, j1 * nl_); });
+  }
+
+  /// y = S x for an x whose live rows are rows[0, count) (every other
+  /// row +0): the forward runs on those rows' ToA blocks only.
+  template <class Block>
+  void forward_live(const Block& x, const index_t* rows, index_t count,
+                    Block& y, const runtime::ThreadPool* pool) {
+    if (kron_ == nullptr) {
+      dense_forward(op_, x, y, pool);
+      return;
+    }
+    std::fill(live_.begin(), live_.end(), std::uint8_t{0});
+    for (index_t r = 0; r < count; ++r) {
+      live_[static_cast<std::size_t>(rows[r] / nl_)] = 1;
+    }
+    kron_->apply_blocks(x.data(), k_, live_.data(), y.data(), ws_, pool);
+  }
+
+ private:
+  static constexpr double kDelta = 1e-9;
+  static constexpr double kUnderflowPad = 0x1p-1000;
+
+  const LinearOperator& op_;
+  const KroneckerOperator* kron_;
+  index_t k_, nl_, nr_;
+  bool even_ranges_;
+  double coef_ = std::numeric_limits<double>::quiet_NaN();
+  double shrink_sq_ = 0.0;
+  std::vector<std::uint8_t> open_, live_;
+  CMat bp_;
+  KroneckerOperator::Workspace ws_;
+};
+
 }  // namespace
 
 double kappa_max(const LinearOperator& op, const CVec& y) {
@@ -212,9 +362,11 @@ double l1_objective(const LinearOperator& op, const CVec& y, const CVec& x,
 //
 // All large per-iteration buffers (iterate, momentum point, gradient,
 // residual, cached applications) are allocated once and recycled via
-// swaps; element-wise passes over the grid-sized iterate are fused, and
-// the momentum pass (and the group prox's write) visit only the rows
-// that can be nonzero (see the helpers above). This matters: the
+// swaps; element-wise passes over the grid-sized iterate are fused, the
+// momentum pass (and the group prox's write) visit only the rows that
+// can be nonzero, and BlockScreen skips the gradient, prox and forward
+// work of the ToA blocks the prox provably zeros (see the helpers
+// above). This matters: the
 // unknown block is tall (grid size x snapshots), only a few percent of
 // its rows are live, and the naive expression-by-expression loop spends
 // more time re-walking and re-allocating it than in the operator.
@@ -233,27 +385,50 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
 
   const index_t n = op.cols();
   const index_t m = op.rows();
+  const auto& bk = linalg::backend::active();
   CVec x(n);
   CVec z(n);      // momentum point (equals x for ISTA)
   CVec x_new(n);
+  CVec grad(n);
   CVec sx(m);     // S x (x starts at zero)
   CVec sz(m);     // S z, maintained only on the reuse path
   CVec sx_new(m);
   CVec residual(m);
   LiveRows live(n);
+  BlockScreen screen(op, 1, step, shrink, /*even_ranges=*/true);
   out.objective.reserve(static_cast<std::size_t>(cfg.max_iterations));
   double t = 1.0;
   double prev_obj = half_residual_sq(sx.data(), y.data(), m);  // x = 0
+
+  // x_new = soft_threshold(from - step * grad) on the rows the screen
+  // left open, then lists x_new's live elements: all but the +0 ones
+  // (soft_threshold writes +0 for every element it shrinks to zero).
+  // Every screened element would have been shrunk to +0; set_new writes
+  // that +0 wherever the buffer still holds an earlier value.
+  auto prox_gradient_step = [&](const CVec& from) {
+    index_t nlive = 0;
+    screen.for_each_open_range([&](index_t r0, index_t r1) {
+      gradient_step(from.data() + r0, grad.data() + r0, step,
+                    x_new.data() + r0, r1 - r0);
+      bk.soft_threshold(x_new.data() + r0, r1 - r0, shrink);
+      for (index_t i = r0; i < r1; ++i) {
+        live.spare()[nlive] = i;
+        nlive += (std::bit_cast<std::uint64_t>(x_new[i].real()) |
+                  std::bit_cast<std::uint64_t>(x_new[i].imag())) != 0;
+      }
+    });
+    live.set_new(nlive, [&](index_t row) { x_new[row] = cxd{}; });
+  };
 
   for (int it = 1; it <= cfg.max_iterations; ++it) {
     // Gradient of the smooth part at z: S^H (S z - y).
     residual = reuse ? sz : op.apply(z);
     residual -= y;
-    CVec grad = op.apply_adjoint(residual);
-
-    gradient_step(z.data(), grad.data(), step, x_new.data(), n);
-    soft_threshold_inplace(x_new, shrink);
-    sx_new = op.apply(x_new);
+    screen.screen_gradient(residual, live.active(), live.active_count(), grad,
+                           nullptr);
+    prox_gradient_step(z);
+    screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
+                        nullptr);
     double obj =
         half_residual_sq(sx_new.data(), y.data(), m) + out.kappa * norm1(x_new);
 
@@ -265,10 +440,11 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
       // application on the reuse path.
       residual = reuse ? sx : op.apply(x);
       residual -= y;
-      grad = op.apply_adjoint(residual);
-      gradient_step(x.data(), grad.data(), step, x_new.data(), n);
-      soft_threshold_inplace(x_new, shrink);
-      sx_new = op.apply(x_new);
+      screen.screen_gradient(residual, live.x_rows(), live.x_count(), grad,
+                             nullptr);
+      prox_gradient_step(x);
+      screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
+                          nullptr);
       obj = half_residual_sq(sx_new.data(), y.data(), m) +
             out.kappa * norm1(x_new);
       t = 1.0;
@@ -284,16 +460,6 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
     }
     double diff_sq = 0.0;
     double new_sq = 0.0;
-    // Live elements of x_new: all but the +0 ones (soft_threshold writes
-    // +0 for every element it shrinks to zero). x_new is written in full
-    // above, so no stale element needs clearing.
-    index_t nlive = 0;
-    for (index_t i = 0; i < n; ++i) {
-      live.spare()[nlive] = i;
-      nlive += (std::bit_cast<std::uint64_t>(x_new[i].real()) |
-                std::bit_cast<std::uint64_t>(x_new[i].imag())) != 0;
-    }
-    live.set_new(nlive, [](index_t) {});
     const index_t nactive = live.update(z.data(), n, 1);
     momentum_update(x_new.data(), x.data(), beta, z.data(), n, 1,
                     live.active(), nactive, diff_sq, new_sq);
@@ -361,28 +527,34 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   CMat residual(m, k);
   std::vector<double> row_scale(static_cast<std::size_t>(n));
   LiveRows live(n);
+  BlockScreen screen(op, k, step, shrink, /*even_ranges=*/false);
   out.objective.reserve(static_cast<std::size_t>(cfg.max_iterations));
   double t = 1.0;
   double prev_obj = half_residual_sq(sx.data(), y.data(), m * k);  // x = 0
 
   // x_new = prox_{shrink ||.||_{2,1}}(from - step * grad), returning
-  // ||x_new||_{2,1} for the objective. A column-major backend pass
-  // accumulates the squared row norms of the gradient step (without
-  // storing it), row_shrink_factors turns them into shrink factors and
-  // lists the kept rows, and only those rows are written: the gradient
-  // step times the factor, the roundings of a full gradient-step write
-  // followed by Backend::row_scale. Rows the x_new buffer still holds
-  // from an earlier write get +0; every other row already is +0. The
-  // returned l2,1 value is the analytic post-shrink norm (row norm times
-  // its shrink factor).
+  // ||x_new||_{2,1} for the objective. On each row range the screen left
+  // open, a column-major backend pass accumulates the squared row norms
+  // of the gradient step (without storing it) and row_shrink_factors
+  // turns them into shrink factors and lists the kept rows; the ranges
+  // ascend, so the l2,1 sum and the list keep the dense row order, and
+  // every screened row would have been zeroed. Only the kept rows are
+  // written: the gradient step times the factor, the roundings of a
+  // full gradient-step write followed by Backend::row_scale. Rows the
+  // x_new buffer still holds from an earlier write get +0; every other
+  // row already is +0. The returned l2,1 value is the analytic
+  // post-shrink norm (row norm times its shrink factor).
   auto prox_gradient_step = [&](const CMat& from, const CMat& g) {
-    std::fill(row_scale.begin(), row_scale.end(), 0.0);
-    for (index_t j = 0; j < k; ++j) {
-      bk.gradient_row_sq(from.data() + j * n, g.data() + j * n, step, n,
-                         row_scale.data());
-    }
-    const RowShrink shrunk =
-        row_shrink_factors(row_scale.data(), n, shrink, live.spare());
+    RowShrink shrunk;
+    screen.for_each_open_range([&](index_t r0, index_t r1) {
+      std::fill(row_scale.begin() + r0, row_scale.begin() + r1, 0.0);
+      for (index_t j = 0; j < k; ++j) {
+        bk.gradient_row_sq(from.data() + j * n + r0, g.data() + j * n + r0,
+                           step, r1 - r0, row_scale.data() + r0);
+      }
+      row_shrink_factors(row_scale.data(), r0, r1, shrink, shrunk,
+                         live.spare());
+    });
     live.set_new(shrunk.kept, [&](index_t row) {
       for (index_t j = 0; j < k; ++j) x_new(row, j) = cxd{};
     });
@@ -408,10 +580,12 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
       op.apply_mat_into(z, residual, pool);
     }
     residual -= y;
-    op.apply_adjoint_mat_into(residual, grad, pool);
+    screen.screen_gradient(residual, live.active(), live.active_count(), grad,
+                           pool);
 
     double l21 = prox_gradient_step(z, grad);
-    op.apply_mat_into(x_new, sx_new, pool);
+    screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
+                        pool);
     double obj =
         half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
 
@@ -423,9 +597,11 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
         op.apply_mat_into(x, residual, pool);
       }
       residual -= y;
-      op.apply_adjoint_mat_into(residual, grad, pool);
+      screen.screen_gradient(residual, live.x_rows(), live.x_count(), grad,
+                             pool);
       l21 = prox_gradient_step(x, grad);
-      op.apply_mat_into(x_new, sx_new, pool);
+      screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
+                          pool);
       obj = half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
       t = 1.0;
     }

@@ -1,9 +1,13 @@
 #include "sparse/operator.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <complex>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "linalg/backend/backend.hpp"
 #include "linalg/gemm.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -12,6 +16,7 @@ namespace roarray::sparse {
 using linalg::gemm;
 using linalg::gemm_adj_left;
 using linalg::matmul_blocked;
+namespace backend = linalg::backend;
 
 namespace {
 
@@ -98,6 +103,58 @@ CMat DenseOperator::row_gram() const {
   return matmul_blocked(s_, adjoint(s_));
 }
 
+namespace {
+
+/// Returns f after checking that every entry is finite (see the
+/// KroneckerOperator constructor).
+CMat finite_factor(CMat f, const char* what) {
+  const double* d = reinterpret_cast<const double*>(f.data());
+  for (index_t i = 0; i < 2 * f.size(); ++i) {
+    if (!std::isfinite(d[i])) {
+      throw std::invalid_argument(std::string("KroneckerOperator: ") + what +
+                                  " factor has a non-finite entry");
+    }
+  }
+  return f;
+}
+
+/// max_j ||f(:, j)||^2.
+double max_col_norm_sq(const CMat& f) {
+  double mx = 0.0;
+  for (index_t j = 0; j < f.cols(); ++j) {
+    double acc = 0.0;
+    for (index_t i = 0; i < f.rows(); ++i) acc += std::norm(f(i, j));
+    mx = std::max(mx, acc);
+  }
+  return mx;
+}
+
+/// True when linalg::gemm runs a product of this output height and
+/// reduction depth on a per-column kernel (gemm_cols, gemm_cols_depth):
+/// each output column is then computed from its own input column by the
+/// same operations wherever it sits in the call, so a product over a
+/// run of columns writes exactly those columns of the full product.
+/// The generic tile groups columns when it packs them, so a masked
+/// product runs it over every column instead.
+bool per_column_gemm(index_t rows, index_t depth) {
+  return rows <= backend::kSmallRowLimit || depth <= backend::kSmallDepthLimit;
+}
+
+/// Grows v to at least n entries (allocates only on first use).
+void ensure_size(std::vector<index_t>& v, index_t n) {
+  if (static_cast<index_t>(v.size()) < n) v.resize(static_cast<std::size_t>(n));
+}
+
+}  // namespace
+
+KroneckerOperator::KroneckerOperator(CMat left, CMat right)
+    : left_(finite_factor(std::move(left), "left")),
+      right_(finite_factor(std::move(right), "right")),
+      left_adj_(linalg::adjoint(left_)),
+      right_t_(linalg::transpose(right_)),
+      right_conj_(linalg::conjugate(right_)),
+      left_col_norm_sq_max_(max_col_norm_sq(left_)) {}
+
 // The reshape trick. A column-major block X of k unknown columns
 // (each N_l*N_r, AoA-fastest) is, viewed in memory, an N_l x (N_r*k)
 // matrix whose column (c*N_r + j) holds snapshot c's AoA slice at ToA
@@ -113,81 +170,141 @@ CMat DenseOperator::row_gram() const {
 // GEMM output element is produced by exactly one tile, so the result is
 // bit-identical at any thread count and matches the per-column path to
 // rounding.
-void KroneckerOperator::apply_batched(const cxd* x, index_t k, cxd* y,
-                                      const runtime::ThreadPool* pool) const {
+//
+// With a live mask (and M*k <= kSmallRowLimit, so both GEMMs run on
+// gemm_cols) step (1) runs on the live blocks' column runs only, and
+// steps (2)-(3) keep only the live blocks' columns of B' and rows of
+// right^T. Both are exact: gemm_cols writes +0 for an all-zero input
+// column (per-entry zero-skip, accumulator from +0), so a dead block's
+// columns of B are +0; each of its terms in (3) is (+0) * finite = +/-0,
+// and adding +/-0 to an accumulator that starts at +0 (and so never
+// holds -0) leaves it unchanged.
+void KroneckerOperator::apply_blocks(const cxd* x, index_t k,
+                                     const std::uint8_t* live, cxd* y,
+                                     Workspace& ws,
+                                     const runtime::ThreadPool* pool) const {
   const index_t m = left_.rows(), nl = left_.cols();
   const index_t l = right_.rows(), nr = right_.cols();
+  const bool masked = live != nullptr && m * k <= backend::kSmallRowLimit;
 
-  CMat b(m, nr * k);
-  gemm(m, nr * k, nl, left_.data(), x, b.data(), pool);
+  ensure_shape(ws.b, m, nr * k);
+  index_t nt = nr;  // ToA blocks summed in (3): all, or ws.terms[0, nt)
+  if (masked) {
+    for_each_block_run(live, nr, [&](index_t j0, index_t j1) {
+      for (index_t c = 0; c < k; ++c) {
+        gemm(m, j1 - j0, nl, left_.data(), x + (c * nr + j0) * nl,
+             ws.b.data() + (c * nr + j0) * m, pool);
+      }
+    });
+    ensure_size(ws.terms, nr);
+    nt = 0;
+    for (index_t j = 0; j < nr; ++j) {
+      if (live[j] != 0) ws.terms[static_cast<std::size_t>(nt++)] = j;
+    }
+  } else {
+    gemm(m, nr * k, nl, left_.data(), x, ws.b.data(), pool);
+  }
+  const auto term = [&](index_t d) {
+    return nt == nr ? d : ws.terms[static_cast<std::size_t>(d)];
+  };
+
+  const cxd* bp = ws.b.data();  // Y' == Y for one snapshot: no permutation
+  if (k > 1 || nt < nr) {
+    ensure_shape(ws.bp, m * k, nr);
+    for (index_t d = 0; d < nt; ++d) {
+      for (index_t c = 0; c < k; ++c) {
+        std::memcpy(ws.bp.data() + d * (m * k) + c * m,
+                    ws.b.data() + (c * nr + term(d)) * m,
+                    static_cast<std::size_t>(m) * sizeof(cxd));
+      }
+    }
+    bp = ws.bp.data();
+  }
+  const cxd* rt = right_t_.data();
+  if (nt < nr) {
+    ensure_shape(ws.rt, nr, l);
+    for (index_t li = 0; li < l; ++li) {
+      for (index_t d = 0; d < nt; ++d) {
+        ws.rt.data()[li * nt + d] = right_t_(term(d), li);
+      }
+    }
+    rt = ws.rt.data();
+  }
 
   if (k == 1) {
-    // Y' == Y for a single snapshot: skip both permutations.
-    gemm(m, l, nr, b.data(), right_t_.data(), y, pool);
+    gemm(m, l, nt, bp, rt, y, pool);
     return;
   }
-
-  CMat bp(m * k, nr);
-  for (index_t c = 0; c < k; ++c) {
-    for (index_t j = 0; j < nr; ++j) {
-      std::memcpy(bp.data() + j * (m * k) + c * m,
-                  b.data() + (c * nr + j) * m,
-                  static_cast<std::size_t>(m) * sizeof(cxd));
-    }
-  }
-
-  CMat yp(m * k, l);
-  gemm(m * k, l, nr, bp.data(), right_t_.data(), yp.data(), pool);
-
+  ensure_shape(ws.yp, m * k, l);
+  gemm(m * k, l, nt, bp, rt, ws.yp.data(), pool);
   for (index_t c = 0; c < k; ++c) {
     for (index_t li = 0; li < l; ++li) {
       std::memcpy(y + c * (m * l) + li * m,
-                  yp.data() + li * (m * k) + c * m,
+                  ws.yp.data() + li * (m * k) + c * m,
                   static_cast<std::size_t>(m) * sizeof(cxd));
     }
   }
 }
 
 // Adjoint of the same factorization: X_c = left^H * (Y_c * conj(right)),
-// batched as gather -> GEMM -> permute -> GEMM. The final product runs
-// against the precomputed left^H rather than a dot-product adjoint
-// kernel: its inner dimension is the tiny antenna count, so streaming
-// down contiguous N_l columns beats length-M dots. It writes straight
-// into the caller's x block (its column layout is exactly the
-// N_l x (N_r*k) view of the unknowns).
-void KroneckerOperator::apply_adjoint_batched(
-    const cxd* y, index_t k, cxd* x, const runtime::ThreadPool* pool) const {
-  const index_t m = left_.rows(), nl = left_.cols();
+// batched as gather -> GEMM (toa_correlate) -> permute -> GEMM
+// (aoa_expand). The final product runs against the precomputed left^H
+// rather than a dot-product adjoint kernel: its inner dimension is the
+// tiny antenna count, so streaming down contiguous N_l columns beats
+// length-M dots. It writes straight into the caller's x block (its
+// column layout is exactly the N_l x (N_r*k) view of the unknowns).
+void KroneckerOperator::toa_correlate(const cxd* y, index_t k, CMat& bp,
+                                      Workspace& ws,
+                                      const runtime::ThreadPool* pool) const {
+  const index_t m = left_.rows();
   const index_t l = right_.rows(), nr = right_.cols();
-
-  CMat bp(m * k, nr);
+  ensure_shape(bp, m * k, nr);
   if (k == 1) {
     gemm(m, nr, l, y, right_conj_.data(), bp.data(), pool);
-    gemm(nl, nr, m, left_adj_.data(), bp.data(), x, pool);
     return;
   }
-
-  CMat yp(m * k, l);
+  ensure_shape(ws.yp, m * k, l);
   for (index_t c = 0; c < k; ++c) {
     for (index_t li = 0; li < l; ++li) {
-      std::memcpy(yp.data() + li * (m * k) + c * m,
+      std::memcpy(ws.yp.data() + li * (m * k) + c * m,
                   y + c * (m * l) + li * m,
                   static_cast<std::size_t>(m) * sizeof(cxd));
     }
   }
+  gemm(m * k, nr, l, ws.yp.data(), right_conj_.data(), bp.data(), pool);
+}
 
-  gemm(m * k, nr, l, yp.data(), right_conj_.data(), bp.data(), pool);
+void KroneckerOperator::aoa_expand(const CMat& bp, index_t k,
+                                   const std::uint8_t* keep, cxd* x,
+                                   Workspace& ws,
+                                   const runtime::ThreadPool* pool) const {
+  const index_t m = left_.rows(), nl = left_.cols();
+  const index_t nr = right_.cols();
+  const bool masked = keep != nullptr && per_column_gemm(nl, m);
 
-  CMat b(m, nr * k);
-  for (index_t c = 0; c < k; ++c) {
-    for (index_t j = 0; j < nr; ++j) {
-      std::memcpy(b.data() + (c * nr + j) * m,
-                  bp.data() + j * (m * k) + c * m,
-                  static_cast<std::size_t>(m) * sizeof(cxd));
+  const cxd* b = bp.data();  // one snapshot: bp already is B
+  if (k > 1) {
+    ensure_shape(ws.b, m, nr * k);
+    for (index_t c = 0; c < k; ++c) {
+      for (index_t j = 0; j < nr; ++j) {
+        if (masked && keep[j] == 0) continue;
+        std::memcpy(ws.b.data() + (c * nr + j) * m,
+                    bp.data() + j * (m * k) + c * m,
+                    static_cast<std::size_t>(m) * sizeof(cxd));
+      }
     }
+    b = ws.b.data();
   }
-
-  gemm(nl, nr * k, m, left_adj_.data(), b.data(), x, pool);
+  if (!masked) {
+    gemm(nl, nr * k, m, left_adj_.data(), b, x, pool);
+    return;
+  }
+  for_each_block_run(keep, nr, [&](index_t j0, index_t j1) {
+    for (index_t c = 0; c < k; ++c) {
+      gemm(nl, j1 - j0, m, left_adj_.data(), b + (c * nr + j0) * m,
+           x + (c * nr + j0) * nl, pool);
+    }
+  });
 }
 
 CVec KroneckerOperator::apply(const CVec& x) const {
@@ -195,7 +312,8 @@ CVec KroneckerOperator::apply(const CVec& x) const {
     throw std::invalid_argument("KroneckerOperator::apply: size");
   }
   CVec y(rows());
-  apply_batched(x.data(), 1, y.data(), nullptr);
+  Workspace ws;
+  apply_blocks(x.data(), 1, nullptr, y.data(), ws, nullptr);
   return y;
 }
 
@@ -204,7 +322,10 @@ CVec KroneckerOperator::apply_adjoint(const CVec& y) const {
     throw std::invalid_argument("KroneckerOperator::apply_adjoint: size");
   }
   CVec x(cols());
-  apply_adjoint_batched(y.data(), 1, x.data(), nullptr);
+  Workspace ws;
+  CMat bp;
+  toa_correlate(y.data(), 1, bp, ws, nullptr);
+  aoa_expand(bp, 1, nullptr, x.data(), ws, nullptr);
   return x;
 }
 
@@ -214,7 +335,9 @@ void KroneckerOperator::apply_mat_into(const CMat& x, CMat& y,
     throw std::invalid_argument("KroneckerOperator::apply_mat: rows");
   }
   ensure_shape(y, rows(), x.cols());
-  if (x.cols() > 0) apply_batched(x.data(), x.cols(), y.data(), pool);
+  if (x.cols() == 0) return;
+  Workspace ws;
+  apply_blocks(x.data(), x.cols(), nullptr, y.data(), ws, pool);
 }
 
 void KroneckerOperator::apply_adjoint_mat_into(
@@ -223,7 +346,11 @@ void KroneckerOperator::apply_adjoint_mat_into(
     throw std::invalid_argument("KroneckerOperator::apply_adjoint_mat: rows");
   }
   ensure_shape(x, cols(), y.cols());
-  if (y.cols() > 0) apply_adjoint_batched(y.data(), y.cols(), x.data(), pool);
+  if (y.cols() == 0) return;
+  Workspace ws;
+  CMat bp;
+  toa_correlate(y.data(), y.cols(), bp, ws, pool);
+  aoa_expand(bp, y.cols(), nullptr, x.data(), ws, pool);
 }
 
 CMat KroneckerOperator::row_gram() const {

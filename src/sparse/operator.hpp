@@ -9,9 +9,11 @@
 // through the blocked GEMM kernels in linalg/gemm.hpp; the Kronecker
 // operator additionally batches all snapshot columns of apply_mat /
 // apply_adjoint_mat into three GEMMs via the reshape trick (see
-// DESIGN.md "Operator fast path").
+// DESIGN.md "Operator fast path"), and exposes block-masked forms of
+// those GEMMs for the solvers' per-iteration ToA-block screening.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -23,6 +25,8 @@ class ThreadPool;
 }
 
 namespace roarray::sparse {
+
+class KroneckerOperator;
 
 using linalg::CMat;
 using linalg::CVec;
@@ -78,6 +82,13 @@ class LinearOperator {
   /// apply(apply_adjoint(e_i)).
   [[nodiscard]] virtual CMat row_gram() const;
 
+  /// The Kronecker operator this map applies through, or null when it
+  /// has no Kronecker structure. The solvers use it to reach the
+  /// block-masked applies without a dynamic_cast.
+  [[nodiscard]] virtual const KroneckerOperator* kronecker() const noexcept {
+    return nullptr;
+  }
+
  protected:
   // Copy/move are protected: this is an abstract base, and public copy
   // operations on a base reference invite accidental slicing. Concrete
@@ -118,6 +129,8 @@ class DenseOperator final : public LinearOperator {
 /// Index conventions match the paper's CSI stacking (Eq. 15/16):
 /// output index l * M + m (antenna-fastest), unknown index j * N_l + i
 /// (AoA-fastest), so column (i, j) equals right.col(j) (x) left.col(i).
+/// ToA block j is the N_l unknowns j * N_l .. (j + 1) * N_l - 1 of every
+/// snapshot column.
 ///
 /// apply_mat / apply_adjoint_mat process all snapshot columns at once:
 /// the column-major unknown block X (N_l*N_r x K) *is* an N_l x (N_r*K)
@@ -125,18 +138,34 @@ class DenseOperator final : public LinearOperator {
 /// deterministic permutation, * right^T) instead of K per-column
 /// applies — parallelism comes from the GEMM output tiles, not from the
 /// K snapshot columns.
+///
+/// Every application runs through apply_blocks (forward) or
+/// toa_correlate + aoa_expand (adjoint); the plain applies are their
+/// all-blocks case. A block mask is one byte per ToA block (N_r bytes),
+/// nonzero marking the block; a null mask marks every block.
 class KroneckerOperator final : public LinearOperator {
  public:
-  /// The constructor precomputes the factor transposes the batched
-  /// kernels consume (right^T for the forward map, conj(right) and
-  /// left^H for the adjoint) so no per-application rearrangement or
-  /// allocation is needed; they are immutable, so sharing one operator
-  /// across threads stays safe.
-  KroneckerOperator(CMat left, CMat right)
-      : left_(std::move(left)), right_(std::move(right)),
-        left_adj_(linalg::adjoint(left_)),
-        right_t_(linalg::transpose(right_)),
-        right_conj_(linalg::conjugate(right_)) {}
+  /// Intermediate products of the batched applies. A caller that keeps
+  /// one across calls (the solvers do) pays no per-apply allocation:
+  /// each buffer is allocated on first use and kept while the shapes
+  /// stay the same.
+  struct Workspace {
+    CMat b;    ///< M x (N_r k): left-side products, column c * N_r + j.
+    CMat bp;   ///< (M k) x N_r: the same grouped by ToA block.
+    CMat yp;   ///< (M k) x L: the output-side permutation.
+    CMat rt;   ///< right^T rows of the ToA blocks a forward sums.
+    std::vector<index_t> terms;  ///< those blocks, ascending.
+  };
+
+  /// Precomputes the factor transposes the batched kernels consume
+  /// (right^T for the forward map, conj(right) and left^H for the
+  /// adjoint) and the largest squared column norm of left, so no
+  /// per-application rearrangement is needed; they are immutable, so
+  /// sharing one operator across threads stays safe. Throws
+  /// std::invalid_argument when either factor has a NaN or infinite
+  /// entry: the masked forward drops the terms of all-zero blocks, which
+  /// is exact only against a finite right factor (DESIGN.md §5 item 10).
+  KroneckerOperator(CMat left, CMat right);
 
   [[nodiscard]] index_t rows() const noexcept override {
     return left_.rows() * right_.rows();
@@ -155,6 +184,42 @@ class KroneckerOperator final : public LinearOperator {
   /// factor Grams — never touches the full column dimension.
   [[nodiscard]] CMat row_gram() const override;
 
+  [[nodiscard]] const KroneckerOperator* kronecker() const noexcept override {
+    return this;
+  }
+
+  /// y = S x on raw column-major blocks of k >= 1 snapshot columns
+  /// (x is N_l N_r x k, y is M L x k). Every ToA block outside `live`
+  /// must be zero in every column of x. When M k <= kSmallRowLimit the
+  /// left product runs on the live blocks only and the ToA product sums
+  /// the live blocks only; the result is bit for bit the all-blocks one
+  /// (a dropped term is (+0) * finite, added to an accumulator that
+  /// starts at +0). Above that size the mask is ignored.
+  void apply_blocks(const cxd* x, index_t k, const std::uint8_t* live, cxd* y,
+                    Workspace& ws, const runtime::ThreadPool* pool) const;
+
+  /// The adjoint's first stage over all blocks: the ToA correlation
+  /// bp = Y' conj(right) of y (M L x k), an (M k) x N_r matrix whose
+  /// column j stacks every snapshot's M-element correlation with ToA
+  /// atom j (snapshot c in rows c M .. c M + M - 1).
+  void toa_correlate(const cxd* y, index_t k, CMat& bp, Workspace& ws,
+                     const runtime::ThreadPool* pool) const;
+
+  /// The adjoint's second stage: block j of x (N_l N_r x k) becomes
+  /// left^H times block j of bp, for every block in `keep`, bit for bit
+  /// as in the all-blocks product. Blocks outside `keep` are left
+  /// unwritten, except where the AoA product is too large for the
+  /// per-column GEMM kernels (N_l > kSmallRowLimit and M >
+  /// kSmallDepthLimit): then every block is written.
+  void aoa_expand(const CMat& bp, index_t k, const std::uint8_t* keep, cxd* x,
+                  Workspace& ws, const runtime::ThreadPool* pool) const;
+
+  /// max over AoA atoms a of ||left(:, a)||^2, as computed once at
+  /// construction (M for unit-modulus steering columns).
+  [[nodiscard]] double left_col_norm_sq_max() const noexcept {
+    return left_col_norm_sq_max_;
+  }
+
   [[nodiscard]] const CMat& left() const noexcept { return left_; }
   [[nodiscard]] const CMat& right() const noexcept { return right_; }
 
@@ -162,19 +227,26 @@ class KroneckerOperator final : public LinearOperator {
   [[nodiscard]] CMat to_dense() const;
 
  private:
-  /// Batched forward/adjoint kernel shared by apply and apply_mat:
-  /// x and y are column-major blocks of k snapshot columns.
-  void apply_batched(const cxd* x, index_t k, cxd* y,
-                     const runtime::ThreadPool* pool) const;
-  void apply_adjoint_batched(const cxd* y, index_t k, cxd* x,
-                             const runtime::ThreadPool* pool) const;
-
   CMat left_;        // M x N_l
   CMat right_;       // L x N_r
   CMat left_adj_;    // left^H (N_l x M), precomputed for the adjoint
   CMat right_t_;     // right^T (N_r x L), precomputed for the forward
   CMat right_conj_;  // conj(right) (L x N_r), precomputed for the adjoint
+  double left_col_norm_sq_max_ = 0.0;
 };
+
+/// Calls f(j0, j1) for every maximal run [j0, j1) of nonzero bytes in a
+/// block mask of n blocks, ascending.
+template <class F>
+void for_each_block_run(const std::uint8_t* mask, index_t n, const F& f) {
+  index_t j = 0;
+  while (j < n) {
+    while (j < n && mask[j] == 0) ++j;
+    const index_t j0 = j;
+    while (j < n && mask[j] != 0) ++j;
+    if (j > j0) f(j0, j);
+  }
+}
 
 /// Restriction of a Kronecker operator to a factored (Cartesian)
 /// column support: keep AoA columns I = left_support and ToA columns
@@ -214,6 +286,9 @@ class SupportOperator final : public LinearOperator {
     sub_.apply_adjoint_mat_into(y, x, pool);
   }
   [[nodiscard]] CMat row_gram() const override { return sub_.row_gram(); }
+  [[nodiscard]] const KroneckerOperator* kronecker() const noexcept override {
+    return &sub_;
+  }
 
   [[nodiscard]] const std::vector<index_t>& left_support() const noexcept {
     return left_support_;

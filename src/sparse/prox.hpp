@@ -47,29 +47,32 @@ inline void soft_threshold_inplace(CVec& x, double t,
   return sq * (1.0 - 0x1p-52);
 }
 
-/// Result of row_shrink_factors.
+/// Running result of row_shrink_factors.
 struct RowShrink {
   double l21 = 0.0;  ///< post-shrink l2,1 norm of the kept rows.
   index_t kept = 0;  ///< rows not marked for zeroing.
 };
 
-/// The group prox's per-row decision. On entry scale[i] holds row i's
-/// squared norm (a sum of squares: +/-0, positive, inf or NaN); on exit
-/// its shrink factor 1 - t / ||row||, or -1 to mark "zero the row" (rows
-/// at the threshold are set exactly to zero rather than multiplied by 0;
-/// Backend::row_scale writes +0 there).
-/// Returns the post-shrink l2,1 norm, sum of ||row|| * factor over the
-/// kept rows in ascending order, and the kept-row count; a non-null
-/// `kept_rows` (room for n) receives the kept rows, ascending. Rows at
-/// or below shrink_sq_floor(t) — nearly all of them on the sparse
-/// solver iterates — skip the sqrt; every other row, NaN included,
-/// takes the sqrt test, so the factors and the sum match a plain
+/// The group prox's per-row decision over rows [begin, end). On entry
+/// scale[i] holds row i's squared norm (a sum of squares: +/-0,
+/// positive, inf or NaN); on exit its shrink factor 1 - t / ||row||, or
+/// -1 to mark "zero the row" (rows at the threshold are set exactly to
+/// zero rather than multiplied by 0; Backend::row_scale writes +0
+/// there). Each kept row adds ||row|| * factor to acc.l21 and, with a
+/// non-null `kept_rows` (room for every row), is stored at
+/// kept_rows[acc.kept] before acc.kept counts it. Calls over ascending
+/// disjoint ranges therefore sum and list in ascending row order, so
+/// they match one call over the union bit for bit; the screening solver
+/// skips the ranges it proved zero this way. Rows at or below
+/// shrink_sq_floor(t) — nearly all of them on the sparse solver
+/// iterates — skip the sqrt; every other row, NaN included, takes the
+/// sqrt test, so the factors and the sum match a plain
 /// sqrt-then-compare loop bit for bit.
-inline RowShrink row_shrink_factors(double* scale, index_t n, double t,
-                                    index_t* kept_rows = nullptr) {
+inline void row_shrink_factors(double* scale, index_t begin, index_t end,
+                               double t, RowShrink& acc,
+                               index_t* kept_rows = nullptr) {
   const double floor_sq = shrink_sq_floor(t);
-  RowShrink out;
-  for (index_t i = 0; i < n; ++i) {
+  for (index_t i = begin; i < end; ++i) {
     if (scale[i] <= floor_sq) {
       scale[i] = -1.0;
       continue;
@@ -80,12 +83,11 @@ inline RowShrink row_shrink_factors(double* scale, index_t n, double t,
     } else {
       const double s = 1.0 - t / norm;
       scale[i] = s;
-      out.l21 += norm * s;
-      if (kept_rows != nullptr) kept_rows[out.kept] = i;
-      ++out.kept;
+      acc.l21 += norm * s;
+      if (kept_rows != nullptr) kept_rows[acc.kept] = i;
+      ++acc.kept;
     }
   }
-  return out;
 }
 
 /// Row-group soft-thresholding: the proximal operator of
@@ -111,7 +113,8 @@ inline void group_soft_threshold_rows_inplace(
   for (index_t j = 0; j < k; ++j) {
     bk.row_sq_accumulate(x.data() + j * n, n, scale.data());
   }
-  (void)row_shrink_factors(scale.data(), n, t);
+  RowShrink shrunk;
+  row_shrink_factors(scale.data(), 0, n, t, shrunk);
   for (index_t j = 0; j < k; ++j) {
     bk.row_scale(x.data() + j * n, n, scale.data());
   }

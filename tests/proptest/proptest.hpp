@@ -11,7 +11,8 @@
 // set replays exactly that case: the same value is generated and the
 // same shrink path is walked, so the minimal counterexample reproduces
 // deterministically (generation and shrinking consume no other
-// randomness).
+// randomness). replaying() tells a test it runs such a single-case
+// replay, so it can leave out assertions about the whole sample.
 //
 // Environment knobs (all optional):
 //   ROARRAY_PROPTEST_SEED       replay one case with this exact RNG seed.
@@ -132,6 +133,15 @@ int shrink_to_minimal(const Shrinker<T>& shrink, const Property<T>& prop,
 }
 
 }  // namespace detail
+
+/// True when ROARRAY_PROPTEST_SEED is set: check() then runs that one
+/// case and nothing else. A property that asserts coverage over its
+/// whole generated sample (some case reached a path) must skip that
+/// assertion on a replay, or the printed reproduction line can never
+/// pass.
+[[nodiscard]] inline bool replaying() {
+  return detail::env_u64("ROARRAY_PROPTEST_SEED").has_value();
+}
 
 /// Checks `prop` over generated inputs. On failure, shrinks to a
 /// minimal counterexample and reports it through googletest (non-fatal,

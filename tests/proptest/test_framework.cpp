@@ -165,6 +165,23 @@ TEST(ProptestFramework, FailureReportCarriesReproducibleSeedLine) {
   EXPECT_EQ(failing_value, original);
 }
 
+TEST(ProptestFramework, ReplayRunsOneCaseAndIsReported) {
+  {
+    EnvGuard cleared("ROARRAY_PROPTEST_SEED");
+    ::unsetenv("ROARRAY_PROPTEST_SEED");
+    EXPECT_FALSE(pt::replaying());
+  }
+  EnvGuard guard("ROARRAY_PROPTEST_SEED", "11");
+  EXPECT_TRUE(pt::replaying());
+  int invocations = 0;
+  pt::check<int>("one case", pt::int_in_range(0, 100),
+                 [&](const int&) -> std::optional<std::string> {
+                   ++invocations;
+                   return std::nullopt;
+                 });
+  EXPECT_EQ(invocations, 1);
+}
+
 TEST(ProptestFramework, ExceptionsAreFoldedIntoFailures) {
   EXPECT_NONFATAL_FAILURE(
       {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "dsp/grid.hpp"
 #include "dsp/steering.hpp"
+#include "linalg/backend/backend.hpp"
+#include "linalg/gemm.hpp"
 #include "runtime/thread_pool.hpp"
 #include "../test_util.hpp"
 
@@ -322,6 +329,258 @@ TEST_F(SupportOperatorTest, RejectsInvalidSupports) {
   EXPECT_THROW(SupportOperator(*op_, {0, 7}, {0}), std::invalid_argument);
   EXPECT_THROW(SupportOperator(*op_, {0}, {3}), std::invalid_argument);
   EXPECT_THROW(SupportOperator(*op_, {0}, {-1, 0}), std::invalid_argument);
+}
+
+// --- Block-masked Kronecker applies ---
+
+// The three-GEMM forward and adjoint as they stood before the block
+// masks: the same gemm calls and permutations over every ToA block. The
+// operator's applies must still reproduce them bit for bit.
+namespace frozen {
+
+CMat forward(const CMat& left, const CMat& right, const CMat& x) {
+  const index_t m = left.rows(), nl = left.cols();
+  const index_t l = right.rows(), nr = right.cols(), k = x.cols();
+  const CMat right_t = transpose(right);
+  CMat y(m * l, k);
+  CMat b(m, nr * k);
+  linalg::gemm(m, nr * k, nl, left.data(), x.data(), b.data());
+  if (k == 1) {
+    linalg::gemm(m, l, nr, b.data(), right_t.data(), y.data());
+    return y;
+  }
+  CMat bp(m * k, nr);
+  for (index_t c = 0; c < k; ++c)
+    for (index_t j = 0; j < nr; ++j)
+      std::memcpy(bp.data() + j * (m * k) + c * m,
+                  b.data() + (c * nr + j) * m, sizeof(cxd) * m);
+  CMat yp(m * k, l);
+  linalg::gemm(m * k, l, nr, bp.data(), right_t.data(), yp.data());
+  for (index_t c = 0; c < k; ++c)
+    for (index_t li = 0; li < l; ++li)
+      std::memcpy(y.data() + c * (m * l) + li * m,
+                  yp.data() + li * (m * k) + c * m, sizeof(cxd) * m);
+  return y;
+}
+
+CMat adjoint(const CMat& left, const CMat& right, const CMat& y) {
+  const index_t m = left.rows(), nl = left.cols();
+  const index_t l = right.rows(), nr = right.cols(), k = y.cols();
+  const CMat left_adj = linalg::adjoint(left);
+  const CMat right_conj = conjugate(right);
+  CMat x(nl * nr, k);
+  CMat bp(m * k, nr);
+  if (k == 1) {
+    linalg::gemm(m, nr, l, y.data(), right_conj.data(), bp.data());
+    linalg::gemm(nl, nr, m, left_adj.data(), bp.data(), x.data());
+    return x;
+  }
+  CMat yp(m * k, l);
+  for (index_t c = 0; c < k; ++c)
+    for (index_t li = 0; li < l; ++li)
+      std::memcpy(yp.data() + li * (m * k) + c * m,
+                  y.data() + c * (m * l) + li * m, sizeof(cxd) * m);
+  linalg::gemm(m * k, nr, l, yp.data(), right_conj.data(), bp.data());
+  CMat b(m, nr * k);
+  for (index_t c = 0; c < k; ++c)
+    for (index_t j = 0; j < nr; ++j)
+      std::memcpy(b.data() + (c * nr + j) * m,
+                  bp.data() + j * (m * k) + c * m, sizeof(cxd) * m);
+  linalg::gemm(nl, nr * k, m, left_adj.data(), b.data(), x.data());
+  return x;
+}
+
+}  // namespace frozen
+
+bool same_bytes(const cxd* a, const cxd* b, index_t count) {
+  return std::memcmp(a, b, sizeof(cxd) * static_cast<std::size_t>(count)) == 0;
+}
+
+/// Factor shapes (M, N_l, L, N_r) reaching every GEMM kernel the applies
+/// dispatch to: M k on both sides of kSmallRowLimit, N_l on both sides
+/// of it, and M > kSmallDepthLimit with N_l > kSmallRowLimit (the AoA
+/// product on the generic tile).
+struct Shape {
+  index_t m, nl, l, nr;
+};
+constexpr Shape kShapes[] = {{1, 5, 2, 4},  {3, 7, 4, 6},  {2, 17, 3, 5},
+                             {4, 9, 5, 3},  {9, 18, 3, 4}, {3, 91, 6, 9}};
+
+std::vector<const linalg::backend::Backend*> tables() {
+  std::vector<const linalg::backend::Backend*> out = {
+      &linalg::backend::scalar()};
+  if (linalg::backend::simd() != nullptr) {
+    out.push_back(linalg::backend::simd());
+  }
+  return out;
+}
+
+struct ForceGuard {
+  ~ForceGuard() { linalg::backend::force(nullptr); }
+};
+
+/// x (N_l N_r x k) with random entries in the blocks `live` marks and
+/// zeros elsewhere (alternating +0 and -0, both of which the masked
+/// forward must treat as zero).
+CMat block_sparse(index_t nl, index_t nr, index_t k,
+                  const std::vector<std::uint8_t>& live,
+                  std::mt19937_64& rng) {
+  CMat x = rt::random_cmat(nl * nr, k, rng);
+  for (index_t c = 0; c < k; ++c)
+    for (index_t j = 0; j < nr; ++j)
+      if (live[static_cast<std::size_t>(j)] == 0)
+        for (index_t a = 0; a < nl; ++a)
+          x(j * nl + a, c) = (a % 2 == 0) ? cxd{} : cxd{-0.0, -0.0};
+  return x;
+}
+
+std::vector<std::uint8_t> random_mask(index_t nr, std::mt19937_64& rng) {
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(nr));
+  for (auto& b : mask) b = static_cast<std::uint8_t>(rng() % 3 == 0);
+  return mask;
+}
+
+TEST(KroneckerBlocks, AllBlocksCaseMatchesTheFrozenThreeGemmApplies) {
+  ForceGuard guard;
+  auto rng = rt::make_rng(81);
+  for (const auto* table : tables()) {
+    linalg::backend::force(table);
+    for (const Shape& s : kShapes) {
+      const CMat left = rt::random_cmat(s.m, s.nl, rng);
+      const CMat right = rt::random_cmat(s.l, s.nr, rng);
+      const KroneckerOperator op(left, right);
+      for (index_t k = 1; k <= 6; ++k) {
+        const CMat x = block_sparse(s.nl, s.nr, k, random_mask(s.nr, rng), rng);
+        const CMat want = frozen::forward(left, right, x);
+        const CMat got = op.apply_mat(x);
+        EXPECT_TRUE(same_bytes(got.data(), want.data(), want.size()))
+            << table->name << " forward m=" << s.m << " nl=" << s.nl
+            << " k=" << k;
+        const CMat y = rt::random_cmat(s.m * s.l, k, rng);
+        const CMat want_adj = frozen::adjoint(left, right, y);
+        const CMat got_adj = op.apply_adjoint_mat(y);
+        EXPECT_TRUE(same_bytes(got_adj.data(), want_adj.data(), want_adj.size()))
+            << table->name << " adjoint m=" << s.m << " nl=" << s.nl
+            << " k=" << k;
+        if (k == 1) {
+          const CVec gv = op.apply(x.col_vec(0));
+          EXPECT_TRUE(same_bytes(gv.data(), want.data(), want.size()));
+          const CVec ga = op.apply_adjoint(y.col_vec(0));
+          EXPECT_TRUE(same_bytes(ga.data(), want_adj.data(), want_adj.size()));
+        }
+      }
+    }
+  }
+}
+
+TEST(KroneckerBlocks, MaskedForwardOnBlockSparseInputEqualsDenseForward) {
+  ForceGuard guard;
+  auto rng = rt::make_rng(82);
+  for (const auto* table : tables()) {
+    linalg::backend::force(table);
+    for (const Shape& s : kShapes) {
+      const KroneckerOperator op(rt::random_cmat(s.m, s.nl, rng),
+                                 rt::random_cmat(s.l, s.nr, rng));
+      KroneckerOperator::Workspace ws;  // reused across masks and k
+      for (index_t k = 1; k <= 6; ++k) {
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<std::uint8_t> live = random_mask(s.nr, rng);
+          if (trial == 0) live.assign(live.size(), 0);  // all blocks dead
+          const CMat x = block_sparse(s.nl, s.nr, k, live, rng);
+          // A mask may also mark blocks that happen to be zero.
+          if (trial == 3) live[0] = 1;
+          const CMat want = op.apply_mat(x);
+          CMat got(op.rows(), k);
+          op.apply_blocks(x.data(), k, live.data(), got.data(), ws, nullptr);
+          EXPECT_TRUE(same_bytes(got.data(), want.data(), want.size()))
+              << table->name << " m=" << s.m << " nl=" << s.nl << " k=" << k
+              << " trial " << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(KroneckerBlocks, MaskedExpansionEqualsDenseAdjointOnKeptBlocks) {
+  ForceGuard guard;
+  const double sentinel = std::numeric_limits<double>::quiet_NaN();
+  auto rng = rt::make_rng(83);
+  for (const auto* table : tables()) {
+    linalg::backend::force(table);
+    for (const Shape& s : kShapes) {
+      const KroneckerOperator op(rt::random_cmat(s.m, s.nl, rng),
+                                 rt::random_cmat(s.l, s.nr, rng));
+      const bool per_column = s.nl <= linalg::backend::kSmallRowLimit ||
+                              s.m <= linalg::backend::kSmallDepthLimit;
+      KroneckerOperator::Workspace ws;
+      CMat bp;
+      for (index_t k = 1; k <= 6; ++k) {
+        const CMat y = rt::random_cmat(op.rows(), k, rng);
+        const CMat want = op.apply_adjoint_mat(y);
+        const std::vector<std::uint8_t> keep = random_mask(s.nr, rng);
+        op.toa_correlate(y.data(), k, bp, ws, nullptr);
+        CMat got(op.cols(), k);
+        for (index_t i = 0; i < got.size(); ++i) {
+          got.data()[i] = cxd{sentinel, sentinel};
+        }
+        op.aoa_expand(bp, k, keep.data(), got.data(), ws, nullptr);
+        for (index_t c = 0; c < k; ++c) {
+          for (index_t j = 0; j < s.nr; ++j) {
+            const cxd* g = got.data() + c * op.cols() + j * s.nl;
+            const cxd* w = want.data() + c * op.cols() + j * s.nl;
+            if (keep[static_cast<std::size_t>(j)] != 0 || !per_column) {
+              EXPECT_TRUE(same_bytes(g, w, s.nl))
+                  << table->name << " m=" << s.m << " nl=" << s.nl
+                  << " k=" << k << " block " << j;
+            } else {
+              EXPECT_TRUE(std::isnan(g[0].real())) << "unkept block written";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KroneckerBlocks, KroneckerAccessorAndColumnNormBound) {
+  auto rng = rt::make_rng(84);
+  const CMat left = rt::random_cmat(3, 6, rng);
+  const KroneckerOperator op(left, rt::random_cmat(4, 5, rng));
+  EXPECT_EQ(op.kronecker(), &op);
+  const SupportOperator sub(op, {1, 4}, {0, 2, 3});
+  EXPECT_EQ(sub.kronecker(), &sub.sub());
+  EXPECT_EQ(DenseOperator(left).kronecker(), nullptr);
+  double mx = 0.0;
+  for (index_t a = 0; a < left.cols(); ++a) {
+    double acc = 0.0;
+    for (index_t r = 0; r < left.rows(); ++r) acc += std::norm(left(r, a));
+    mx = std::max(mx, acc);
+  }
+  EXPECT_EQ(op.left_col_norm_sq_max(), mx);
+  // Unit-modulus steering columns: ||left(:, a)||^2 = M.
+  dsp::ArrayConfig cfg;
+  cfg.num_antennas = 4;
+  const KroneckerOperator sop(
+      dsp::steering_matrix_aoa(dsp::Grid(0.0, 180.0, 13), cfg),
+      rt::random_cmat(2, 3, rng));
+  EXPECT_NEAR(sop.left_col_norm_sq_max(), 4.0, 1e-12);
+}
+
+TEST(KroneckerOperator, RejectsNonFiniteFactors) {
+  auto rng = rt::make_rng(85);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  for (const cxd bad : {cxd{qnan, 0.0}, cxd{0.0, inf}, cxd{-inf, 1.0}}) {
+    CMat left = rt::random_cmat(3, 4, rng);
+    CMat right = rt::random_cmat(5, 2, rng);
+    left(1, 2) = bad;
+    EXPECT_THROW(KroneckerOperator(left, right), std::invalid_argument);
+    left(1, 2) = cxd{1.0, 0.0};
+    right(4, 1) = bad;
+    EXPECT_THROW(KroneckerOperator(left, right), std::invalid_argument);
+    right(4, 1) = cxd{1.0, 0.0};
+    EXPECT_NO_THROW(KroneckerOperator(left, right));
+  }
 }
 
 }  // namespace

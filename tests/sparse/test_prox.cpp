@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <vector>
@@ -208,7 +209,8 @@ TEST(RowShrinkFactors, MatchesThePlainSqrtDecisionBitwise) {
     const auto n = static_cast<index_t>(rows.size());
     std::vector<double> got = rows;
     std::vector<index_t> kept(rows.size(), -1);
-    const RowShrink r = row_shrink_factors(got.data(), n, t, kept.data());
+    RowShrink r;
+    row_shrink_factors(got.data(), 0, n, t, r, kept.data());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       EXPECT_TRUE(same_double(got[i], want[i]))
           << "t=" << t << " row " << i << " (row_sq " << rows[i]
@@ -221,9 +223,25 @@ TEST(RowShrinkFactors, MatchesThePlainSqrtDecisionBitwise) {
     }
     // Without a kept-row list the factors and the sum are the same.
     std::vector<double> again = rows;
-    const RowShrink r2 = row_shrink_factors(again.data(), n, t);
+    RowShrink r2;
+    row_shrink_factors(again.data(), 0, n, t, r2);
     EXPECT_TRUE(same_double(r2.l21, r.l21));
     EXPECT_EQ(r2.kept, r.kept);
+    // Ascending ranges carrying one accumulator equal the single call.
+    std::vector<double> split = rows;
+    std::vector<index_t> split_kept(rows.size(), -1);
+    RowShrink r3;
+    const index_t cuts[] = {0, n / 3, n / 3 + 1, n - 2, n};
+    for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+      row_shrink_factors(split.data(), cuts[c], cuts[c + 1], t, r3,
+                         split_kept.data());
+    }
+    EXPECT_TRUE(same_double(r3.l21, r.l21)) << "t=" << t;
+    EXPECT_EQ(r3.kept, r.kept);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(same_double(split[i], got[i])) << "t=" << t << " row " << i;
+      EXPECT_EQ(split_kept[i], kept[i]) << "t=" << t;
+    }
   }
 }
 
