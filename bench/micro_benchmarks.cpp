@@ -840,6 +840,16 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
         .value(fista_direct_ms / std::max(fista_reuse_ms, 1e-6));
     w.key("fista_reuse_max_rel_diff").value(fista_rel_diff);
     w.key("fista_reuse_matches_direct").value(fista_matches);
+    // The block screen's counters for the full-grid group solve above
+    // (sparse::ScreenStats): gradients that formed the ToA correlation
+    // of every block, and blocks the stale-reference drift bound cleared
+    // versus blocks given the exact test.
+    w.key("fista_screen").begin_object();
+    w.key("iterations").value(static_cast<std::int64_t>(g_reuse.iterations));
+    w.key("full_correlates").value(g_reuse.screen.full_correlates);
+    w.key("drift_cleared").value(g_reuse.screen.drift_cleared);
+    w.key("exact_tested").value(g_reuse.screen.exact_tested);
+    w.end_object();
     w.end_object();
     w.key("backend_kernels").begin_object();
     w.key("simd_available").value(simd_available);

@@ -65,10 +65,11 @@ struct RoArrayConfig {
   /// Coarse-to-fine solve path (sparse/coarse_fine.hpp): when enabled,
   /// a cheap greedy pass over decimated grids selects candidate
   /// (AoA, ToA) cells and the convex solve runs restricted to the
-  /// refined support. Roughly 10x faster per estimate; results agree
-  /// with the full-grid solve to grid resolution on well-separated
-  /// paths but are not bit-identical to it (off-support coefficients
-  /// are exactly zero). Default off.
+  /// refined support. Cheaper per estimate than the full-grid solve
+  /// (EXPERIMENTS.md records the measured ratio, which moves as either
+  /// path is optimized); results agree with the full-grid solve to grid
+  /// resolution on well-separated paths but are not bit-identical to it
+  /// (off-support coefficients are exactly zero). Default off.
   sparse::CoarseFineConfig coarse_fine;
 };
 

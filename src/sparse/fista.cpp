@@ -1,6 +1,7 @@
 #include "sparse/fista.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "linalg/backend/backend.hpp"
 #include "sparse/power.hpp"
 #include "sparse/prox.hpp"
 
@@ -231,9 +233,25 @@ void dense_forward(const LinearOperator& op, const CMat& x, CMat& y,
 /// is NaN) unless step, Lmax^2 and shrink^2 lie in [2^-300, 2^300] and
 /// M k <= 2^16, the ranges the derivation in DESIGN.md assumes. NaN or
 /// inf in B_j fails the compare, so such a block is never screened.
+///
+/// Most blocks are cleared without forming bp_j at all. The screen keeps
+/// a reference residual r_ref and the norms ||bp_j(r_ref)|| of its last
+/// full correlation; by linearity ||bp_j(r)|| <= ||bp_j(r_ref)|| +
+/// Rmax ||r - r_ref||_F, Rmax the largest column norm of right, and the
+/// drift term also carries the absolute rounding of both computed
+/// correlations. A block that bound clears is screened; the exact test
+/// runs only on the few it cannot clear, on their columns of bp alone.
+/// When more than kMaxExact blocks need it, or the drift is not finite,
+/// one full correlation makes r the new reference. The bound is on
+/// only when M k <= kSmallRowLimit (where toa_correlate forms single
+/// columns bit for bit), L <= 2^20 and Rmax^2 lies in [2^-300, 2^300];
+/// otherwise every gradient forms the full correlation, as does the
+/// first.
+///
 /// Every result stays bit for bit the unscreened one. A non-Kronecker
-/// operator is one block that is never screened. The masks and the
-/// applies' scratch are allocated here, once per solve.
+/// operator is one block that is never screened. The masks, the
+/// reference and the applies' scratch are allocated here, once per
+/// solve.
 class BlockScreen {
  public:
   /// even_ranges: keep every run of unscreened rows at an even start
@@ -251,14 +269,24 @@ class BlockScreen {
         even_ranges_(even_ranges && nl_ % 2 != 0),
         open_(static_cast<std::size_t>(nr_), 1),
         live_(static_cast<std::size_t>(nr_)) {
+    if (kron_ == nullptr) return;
     const auto in_range = [](double v) {
       return v >= 0x1p-300 && v <= 0x1p300;
     };
-    if (kron_ != nullptr && in_range(step) && in_range(shrink * shrink) &&
-        in_range(kron_->left_col_norm_sq_max()) &&
-        kron_->left().rows() * k <= (index_t{1} << 16)) {
+    const index_t mk = kron_->left().rows() * k;
+    if (in_range(step) && in_range(shrink * shrink) &&
+        in_range(kron_->left_col_norm_sq_max()) && mk <= (index_t{1} << 16)) {
       coef_ = step * step * kron_->left_col_norm_sq_max() * (1.0 + kDelta);
       shrink_sq_ = shrink * shrink;
+    }
+    bp_ = CMat(mk, nr_);
+    if (!std::isnan(coef_) && mk <= linalg::backend::kSmallRowLimit &&
+        kron_->right().rows() <= (index_t{1} << 20) &&
+        in_range(kron_->right_col_norm_sq_max())) {
+      right_norm_ = std::sqrt(kron_->right_col_norm_sq_max());
+      ref_.resize(static_cast<std::size_t>(kron_->rows() * k));
+      ref_norm_.resize(static_cast<std::size_t>(nr_));
+      want_.resize(static_cast<std::size_t>(nr_));
     }
   }
 
@@ -273,27 +301,16 @@ class BlockScreen {
       dense_adjoint(op_, residual, grad, pool);
       return;
     }
-    kron_->toa_correlate(residual.data(), k_, bp_, ws_, pool);
     // Blocks live in `from` stay open; every other block is screened
     // when its bound passes.
     std::fill(open_.begin(), open_.end(), std::uint8_t{0});
     for (index_t r = 0; r < nfrom; ++r) {
       open_[static_cast<std::size_t>(from_rows[r] / nl_)] = 1;
     }
-    const index_t len = 2 * bp_.rows();  // doubles per bp column
-    for (index_t j = 0; j < nr_; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      if (open_[jj] != 0) continue;
-      const double* d = reinterpret_cast<const double*>(bp_.data()) + j * len;
-      double bj = 0.0;
-      for (index_t i = 0; i < len; ++i) bj += d[i] * d[i];
-      open_[jj] = !(coef_ * (bj + kUnderflowPad) < shrink_sq_);
+    if (!screen_from_reference(residual.data(), pool)) {
+      screen_fresh(residual.data(), pool);
     }
-    if (even_ranges_) {
-      for (std::size_t j = 0; j + 1 < open_.size(); j += 2) {
-        open_[j] = open_[j + 1] = open_[j] | open_[j + 1];
-      }
-    }
+    if (even_ranges_) pair_blocks(open_);
     kron_->aoa_expand(bp_, k_, open_.data(), grad.data(), ws_, pool);
   }
 
@@ -321,9 +338,122 @@ class BlockScreen {
     kron_->apply_blocks(x.data(), k_, live_.data(), y.data(), ws_, pool);
   }
 
+  [[nodiscard]] const ScreenStats& stats() const { return stats_; }
+
  private:
   static constexpr double kDelta = 1e-9;
   static constexpr double kUnderflowPad = 0x1p-1000;
+  /// The drift term's constants (DESIGN.md §5 item 10): kGemmRel >=
+  /// 2 sqrt(2) gamma_{2L+2} bounds the absolute rounding of both
+  /// correlations per unit ||r_ref||_F Rmax (L <= 2^20), and
+  /// kDriftInflate covers the roundings of the computed norms and of the
+  /// drift's own arithmetic.
+  static constexpr double kGemmRel = 0x1p-28;
+  static constexpr double kDriftInflate = 1.0 + 0x1p-20;
+  /// Most non-live blocks a stale-reference screen gives the exact test
+  /// before it refreshes the reference instead.
+  static constexpr index_t kMaxExact = 4;
+
+  /// Sum of squares of bp_'s column j (both parts, ascending).
+  [[nodiscard]] double block_sq(index_t j) const {
+    const index_t len = 2 * bp_.rows();  // doubles per bp column
+    const double* d = reinterpret_cast<const double*>(bp_.data()) + j * len;
+    double bj = 0.0;
+    for (index_t i = 0; i < len; ++i) bj += d[i] * d[i];
+    return bj;
+  }
+
+  /// The screen's test on b, a squared-norm bound on a block's
+  /// correlation (B_j, or the stale-reference bound squared): true when
+  /// the block is screened.
+  [[nodiscard]] bool bound_clears(double bj) const {
+    return coef_ * (bj + kUnderflowPad) < shrink_sq_;
+  }
+
+  /// Opens both blocks of each pair (0, 1), (2, 3), ... when either is.
+  static void pair_blocks(std::vector<std::uint8_t>& mask) {
+    for (std::size_t j = 0; j + 1 < mask.size(); j += 2) {
+      mask[j] = mask[j + 1] = mask[j] | mask[j + 1];
+    }
+  }
+
+  /// Forms the correlation of every block, gives every non-live block
+  /// the exact test, and (with the stale bound on) makes r the reference.
+  void screen_fresh(const cxd* r, const runtime::ThreadPool* pool) {
+    kron_->toa_correlate(r, k_, nullptr, bp_, ws_, pool);
+    ++stats_.full_correlates;
+    const bool stale = !ref_.empty();
+    for (index_t j = 0; j < nr_; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      if (open_[jj] != 0 && !stale) continue;
+      const double bj = block_sq(j);
+      if (stale) ref_norm_[jj] = std::sqrt(bj + kUnderflowPad);
+      if (open_[jj] != 0) continue;
+      ++stats_.exact_tested;
+      open_[jj] = !bound_clears(bj);
+    }
+    if (!stale) return;
+    std::copy(r, r + ref_.size(), ref_.begin());
+    const double* d = reinterpret_cast<const double*>(r);
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < 2 * ref_.size(); ++i) r2 += d[i] * d[i];
+    ref_fro_ = std::sqrt(r2 + kUnderflowPad);
+    has_ref_ = true;
+  }
+
+  /// Upper bound, for every block j, on ||bp_j(r)|| - ||bp_j(r_ref)|| as
+  /// computed: Rmax times the drift ||r - r_ref||_F plus the absolute
+  /// rounding of both correlations, all roundings covered. NaN or inf
+  /// when r or the reference is not finite.
+  [[nodiscard]] double drift_bound(const cxd* r) const {
+    const double* a = reinterpret_cast<const double*>(r);
+    const double* b = reinterpret_cast<const double*>(ref_.data());
+    double d2 = 0.0;
+    for (std::size_t i = 0; i < 2 * ref_.size(); ++i) {
+      const double d = a[i] - b[i];
+      d2 += d * d;
+    }
+    return (std::sqrt(d2 + kUnderflowPad) + kGemmRel * ref_fro_) *
+           kDriftInflate * right_norm_;
+  }
+
+  /// The stale-reference screen. Returns false, having changed nothing
+  /// but the scratch, when it cannot decide: no reference yet, a drift
+  /// that is not finite, or more than kMaxExact blocks the drift bound
+  /// cannot clear.
+  bool screen_from_reference(const cxd* r, const runtime::ThreadPool* pool) {
+    if (!has_ref_) return false;
+    const double drift = drift_bound(r);
+    if (!(drift <= std::numeric_limits<double>::max())) return false;
+    index_t nexact = 0;
+    std::int64_t cleared = 0;
+    for (index_t j = 0; j < nr_; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      if (open_[jj] != 0) continue;
+      const double s = ref_norm_[jj] + drift;
+      if (bound_clears(s * s)) {
+        ++cleared;
+        continue;
+      }
+      if (nexact == kMaxExact) return false;
+      exact_[static_cast<std::size_t>(nexact++)] = j;
+    }
+    // Columns the exact tests and the expansion read: the live blocks,
+    // the uncleared ones, and (paired screening) their partners.
+    std::copy(open_.begin(), open_.end(), want_.begin());
+    for (index_t e = 0; e < nexact; ++e) {
+      want_[static_cast<std::size_t>(exact_[static_cast<std::size_t>(e)])] = 1;
+    }
+    if (even_ranges_) pair_blocks(want_);
+    kron_->toa_correlate(r, k_, want_.data(), bp_, ws_, pool);
+    for (index_t e = 0; e < nexact; ++e) {
+      const index_t j = exact_[static_cast<std::size_t>(e)];
+      open_[static_cast<std::size_t>(j)] = !bound_clears(block_sq(j));
+    }
+    stats_.drift_cleared += cleared;
+    stats_.exact_tested += nexact;
+    return true;
+  }
 
   const LinearOperator& op_;
   const KroneckerOperator* kron_;
@@ -334,6 +464,15 @@ class BlockScreen {
   std::vector<std::uint8_t> open_, live_;
   CMat bp_;
   KroneckerOperator::Workspace ws_;
+  // Stale-reference state; ref_ is empty when the bound is off.
+  std::vector<cxd> ref_;         ///< r_ref, M L x k column-major.
+  std::vector<double> ref_norm_; ///< fl(sqrt(B_j(r_ref) + pad)) per block.
+  std::vector<std::uint8_t> want_;
+  std::array<index_t, kMaxExact> exact_{};
+  double right_norm_ = 0.0;      ///< fl(sqrt(Rmax^2)).
+  double ref_fro_ = 0.0;         ///< fl(sqrt(||r_ref||_F^2 + pad)).
+  bool has_ref_ = false;
+  ScreenStats stats_;
 };
 
 }  // namespace
@@ -478,6 +617,7 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
     }
   }
   out.x = std::move(x);
+  out.screen = screen.stats();
   return out;
 }
 
@@ -633,6 +773,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     }
   }
   out.x = std::move(x);
+  out.screen = screen.stats();
   return out;
 }
 

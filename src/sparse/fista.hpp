@@ -12,6 +12,7 @@
 // "iteration progress" of the paper's Fig. 3 onto solver iterations.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -54,6 +55,28 @@ struct SolveConfig {
   bool reuse_applies = true;
 };
 
+/// What the per-iteration ToA-block screen did over one solve (DESIGN.md
+/// §5 item 10). Counts only, no clock: reading them or not leaves every
+/// other result bit for bit the same. Each gradient (one per iteration,
+/// two on a monotone restart) screens the ToA blocks that are not live
+/// in the point the step starts from. All zero for an operator without
+/// Kronecker structure.
+struct ScreenStats {
+  /// Gradients that formed the residual's ToA correlation on every
+  /// block: the first, each reference refresh, and every gradient when
+  /// the stale-reference bound is off (M k > kSmallRowLimit) or its
+  /// drift is not finite.
+  std::int64_t full_correlates = 0;
+  /// Non-live blocks the stale-reference drift bound cleared without
+  /// forming their correlation.
+  std::int64_t drift_cleared = 0;
+  /// Non-live blocks decided by the exact test on their freshly formed
+  /// correlation (on a full correlate, every non-live block).
+  std::int64_t exact_tested = 0;
+
+  friend bool operator==(const ScreenStats&, const ScreenStats&) = default;
+};
+
 /// Result of a single-snapshot solve.
 struct SolveResult {
   CVec x;                         ///< recovered sparse coefficient vector.
@@ -61,6 +84,7 @@ struct SolveResult {
   bool converged = false;         ///< tolerance reached before max_iterations.
   double kappa = 0.0;             ///< regularization weight actually used.
   std::vector<double> objective;  ///< objective value after each iteration.
+  ScreenStats screen;             ///< block-screen counters.
 };
 
 /// Result of a multi-snapshot (group) solve.
@@ -70,6 +94,7 @@ struct GroupSolveResult {
   bool converged = false;
   double kappa = 0.0;
   std::vector<double> objective;
+  ScreenStats screen;             ///< block-screen counters.
 };
 
 /// Optional per-iteration observer (used to trace spectrum sharpening,

@@ -153,7 +153,8 @@ KroneckerOperator::KroneckerOperator(CMat left, CMat right)
       left_adj_(linalg::adjoint(left_)),
       right_t_(linalg::transpose(right_)),
       right_conj_(linalg::conjugate(right_)),
-      left_col_norm_sq_max_(max_col_norm_sq(left_)) {}
+      left_col_norm_sq_max_(max_col_norm_sq(left_)),
+      right_col_norm_sq_max_(max_col_norm_sq(right_)) {}
 
 // The reshape trick. A column-major block X of k unknown columns
 // (each N_l*N_r, AoA-fastest) is, viewed in memory, an N_l x (N_r*k)
@@ -253,25 +254,33 @@ void KroneckerOperator::apply_blocks(const cxd* x, index_t k,
 // tiny antenna count, so streaming down contiguous N_l columns beats
 // length-M dots. It writes straight into the caller's x block (its
 // column layout is exactly the N_l x (N_r*k) view of the unknowns).
-void KroneckerOperator::toa_correlate(const cxd* y, index_t k, CMat& bp,
+void KroneckerOperator::toa_correlate(const cxd* y, index_t k,
+                                      const std::uint8_t* cols, CMat& bp,
                                       Workspace& ws,
                                       const runtime::ThreadPool* pool) const {
   const index_t m = left_.rows();
   const index_t l = right_.rows(), nr = right_.cols();
-  ensure_shape(bp, m * k, nr);
-  if (k == 1) {
-    gemm(m, nr, l, y, right_conj_.data(), bp.data(), pool);
+  const index_t mk = m * k;
+  ensure_shape(bp, mk, nr);
+  const cxd* yp = y;  // Y' == Y for one snapshot: no permutation
+  if (k > 1) {
+    ensure_shape(ws.yp, mk, l);
+    for (index_t c = 0; c < k; ++c) {
+      for (index_t li = 0; li < l; ++li) {
+        std::memcpy(ws.yp.data() + li * mk + c * m, y + c * (m * l) + li * m,
+                    static_cast<std::size_t>(m) * sizeof(cxd));
+      }
+    }
+    yp = ws.yp.data();
+  }
+  if (cols == nullptr || mk > backend::kSmallRowLimit) {
+    gemm(mk, nr, l, yp, right_conj_.data(), bp.data(), pool);
     return;
   }
-  ensure_shape(ws.yp, m * k, l);
-  for (index_t c = 0; c < k; ++c) {
-    for (index_t li = 0; li < l; ++li) {
-      std::memcpy(ws.yp.data() + li * (m * k) + c * m,
-                  y + c * (m * l) + li * m,
-                  static_cast<std::size_t>(m) * sizeof(cxd));
-    }
-  }
-  gemm(m * k, nr, l, ws.yp.data(), right_conj_.data(), bp.data(), pool);
+  for_each_block_run(cols, nr, [&](index_t j0, index_t j1) {
+    gemm(mk, j1 - j0, l, yp, right_conj_.data() + j0 * l, bp.data() + j0 * mk,
+         pool);
+  });
 }
 
 void KroneckerOperator::aoa_expand(const CMat& bp, index_t k,
@@ -324,7 +333,7 @@ CVec KroneckerOperator::apply_adjoint(const CVec& y) const {
   CVec x(cols());
   Workspace ws;
   CMat bp;
-  toa_correlate(y.data(), 1, bp, ws, nullptr);
+  toa_correlate(y.data(), 1, nullptr, bp, ws, nullptr);
   aoa_expand(bp, 1, nullptr, x.data(), ws, nullptr);
   return x;
 }
@@ -349,7 +358,7 @@ void KroneckerOperator::apply_adjoint_mat_into(
   if (y.cols() == 0) return;
   Workspace ws;
   CMat bp;
-  toa_correlate(y.data(), y.cols(), bp, ws, pool);
+  toa_correlate(y.data(), y.cols(), nullptr, bp, ws, pool);
   aoa_expand(bp, y.cols(), nullptr, x.data(), ws, pool);
 }
 

@@ -159,7 +159,7 @@ class KroneckerOperator final : public LinearOperator {
 
   /// Precomputes the factor transposes the batched kernels consume
   /// (right^T for the forward map, conj(right) and left^H for the
-  /// adjoint) and the largest squared column norm of left, so no
+  /// adjoint) and the largest squared column norm of each factor, so no
   /// per-application rearrangement is needed; they are immutable, so
   /// sharing one operator across threads stays safe. Throws
   /// std::invalid_argument when either factor has a NaN or infinite
@@ -198,11 +198,17 @@ class KroneckerOperator final : public LinearOperator {
   void apply_blocks(const cxd* x, index_t k, const std::uint8_t* live, cxd* y,
                     Workspace& ws, const runtime::ThreadPool* pool) const;
 
-  /// The adjoint's first stage over all blocks: the ToA correlation
-  /// bp = Y' conj(right) of y (M L x k), an (M k) x N_r matrix whose
-  /// column j stacks every snapshot's M-element correlation with ToA
-  /// atom j (snapshot c in rows c M .. c M + M - 1).
-  void toa_correlate(const cxd* y, index_t k, CMat& bp, Workspace& ws,
+  /// The adjoint's first stage: the ToA correlation bp = Y' conj(right)
+  /// of y (M L x k), an (M k) x N_r matrix whose column j stacks every
+  /// snapshot's M-element correlation with ToA atom j (snapshot c in
+  /// rows c M .. c M + M - 1). When M k <= kSmallRowLimit only the
+  /// columns of the blocks in `cols` are formed, each bit for bit as in
+  /// the all-blocks product (the product runs on gemm_cols, which
+  /// computes every column from its own right-factor column alone), and
+  /// the other columns are left unwritten. Above that size the mask is
+  /// ignored and every column is written.
+  void toa_correlate(const cxd* y, index_t k, const std::uint8_t* cols,
+                     CMat& bp, Workspace& ws,
                      const runtime::ThreadPool* pool) const;
 
   /// The adjoint's second stage: block j of x (N_l N_r x k) becomes
@@ -220,6 +226,12 @@ class KroneckerOperator final : public LinearOperator {
     return left_col_norm_sq_max_;
   }
 
+  /// max over ToA atoms j of ||right(:, j)||^2, as computed once at
+  /// construction (L for unit-modulus steering columns).
+  [[nodiscard]] double right_col_norm_sq_max() const noexcept {
+    return right_col_norm_sq_max_;
+  }
+
   [[nodiscard]] const CMat& left() const noexcept { return left_; }
   [[nodiscard]] const CMat& right() const noexcept { return right_; }
 
@@ -233,6 +245,7 @@ class KroneckerOperator final : public LinearOperator {
   CMat right_t_;     // right^T (N_r x L), precomputed for the forward
   CMat right_conj_;  // conj(right) (L x N_r), precomputed for the adjoint
   double left_col_norm_sq_max_ = 0.0;
+  double right_col_norm_sq_max_ = 0.0;
 };
 
 /// Calls f(j0, j1) for every maximal run [j0, j1) of nonzero bytes in a

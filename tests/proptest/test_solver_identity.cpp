@@ -12,11 +12,17 @@
 // the same backend table in both, so any difference is a change in the
 // solver's own arithmetic. The oracles form every gradient in full; the
 // production solvers screen ToA blocks the Cauchy-Schwarz bound proves
-// zero, so the second property builds cases that put a block's bound
-// right at shrink^2 or poison the data with NaN / inf.
+// zero, most of them through a stale-reference drift bound, so the
+// second property builds cases that put a block's bound (the exact one
+// at the first gradient, the drift bound at the second) right at
+// shrink^2, poison the data with NaN / inf, take M k past the drift
+// bound's limit, or run on a pool. The oracles also run a frozen model
+// of the screen, and the ScreenStats each production solve reports
+// must equal the model's counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -29,6 +35,7 @@
 #include "generators.hpp"
 #include "linalg/backend/backend.hpp"
 #include "proptest.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sparse/fista.hpp"
 #include "sparse/operator.hpp"
 #include "sparse/power.hpp"
@@ -40,6 +47,7 @@ using roarray::linalg::CMat;
 using roarray::linalg::CVec;
 using roarray::linalg::cxd;
 using roarray::linalg::index_t;
+using roarray::runtime::ThreadPool;
 using namespace roarray::sparse;
 
 namespace {
@@ -49,45 +57,158 @@ namespace {
 
 /// What the generated cases exercised, counted in the oracle loops.
 struct Coverage {
-  int restarts = 0;   ///< monotone restarts.
-  int screened = 0;   ///< gradient blocks the screen's bound proves zero.
-  int dead_open = 0;  ///< blocks zero at the step's start whose bound fails.
+  int restarts = 0;       ///< monotone restarts.
+  int screened = 0;       ///< non-live blocks the screen clears.
+  int dead_open = 0;      ///< non-live blocks that fail the exact test.
+  int drift_cleared = 0;  ///< blocks the stale-reference bound clears.
+  int exact_tested = 0;   ///< blocks a stale-reference screen tests exactly.
+  int refreshes = 0;      ///< full correlations replacing a reference.
 };
 
-/// The production screen's test (sparse/fista.cpp, BlockScreen), applied
-/// to the oracle's gradient step from `from` with residual r (k
-/// columns): for each ToA block that is zero in every column of from,
-/// counts whether step^2 Lmax^2 (1 + 1e-9) (B_j + 2^-1000) < shrink^2.
-void count_screen(const LinearOperator& op, const cxd* r, index_t k,
-                  const cxd* from, double step, double shrink,
-                  Coverage& cov) {
-  const KroneckerOperator* kron = op.kronecker();
-  if (kron == nullptr) return;
-  const index_t nl = kron->left().cols();
-  const index_t nr = kron->right().cols();
-  const index_t n = op.cols();
-  KroneckerOperator::Workspace ws;
-  CMat bp;
-  kron->toa_correlate(r, k, bp, ws, nullptr);
-  const double coef =
-      step * step * kron->left_col_norm_sq_max() * (1.0 + 1e-9);
-  for (index_t j = 0; j < nr; ++j) {
-    bool dead = true;
-    for (index_t c = 0; c < k; ++c) {
-      for (index_t a = 0; a < nl; ++a) {
-        dead = dead && from[c * n + j * nl + a] == cxd{};
-      }
+/// The production screen (sparse/fista.cpp, BlockScreen) as a frozen
+/// model, run on the oracle's full ToA correlation: the same switches,
+/// the same bounds in the same floating-point expressions, and the same
+/// stale-reference bookkeeping (reference residual and block norms of
+/// the last full correlation, at most 4 exact tests before a refresh).
+/// It counts what the production screen reports in ScreenStats, and the
+/// properties compare the two. The blocks live in the point a step
+/// starts from are given as a row mask, kept by the oracles the way
+/// LiveRows keeps its lists.
+class ScreenModel {
+ public:
+  ScreenModel(const LinearOperator& op, index_t k, double step,
+              double shrink)
+      : kron_(op.kronecker()), k_(k) {
+    if (kron_ == nullptr) return;
+    const auto in_range = [](double v) {
+      return v >= 0x1p-300 && v <= 0x1p300;
+    };
+    const index_t mk = kron_->left().rows() * k;
+    if (in_range(step) && in_range(shrink * shrink) &&
+        in_range(kron_->left_col_norm_sq_max()) && mk <= (index_t{1} << 16)) {
+      coef_ = step * step * kron_->left_col_norm_sq_max() * (1.0 + 1e-9);
+      shrink_sq_ = shrink * shrink;
     }
-    if (!dead) continue;
-    double bj = 0.0;
-    for (index_t i = 0; i < bp.rows(); ++i) bj += std::norm(bp(i, j));
-    if (coef * (bj + 0x1p-1000) < shrink * shrink) {
-      ++cov.screened;
-    } else {
-      ++cov.dead_open;
-    }
+    stale_ = !std::isnan(coef_) && mk <= be::kSmallRowLimit &&
+             kron_->right().rows() <= (index_t{1} << 20) &&
+             in_range(kron_->right_col_norm_sq_max());
+    right_norm_ = std::sqrt(kron_->right_col_norm_sq_max());
   }
-}
+
+  /// One gradient's screen for residual r (k columns) and a step from a
+  /// point whose live rows `live` marks.
+  void screen(const cxd* r, const std::vector<char>& live, Coverage& cov) {
+    if (kron_ == nullptr) return;
+    const index_t nl = kron_->left().cols();
+    const index_t nr = kron_->right().cols();
+    std::vector<char> live_block(static_cast<std::size_t>(nr), 0);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i] != 0) live_block[i / static_cast<std::size_t>(nl)] = 1;
+    }
+    KroneckerOperator::Workspace ws;
+    CMat bp;
+    kron_->toa_correlate(r, k_, nullptr, bp, ws, nullptr);
+    const auto block_sq = [&](index_t j) {
+      const double* d = reinterpret_cast<const double*>(bp.data()) +
+                        j * 2 * bp.rows();
+      double bj = 0.0;
+      for (index_t i = 0; i < 2 * bp.rows(); ++i) bj += d[i] * d[i];
+      return bj;
+    };
+    const auto exact = [&](index_t j) {
+      if (coef_ * (block_sq(j) + 0x1p-1000) < shrink_sq_) {
+        ++cov.screened;
+      } else {
+        ++cov.dead_open;
+      }
+    };
+
+    if (has_ref_) {
+      const double drift = drift_bound(r);
+      std::vector<index_t> need;
+      int cleared = 0;
+      bool decided = drift <= std::numeric_limits<double>::max();
+      for (index_t j = 0; decided && j < nr; ++j) {
+        if (live_block[static_cast<std::size_t>(j)] != 0) continue;
+        if (bound_clears(ref_norm_[static_cast<std::size_t>(j)], drift)) {
+          ++cleared;
+        } else {
+          need.push_back(j);
+          decided = need.size() <= 4;
+        }
+      }
+      if (decided) {
+        stats.drift_cleared += cleared;
+        stats.exact_tested += static_cast<std::int64_t>(need.size());
+        cov.drift_cleared += cleared;
+        cov.screened += cleared;
+        cov.exact_tested += static_cast<int>(need.size());
+        for (const index_t j : need) exact(j);
+        return;
+      }
+      ++cov.refreshes;
+    }
+    ++stats.full_correlates;
+    for (index_t j = 0; j < nr; ++j) {
+      if (live_block[static_cast<std::size_t>(j)] != 0) continue;
+      ++stats.exact_tested;
+      exact(j);
+    }
+    if (!stale_) return;
+    ref_norm_.resize(static_cast<std::size_t>(nr));
+    for (index_t j = 0; j < nr; ++j) {
+      ref_norm_[static_cast<std::size_t>(j)] =
+          std::sqrt(block_sq(j) + 0x1p-1000);
+    }
+    ref_.assign(r, r + kron_->rows() * k_);
+    const double* d = reinterpret_cast<const double*>(r);
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < 2 * ref_.size(); ++i) r2 += d[i] * d[i];
+    ref_fro_ = std::sqrt(r2 + 0x1p-1000);
+    has_ref_ = true;
+  }
+
+  /// The stale bound's side of block j's test against residual r, as the
+  /// production screen computes it: fl(coef (s^2 + pad)) with s the
+  /// reference norm plus the drift term. Needs a reference.
+  [[nodiscard]] double stale_side(const cxd* r, index_t j) const {
+    const double s = ref_norm_[static_cast<std::size_t>(j)] + drift_bound(r);
+    return coef_ * (s * s + 0x1p-1000);
+  }
+
+  [[nodiscard]] bool stale() const { return stale_; }
+
+  ScreenStats stats;
+
+ private:
+  [[nodiscard]] double drift_bound(const cxd* r) const {
+    const double* a = reinterpret_cast<const double*>(r);
+    const double* b = reinterpret_cast<const double*>(ref_.data());
+    double d2 = 0.0;
+    for (std::size_t i = 0; i < 2 * ref_.size(); ++i) {
+      const double d = a[i] - b[i];
+      d2 += d * d;
+    }
+    return (std::sqrt(d2 + 0x1p-1000) + 0x1p-28 * ref_fro_) *
+           (1.0 + 0x1p-20) * right_norm_;
+  }
+
+  [[nodiscard]] bool bound_clears(double ref_norm, double drift) const {
+    const double s = ref_norm + drift;
+    return coef_ * (s * s + 0x1p-1000) < shrink_sq_;
+  }
+
+  const KroneckerOperator* kron_;
+  index_t k_;
+  double coef_ = std::numeric_limits<double>::quiet_NaN();
+  double shrink_sq_ = 0.0;
+  bool stale_ = false;
+  double right_norm_ = 0.0;
+  bool has_ref_ = false;
+  std::vector<cxd> ref_;
+  std::vector<double> ref_norm_;
+  double ref_fro_ = 0.0;
+};
 
 namespace oracle {
 
@@ -156,9 +277,11 @@ void gradient_step(const cxd* from, const cxd* grad, double step, cxd* x_new,
   }
 }
 
-/// Both oracles also count monotone restarts and the screen's decisions
-/// (Coverage), so the properties can check that the generated cases
-/// exercise those paths.
+/// Both oracles also run the screen model (its counts go into the
+/// result's ScreenStats) and count monotone restarts and the screen's
+/// decisions (Coverage), so the properties can check that the generated
+/// cases exercise those paths. The live-row masks follow LiveRows: x_new
+/// is live where the prox keeps it, z where x_new or x is.
 SolveResult solve_l1(const LinearOperator& op, const CVec& y,
                      const SolveConfig& cfg, Coverage& cov) {
   SolveResult out;
@@ -177,17 +300,29 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
   CVec sz(m);
   CVec sx_new(m);
   CVec residual(m);
+  ScreenModel model(op, 1, step, shrink);
+  std::vector<char> live_x(static_cast<std::size_t>(n), 0);
+  std::vector<char> live_z = live_x;
+  std::vector<char> live_new = live_x;
+  const auto mark_new = [&] {
+    for (index_t i = 0; i < n; ++i) {
+      live_new[static_cast<std::size_t>(i)] =
+          (std::bit_cast<std::uint64_t>(x_new[i].real()) |
+           std::bit_cast<std::uint64_t>(x_new[i].imag())) != 0;
+    }
+  };
   double t = 1.0;
   double prev_obj = half_residual_sq(sx.data(), y.data(), m);
 
   for (int it = 1; it <= cfg.max_iterations; ++it) {
     residual = reuse ? sz : op.apply(z);
     residual -= y;
-    count_screen(op, residual.data(), 1, z.data(), step, shrink, cov);
+    model.screen(residual.data(), live_z, cov);
     CVec grad = op.apply_adjoint(residual);
 
     gradient_step(z.data(), grad.data(), step, x_new.data(), n);
     soft_threshold_inplace(x_new, shrink);
+    mark_new();
     sx_new = op.apply(x_new);
     double obj =
         half_residual_sq(sx_new.data(), y.data(), m) + out.kappa * norm1(x_new);
@@ -196,10 +331,11 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
       ++cov.restarts;
       residual = reuse ? sx : op.apply(x);
       residual -= y;
-      count_screen(op, residual.data(), 1, x.data(), step, shrink, cov);
+      model.screen(residual.data(), live_x, cov);
       grad = op.apply_adjoint(residual);
       gradient_step(x.data(), grad.data(), step, x_new.data(), n);
       soft_threshold_inplace(x_new, shrink);
+      mark_new();
       sx_new = op.apply(x_new);
       obj = half_residual_sq(sx_new.data(), y.data(), m) +
             out.kappa * norm1(x_new);
@@ -220,6 +356,10 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
     const double rel_change =
         std::sqrt(diff_sq) / std::max(1.0, std::sqrt(new_sq));
     if (reuse) extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m);
+    for (std::size_t i = 0; i < live_z.size(); ++i) {
+      live_z[i] = live_new[i] | live_x[i];
+    }
+    live_x = live_new;
 
     prev_obj = obj;
     std::swap(x, x_new);
@@ -230,6 +370,7 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
     }
   }
   out.x = std::move(x);
+  out.screen = model.stats;
   return out;
 }
 
@@ -269,6 +410,10 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   CMat sx_new(m, k);
   CMat residual(m, k);
   std::vector<double> row_scale(static_cast<std::size_t>(n));
+  ScreenModel model(op, k, step, shrink);
+  std::vector<char> live_x(static_cast<std::size_t>(n), 0);
+  std::vector<char> live_z = live_x;
+  std::vector<char> live_new = live_x;
   double t = 1.0;
   double prev_obj = half_residual_sq(sx.data(), y.data(), m * k);
 
@@ -290,6 +435,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     double l21 = 0.0;
     for (index_t i = 0; i < n; ++i) {
       const double norm = std::sqrt(row_scale[static_cast<std::size_t>(i)]);
+      live_new[static_cast<std::size_t>(i)] = !(norm <= shrink);
       if (norm <= shrink) {
         row_scale[static_cast<std::size_t>(i)] = -1.0;
       } else {
@@ -312,7 +458,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
       op.apply_mat_into(z, residual, nullptr);
     }
     residual -= y;
-    count_screen(op, residual.data(), k, z.data(), step, shrink, cov);
+    model.screen(residual.data(), live_z, cov);
     op.apply_adjoint_mat_into(residual, grad, nullptr);
 
     double l21 = prox_gradient_step(z, grad);
@@ -328,7 +474,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
         op.apply_mat_into(x, residual, nullptr);
       }
       residual -= y;
-      count_screen(op, residual.data(), k, x.data(), step, shrink, cov);
+      model.screen(residual.data(), live_x, cov);
       op.apply_adjoint_mat_into(residual, grad, nullptr);
       l21 = prox_gradient_step(x, grad);
       op.apply_mat_into(x_new, sx_new, nullptr);
@@ -351,6 +497,10 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     const double rel_change =
         std::sqrt(diff_sq) / std::max(1.0, std::sqrt(new_sq));
     if (reuse) extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m * k);
+    for (std::size_t i = 0; i < live_z.size(); ++i) {
+      live_z[i] = live_new[i] | live_x[i];
+    }
+    live_x = live_new;
 
     prev_obj = obj;
     std::swap(x, x_new);
@@ -361,6 +511,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     }
   }
   out.x = std::move(x);
+  out.screen = model.stats;
   return out;
 }
 
@@ -395,7 +546,10 @@ pt::Gen<SolverCase> gen_solver_case() {
     c.m = std::uniform_int_distribution<index_t>(1, 4)(rng);
     c.nl = std::uniform_int_distribution<index_t>(4, 19)(rng);
     c.l = std::uniform_int_distribution<index_t>(2, 8)(rng);
-    c.nr = std::uniform_int_distribution<index_t>(3, 13)(rng);
+    // Up to 40 ToA blocks: with many blocks a reference outlives many
+    // gradients, so a wrong drift bound changes iterates, not only the
+    // screen's counts.
+    c.nr = std::uniform_int_distribution<index_t>(3, 40)(rng);
     c.k = std::uniform_int_distribution<index_t>(1, 6)(rng);
     c.support = std::uniform_int_distribution<int>(0, 2)(rng) == 0;
     c.variant = static_cast<Variant>(std::uniform_int_distribution<int>(
@@ -497,6 +651,13 @@ std::optional<std::string> compare(const R& got, const R& want,
     os << "x differs";
     return os.str();
   }
+  if (got.screen != want.screen) {
+    os << "screen stats (full correlates, drift cleared, exact tested) "
+       << got.screen.full_correlates << "/" << got.screen.drift_cleared << "/"
+       << got.screen.exact_tested << " vs " << want.screen.full_correlates
+       << "/" << want.screen.drift_cleared << "/" << want.screen.exact_tested;
+    return os.str();
+  }
   return std::nullopt;
 }
 
@@ -515,14 +676,16 @@ struct ForceGuard {
 /// Runs both production solvers against their oracles under every
 /// table; nullopt when all match (nan_any: see same_doubles). Adds the
 /// oracles' coverage to `cov` and their converged runs to `converged`.
+/// A pool, when given, runs the production group solver.
 std::optional<std::string> solvers_match(const LinearOperator& op,
                                          const CMat& y, const SolveConfig& cfg,
                                          Coverage& cov, int& converged,
-                                         bool nan_any = false) {
+                                         bool nan_any = false,
+                                         const ThreadPool* pool = nullptr) {
   for (const be::Backend* table : tables()) {
     be::force(table);
     const GroupSolveResult want = oracle::solve_group_l1(op, y, cfg, cov);
-    const GroupSolveResult got = solve_group_l1(op, y, cfg);
+    const GroupSolveResult got = solve_group_l1(op, y, cfg, pool);
     if (auto err =
             compare(got, want, "solve_group_l1", table->name, nan_any)) {
       return err;
@@ -582,33 +745,49 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
       {}, show_solver_case, cfg);
   // The generated cases must reach the paths the row-sparse passes and
   // the block screen could get wrong: monotone restarts, early
-  // convergence, the support-restricted operator, screened blocks, and
-  // blocks that are zero where the step starts but fail the bound. A
-  // single-case replay cannot cover them all.
+  // convergence, the support-restricted operator, screened blocks,
+  // blocks that are zero where the step starts but fail the bound, and
+  // the stale-reference screen's three outcomes. A single-case replay
+  // cannot cover them all.
   if (!pt::replaying()) {
     EXPECT_GT(cov.restarts, 0);
     EXPECT_GT(converged, 0);
     EXPECT_GT(support_cases, 0);
     EXPECT_GT(cov.screened, 0);
     EXPECT_GT(cov.dead_open, 0);
+    EXPECT_GT(cov.drift_cleared, 0);
+    EXPECT_GT(cov.exact_tested, 0);
+    EXPECT_GT(cov.refreshes, 0);
   }
 }
 
 /// A case at the screen's edges. Unless non_finite, y is v_c times the
 /// operator column of one AoA atom with the largest column norm, so
 /// every ToA block meets the Cauchy-Schwarz bound with equality at that
-/// atom (up to the rounding of y and bp). kappa then makes shrink^2 at
-/// the first gradient step (1 + rel) times either the screen's inflated
-/// bound of block `block` (mod N_r), |rel| <= 1e-12, where the screen's
-/// decision flips; or (at_row) that block's uninflated bound, which the
-/// tight row's squared norm meets, |rel| <= 8 ulp, where the prox's
-/// decision flips and a screen without enough slack would zero a row
-/// the prox keeps. With non_finite, one entry of y is NaN or +/-inf,
-/// and results compare NaN for NaN.
+/// atom (up to the rounding of y and bp). kappa then makes shrink^2
+/// (1 + rel) times one side of a test of block `block` (mod N_r):
+///   - by default, the exact test's inflated bound at the first
+///     gradient, |rel| <= 1e-12, where the exact test's decision flips;
+///   - at_row: that block's uninflated bound at the first gradient,
+///     which the tight row's squared norm meets, |rel| <= 8 ulp, where
+///     the prox's decision flips and a screen without enough slack
+///     would zero a row the prox keeps;
+///   - moved: the stale-reference bound at the second gradient, after
+///     the first step has moved the residual, |rel| <= 1e-12, where the
+///     drift bound's decision flips (the default placement when the
+///     second gradient has no such test).
+/// With non_finite, one entry of y is NaN or +/-inf, so the drift is
+/// not finite and every gradient forms the full correlation; results
+/// compare NaN for NaN. wide makes M k > kSmallRowLimit, where the
+/// stale-reference bound is off; pool runs the production group solver
+/// on a two-thread pool.
 struct EdgeCase {
   SolverCase base;
   bool non_finite = false;
   bool at_row = false;
+  bool moved = false;
+  bool wide = false;
+  bool pool = false;
   double rel = 0.0;
   index_t block = 0;
 };
@@ -620,13 +799,21 @@ pt::Gen<EdgeCase> gen_edge_case() {
     // M = 9 runs the AoA product of the adjoint on the generic tile.
     if (std::uniform_int_distribution<int>(0, 5)(rng) == 0) e.base.m = 9;
     e.non_finite = std::uniform_int_distribution<int>(0, 4)(rng) == 0;
-    e.at_row = std::uniform_int_distribution<int>(0, 1)(rng) == 0;
+    const int place = std::uniform_int_distribution<int>(0, 2)(rng);
+    e.at_row = place == 0;
+    e.moved = place == 1;
     const int side = std::uniform_int_distribution<int>(0, 4)(rng);
     const double mag =
         e.at_row ? 0x1p-52 * std::uniform_int_distribution<int>(1, 8)(rng)
                  : std::uniform_real_distribution<double>(0.0, 1e-12)(rng);
     e.rel = side == 0 ? 0.0 : (side % 2 == 0 ? mag : -mag);
     e.block = std::uniform_int_distribution<index_t>(0, 12)(rng);
+    e.wide = std::uniform_int_distribution<int>(0, 5)(rng) == 0;
+    if (e.wide) {
+      e.base.m = std::max<index_t>(e.base.m, 3);
+      e.base.k = std::max(e.base.k, be::kSmallRowLimit / e.base.m + 1);
+    }
+    e.pool = std::uniform_int_distribution<int>(0, 3)(rng) == 0;
     return e;
   };
 }
@@ -634,16 +821,73 @@ pt::Gen<EdgeCase> gen_edge_case() {
 std::string show_edge_case(const EdgeCase& e) {
   std::ostringstream os;
   os << show_solver_case(e.base) << " non_finite=" << e.non_finite
-     << " at_row=" << e.at_row << " rel=" << e.rel << " block=" << e.block;
+     << " at_row=" << e.at_row << " moved=" << e.moved << " wide=" << e.wide
+     << " pool=" << e.pool << " rel=" << e.rel << " block=" << e.block;
   return os.str();
+}
+
+/// The kappa that makes shrink^2 (1 + rel) times the stale side of block
+/// jb's test at the group solver's second gradient, where the residual
+/// r2 = S x1 - y has moved from the first gradient's reference
+/// r1 = 0 - y. x1, and so the bound, depends on kappa; the bound is
+/// continuous in it (soft thresholding is), so bisection on
+/// shrink^2 - (1 + rel) bound finds the crossing. nullopt when the
+/// bound is off or has no crossing to find.
+std::optional<double> moved_kappa(const LinearOperator& op, const CMat& y,
+                                  const SolveConfig& scfg, double step,
+                                  index_t jb, double rel) {
+  const index_t k = y.cols();
+  CMat r1(op.rows(), k);
+  r1 -= y;
+  const std::vector<char> none(static_cast<std::size_t>(op.cols()), 0);
+  // The stale side at the second gradient for shrink = sigma; NaN when
+  // the bound is off there.
+  const auto side = [&](double sigma) {
+    ScreenModel model(op, k, step, sigma);
+    if (!model.stale()) return std::numeric_limits<double>::quiet_NaN();
+    Coverage unused;
+    model.screen(r1.data(), none, unused);
+    SolveConfig one = scfg;
+    one.kappa = sigma / step;
+    one.max_iterations = 1;
+    const GroupSolveResult first = oracle::solve_group_l1(op, y, one, unused);
+    CMat r2 = op.apply_mat(first.x);
+    r2 -= y;
+    return model.stale_side(r2.data(), jb);
+  };
+  // Above hi the first step keeps no row (x1 = 0, r2 = r1) and shrink^2
+  // exceeds the bound; below lo it is under the reference term alone.
+  const CMat g = op.apply_adjoint_mat(y);
+  double row_max = 0.0;
+  for (index_t i = 0; i < g.rows(); ++i) {
+    double acc = 0.0;
+    for (index_t c = 0; c < k; ++c) acc += std::norm(g(i, c));
+    row_max = std::max(row_max, std::sqrt(acc));
+  }
+  double hi = step * row_max * (1.0 + 1e-6);
+  const double at_hi = side(hi);
+  if (!std::isfinite(at_hi)) return std::nullopt;
+  hi = std::max(hi, std::sqrt(2.0 * at_hi));
+  double lo = 0.5 * std::sqrt(at_hi);
+  const auto below = [&](double sigma) {
+    return sigma * sigma < (1.0 + rel) * side(sigma);
+  };
+  if (!(lo > 0.0) || !below(lo) || below(hi)) return std::nullopt;
+  for (int it = 0; it < 100; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (below(mid) ? lo : hi) = mid;
+  }
+  return hi / step;
 }
 
 TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
   Coverage cov;
   int converged = 0;
+  int moved = 0;
   ForceGuard guard;
+  const ThreadPool pool(2);
   pt::CheckConfig cfg;
-  cfg.cases = 160;  // cheap cases; the prox edge needs many draws
+  cfg.cases = 240;  // cheap cases; the prox edge needs many draws
   pt::check<EdgeCase>(
       "screened solvers == frozen reference at the bound's edges",
       gen_edge_case(),
@@ -688,30 +932,43 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
             std::uniform_int_distribution<index_t>(0, c.k - 1)(rng)) =
               cxd{bad[rng() % 3], 0.0};
         } else {
-          // The first gradient step starts from z = 0 with residual
-          // 0 - y; place block e.block's screening bound there.
           scfg.lipschitz_hint = operator_norm_sq(op);
           const double step = 1.0 / (scfg.lipschitz_hint * scfg.lipschitz_safety);
-          CMat r(op.rows(), c.k);
-          r -= y;
-          KroneckerOperator::Workspace ws;
-          CMat bp;
-          kron.toa_correlate(r.data(), c.k, bp, ws, nullptr);
           const index_t jb = e.block % nr;
-          double bj = 0.0;
-          for (index_t i = 0; i < bp.rows(); ++i) bj += std::norm(bp(i, jb));
-          const double inflate = e.at_row ? 1.0 : 1.0 + 1e-9;
-          const double pad = e.at_row ? 0.0 : 0x1p-1000;
-          const double bound = step * step * kron.left_col_norm_sq_max() *
-                               inflate * (bj + pad);
-          scfg.kappa = std::sqrt(bound * (1.0 + e.rel)) / step;
+          const std::optional<double> at_moved =
+              e.moved ? moved_kappa(op, y, scfg, step, jb, e.rel)
+                      : std::nullopt;
+          if (at_moved) {
+            ++moved;
+            scfg.kappa = *at_moved;
+          } else {
+            // The first gradient step starts from z = 0 with residual
+            // 0 - y; place block jb's screening bound there.
+            CMat r(op.rows(), c.k);
+            r -= y;
+            KroneckerOperator::Workspace ws;
+            CMat bp;
+            kron.toa_correlate(r.data(), c.k, nullptr, bp, ws, nullptr);
+            double bj = 0.0;
+            for (index_t i = 0; i < bp.rows(); ++i) bj += std::norm(bp(i, jb));
+            const double inflate = e.at_row ? 1.0 : 1.0 + 1e-9;
+            const double pad = e.at_row ? 0.0 : 0x1p-1000;
+            const double bound = step * step * kron.left_col_norm_sq_max() *
+                                 inflate * (bj + pad);
+            scfg.kappa = std::sqrt(bound * (1.0 + e.rel)) / step;
+          }
         }
-        return solvers_match(op, y, scfg, cov, converged, e.non_finite);
+        return solvers_match(op, y, scfg, cov, converged, e.non_finite,
+                             e.pool ? &pool : nullptr);
       },
       {}, show_edge_case, cfg);
   if (!pt::replaying()) {
     EXPECT_GT(cov.screened, 0);
     EXPECT_GT(cov.dead_open, 0);
+    EXPECT_GT(cov.drift_cleared, 0);
+    EXPECT_GT(cov.exact_tested, 0);
+    EXPECT_GT(cov.refreshes, 0);
+    EXPECT_GT(moved, 0);
   }
 }
 

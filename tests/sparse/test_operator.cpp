@@ -518,7 +518,7 @@ TEST(KroneckerBlocks, MaskedExpansionEqualsDenseAdjointOnKeptBlocks) {
         const CMat y = rt::random_cmat(op.rows(), k, rng);
         const CMat want = op.apply_adjoint_mat(y);
         const std::vector<std::uint8_t> keep = random_mask(s.nr, rng);
-        op.toa_correlate(y.data(), k, bp, ws, nullptr);
+        op.toa_correlate(y.data(), k, nullptr, bp, ws, nullptr);
         CMat got(op.cols(), k);
         for (index_t i = 0; i < got.size(); ++i) {
           got.data()[i] = cxd{sentinel, sentinel};
@@ -542,6 +542,49 @@ TEST(KroneckerBlocks, MaskedExpansionEqualsDenseAdjointOnKeptBlocks) {
   }
 }
 
+TEST(KroneckerBlocks, MaskedCorrelationEqualsTheFullProductOnMaskedColumns) {
+  ForceGuard guard;
+  const double sentinel = std::numeric_limits<double>::quiet_NaN();
+  auto rng = rt::make_rng(86);
+  for (const auto* table : tables()) {
+    linalg::backend::force(table);
+    for (const Shape& s : kShapes) {
+      const KroneckerOperator op(rt::random_cmat(s.m, s.nl, rng),
+                                 rt::random_cmat(s.l, s.nr, rng));
+      KroneckerOperator::Workspace ws;  // reused across masks and k
+      for (index_t k = 1; k <= 6; ++k) {
+        const bool masked = s.m * k <= linalg::backend::kSmallRowLimit;
+        const CMat y = rt::random_cmat(op.rows(), k, rng);
+        CMat want;
+        op.toa_correlate(y.data(), k, nullptr, want, ws, nullptr);
+        for (int trial = 0; trial < 3; ++trial) {
+          std::vector<std::uint8_t> cols = random_mask(s.nr, rng);
+          if (trial == 1) cols.assign(cols.size(), 0);  // no column
+          if (trial == 2) cols.assign(cols.size(), 1);  // every column
+          CMat got(s.m * k, s.nr);
+          for (index_t i = 0; i < got.size(); ++i) {
+            got.data()[i] = cxd{sentinel, sentinel};
+          }
+          op.toa_correlate(y.data(), k, cols.data(), got, ws, nullptr);
+          for (index_t j = 0; j < s.nr; ++j) {
+            const cxd* g = got.data() + j * got.rows();
+            const cxd* w = want.data() + j * want.rows();
+            if (cols[static_cast<std::size_t>(j)] != 0 || !masked) {
+              EXPECT_TRUE(same_bytes(g, w, want.rows()))
+                  << table->name << " m=" << s.m << " l=" << s.l
+                  << " k=" << k << " column " << j << " trial " << trial;
+            } else {
+              EXPECT_TRUE(std::isnan(g[0].real()))
+                  << "unmasked column written: " << table->name
+                  << " m=" << s.m << " k=" << k << " column " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KroneckerBlocks, KroneckerAccessorAndColumnNormBound) {
   auto rng = rt::make_rng(84);
   const CMat left = rt::random_cmat(3, 6, rng);
@@ -557,6 +600,14 @@ TEST(KroneckerBlocks, KroneckerAccessorAndColumnNormBound) {
     mx = std::max(mx, acc);
   }
   EXPECT_EQ(op.left_col_norm_sq_max(), mx);
+  const CMat& right = op.right();
+  double rmx = 0.0;
+  for (index_t j = 0; j < right.cols(); ++j) {
+    double acc = 0.0;
+    for (index_t r = 0; r < right.rows(); ++r) acc += std::norm(right(r, j));
+    rmx = std::max(rmx, acc);
+  }
+  EXPECT_EQ(op.right_col_norm_sq_max(), rmx);
   // Unit-modulus steering columns: ||left(:, a)||^2 = M.
   dsp::ArrayConfig cfg;
   cfg.num_antennas = 4;

@@ -6,6 +6,7 @@
 #include "dsp/grid.hpp"
 #include "dsp/steering.hpp"
 #include "linalg/eig.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sparse/admm.hpp"
 #include "sparse/fista.hpp"
 #include "sparse/power.hpp"
@@ -359,6 +360,57 @@ TEST_P(SteeringRecovery, TwoPathsRecoveredAtVaryingSnr) {
 
 INSTANTIATE_TEST_SUITE_P(SnrSweep, SteeringRecovery,
                          ::testing::Values(30.0, 20.0, 10.0, 5.0));
+
+// The block screen's counters on the joint steering operator: the
+// stale-reference bound decides most blocks, a pool leaves the counts
+// (and x) unchanged, M k above kSmallRowLimit forms every correlation
+// in full, and an operator without Kronecker structure counts nothing.
+TEST(ScreenStats, CountTheScreenDecisionsOfASteeringSolve) {
+  dsp::ArrayConfig cfg;
+  const dsp::Grid aoa(0.0, 180.0, 46);
+  const dsp::Grid toa(0.0, 700e-9, 15);
+  const KroneckerOperator op(dsp::steering_matrix_aoa(aoa, cfg),
+                             dsp::steering_matrix_toa(toa, cfg));
+  const auto snapshots = [&](index_t k) {
+    CMat x(op.cols(), k);
+    for (index_t c = 0; c < k; ++c) {
+      x(3 * 46 + 10, c) = cxd{1.0, 0.3 * static_cast<double>(c)};
+      x(7 * 46 + 30, c) = cxd{0.5, -0.4};
+    }
+    return op.apply_mat(x);
+  };
+  SolveConfig scfg;
+  scfg.max_iterations = 120;
+  scfg.tolerance = 0.0;
+
+  const CMat y = snapshots(3);  // M k = 9
+  const GroupSolveResult r = solve_group_l1(op, y, scfg);
+  const std::int64_t nr = 15;
+  EXPECT_GE(r.screen.full_correlates, 1);
+  EXPECT_LT(r.screen.full_correlates, r.iterations / 2);
+  EXPECT_GT(r.screen.drift_cleared, r.screen.exact_tested);
+  // Each gradient decides at most N_r blocks; there is one per
+  // iteration plus one per monotone restart.
+  EXPECT_LE(r.screen.drift_cleared + r.screen.exact_tested,
+            2 * r.iterations * nr);
+  const runtime::ThreadPool pool(2);
+  const GroupSolveResult pooled = solve_group_l1(op, y, scfg, &pool);
+  EXPECT_EQ(pooled.screen, r.screen);
+  EXPECT_EQ(pooled.objective, r.objective);
+
+  const GroupSolveResult wide = solve_group_l1(op, snapshots(6), scfg);
+  EXPECT_EQ(wide.screen.drift_cleared, 0);
+  EXPECT_GE(wide.screen.full_correlates, wide.iterations);
+
+  const SolveResult one = solve_l1(op, y.col_vec(0), scfg);
+  EXPECT_GT(one.screen.drift_cleared, 0);
+  EXPECT_GE(one.screen.full_correlates, 1);
+
+  auto rng = rt::make_rng(5);
+  const DenseOperator dense(rt::random_cmat(6, 20, rng));
+  const SolveResult d = solve_l1(dense, rt::random_cvec(6, rng), scfg);
+  EXPECT_EQ(d.screen, ScreenStats{});
+}
 
 TEST(SolverErrors, ZeroOperatorNamesTheCallingSolver) {
   // A zero operator has no Lipschitz step; the error names the solver
