@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const std::vector<int> snapshots = {3, 6, 9, 14, 30, 64};
   std::vector<std::pair<int, dsp::Spectrum1d>> traces;
   const core::RoArrayResult final_result = core::roarray_estimate(
-      burst.csi, cfg, arr, [&](int it, const linalg::CVec& x) {
+      burst.csi, cfg, arr, [&](int it, const linalg::CMat& x) {
         for (int snap : snapshots) {
           if (it == snap) {
             const auto spec =

@@ -146,31 +146,6 @@ void BM_KroneckerApplyMat(benchmark::State& state) {
 }
 BENCHMARK(BM_KroneckerApplyMat)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
-/// Tentpole solver ablation: group FISTA with the momentum-linearity
-/// apply reuse (2 operator applications per iteration) vs the direct
-/// 3-application path, at a fixed iteration count.
-void BM_GroupSolveApplyReuse(benchmark::State& state) {
-  const bool reuse = state.range(0) == 1;
-  const dsp::Grid aoa(0.0, 180.0, 91);
-  const dsp::Grid toa(0.0, 784e-9, 50);
-  const sparse::KroneckerOperator op(dsp::steering_matrix_aoa(aoa, kArray),
-                                     dsp::steering_matrix_toa(toa, kArray));
-  CMat y(op.rows(), 3);
-  for (index_t c = 0; c < y.cols(); ++c) {
-    y.set_col(c, measurement_for(kArray, 20 + static_cast<std::uint64_t>(c)));
-  }
-  sparse::SolveConfig cfg;
-  cfg.max_iterations = 200;
-  cfg.tolerance = 0.0;  // fixed work so both paths run equal iterations
-  cfg.reuse_applies = reuse;
-  for (auto _ : state) {
-    const auto r = sparse::solve_group_l1(op, y, cfg);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-  state.SetLabel(reuse ? "apply-reuse (2 applies/it)" : "direct (3 applies/it)");
-}
-BENCHMARK(BM_GroupSolveApplyReuse)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
 /// Section III-C: joint-solve cost vs grid size (N_theta * N_tau).
 void BM_JointSolveScaling(benchmark::State& state) {
   const auto ntheta = static_cast<index_t>(state.range(0));
@@ -194,7 +169,7 @@ BENCHMARK(BM_JointSolveScaling)
     ->Args({181, 50})
     ->Unit(benchmark::kMillisecond);
 
-/// Ablation: the three solvers on the identical objective.
+/// Ablation: FISTA and ADMM on the identical objective.
 void BM_SolverFista(benchmark::State& state) {
   const dsp::Grid aoa(0.0, 180.0, 91);
   const dsp::Grid toa(0.0, 784e-9, 50);
@@ -209,22 +184,6 @@ void BM_SolverFista(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverFista)->Unit(benchmark::kMillisecond);
-
-void BM_SolverIsta(benchmark::State& state) {
-  const dsp::Grid aoa(0.0, 180.0, 91);
-  const dsp::Grid toa(0.0, 784e-9, 50);
-  const sparse::KroneckerOperator op(dsp::steering_matrix_aoa(aoa, kArray),
-                                     dsp::steering_matrix_toa(toa, kArray));
-  const CVec y = measurement_for(kArray, 2);
-  sparse::SolveConfig cfg;
-  cfg.algorithm = sparse::Algorithm::kIsta;
-  cfg.max_iterations = 400;
-  for (auto _ : state) {
-    const auto r = sparse::solve_l1(op, y, cfg);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-}
-BENCHMARK(BM_SolverIsta)->Unit(benchmark::kMillisecond);
 
 void BM_SolverAdmm(benchmark::State& state) {
   const dsp::Grid aoa(0.0, 180.0, 91);
@@ -546,10 +505,8 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
     }
   }
 
-  // Group FISTA with apply reuse (2 operator applications per iteration
-  // via the momentum identity) vs the direct 3-application path, fixed
-  // iteration count. Iterates agree to rounding, not bit-exactly, so
-  // this flag is tolerance-based ("matches", not "identical").
+  // Full-grid group FISTA at a fixed iteration count, for the block
+  // screen's counters (kernels.fista_screen).
   CMat yblk(hit->op.rows(), 3);
   for (index_t c = 0; c < yblk.cols(); ++c) {
     yblk.set_col(c,
@@ -559,30 +516,8 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
   gcfg.max_iterations = 200;
   gcfg.tolerance = 0.0;
   gcfg.lipschitz_hint = hit->norm_sq;
-  sparse::GroupSolveResult g_reuse, g_direct;
-  double fista_reuse_ms = 1e300, fista_direct_ms = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    sparse::SolveConfig gc = gcfg;
-    gc.reuse_applies = true;
-    t = clock::now();
-    g_reuse = sparse::solve_group_l1(hit->op, yblk, gc);
-    fista_reuse_ms = std::min(fista_reuse_ms, elapsed_ms(t));
-    gc.reuse_applies = false;
-    t = clock::now();
-    g_direct = sparse::solve_group_l1(hit->op, yblk, gc);
-    fista_direct_ms = std::min(fista_direct_ms, elapsed_ms(t));
-  }
-  double fista_ref_max = 0.0, fista_diff_max = 0.0;
-  for (index_t j = 0; j < g_direct.x.cols(); ++j) {
-    for (index_t i = 0; i < g_direct.x.rows(); ++i) {
-      fista_ref_max = std::max(fista_ref_max, std::abs(g_direct.x(i, j)));
-      fista_diff_max = std::max(fista_diff_max,
-                                std::abs(g_reuse.x(i, j) - g_direct.x(i, j)));
-    }
-  }
-  const double fista_rel_diff =
-      fista_diff_max / std::max(fista_ref_max, 1e-300);
-  const bool fista_matches = fista_rel_diff <= 1e-6;
+  const sparse::GroupSolveResult g_fista =
+      sparse::solve_group_l1(hit->op, yblk, gcfg);
 
   // (2c) Per-backend kernel comparison: the three vectorized hot
   // kernels routed through the scalar table vs the SIMD one, with the
@@ -834,21 +769,15 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
     w.key("kron_batched_speedup")
         .value(kron_percol_ms / std::max(kron_batched_ms, 1e-6));
     w.key("kron_batched_identical_to_percolumn").value(kron_identical);
-    w.key("fista_reuse_ms").value(fista_reuse_ms);
-    w.key("fista_direct_ms").value(fista_direct_ms);
-    w.key("fista_reuse_speedup")
-        .value(fista_direct_ms / std::max(fista_reuse_ms, 1e-6));
-    w.key("fista_reuse_max_rel_diff").value(fista_rel_diff);
-    w.key("fista_reuse_matches_direct").value(fista_matches);
     // The block screen's counters for the full-grid group solve above
     // (sparse::ScreenStats): gradients that formed the ToA correlation
     // of every block, and blocks the stale-reference drift bound cleared
     // versus blocks given the exact test.
     w.key("fista_screen").begin_object();
-    w.key("iterations").value(static_cast<std::int64_t>(g_reuse.iterations));
-    w.key("full_correlates").value(g_reuse.screen.full_correlates);
-    w.key("drift_cleared").value(g_reuse.screen.drift_cleared);
-    w.key("exact_tested").value(g_reuse.screen.exact_tested);
+    w.key("iterations").value(static_cast<std::int64_t>(g_fista.iterations));
+    w.key("full_correlates").value(g_fista.screen.full_correlates);
+    w.key("drift_cleared").value(g_fista.screen.drift_cleared);
+    w.key("exact_tested").value(g_fista.screen.exact_tested);
     w.end_object();
     w.end_object();
     w.key("backend_kernels").begin_object();

@@ -35,22 +35,9 @@ CVec stack_csi(const CMat& csi) {
 dsp::Spectrum2d coefficients_to_spectrum(const CVec& coeffs,
                                          const dsp::Grid& aoa_grid,
                                          const dsp::Grid& toa_grid) {
-  const index_t nth = aoa_grid.size();
-  const index_t ntau = toa_grid.size();
-  if (coeffs.size() != nth * ntau) {
-    throw std::invalid_argument("coefficients_to_spectrum: size mismatch");
-  }
-  dsp::Spectrum2d out;
-  out.aoa_grid = aoa_grid;
-  out.toa_grid = toa_grid;
-  out.values = RMat(nth, ntau);
-  for (index_t j = 0; j < ntau; ++j) {
-    for (index_t i = 0; i < nth; ++i) {
-      out.values(i, j) = std::abs(coeffs[j * nth + i]);
-    }
-  }
-  out.normalize();
-  return out;
+  CMat column(coeffs.size(), 1);
+  column.set_col(0, coeffs);
+  return coefficients_to_spectrum(column, aoa_grid, toa_grid);
 }
 
 dsp::Spectrum2d coefficients_to_spectrum(const CMat& coeffs,
@@ -119,25 +106,45 @@ void extract_paths(RoArrayResult& out, const RoArrayConfig& cfg,
   }
 }
 
-/// Result of the restricted (coarse-to-fine) solve, already scattered
-/// back onto the full grid.
-struct CoarseFineSolve {
-  CMat coefficients;  ///< full cols x snapshots, zeros off-support.
-  int iterations = 0;
-  bool converged = true;
-};
+/// The l1-SVD fusion of a multi-packet burst: the dominant-subspace
+/// columns of the snapshot matrix, trimmed to the MDL signal rank when
+/// the config leaves the rank to the estimator.
+CMat fused_columns(const CMat& snapshots, const RoArrayConfig& cfg) {
+  sparse::SvdReduction red =
+      sparse::reduce_snapshots(snapshots, cfg.fusion_rank);
+  if (cfg.fusion_rank > 0) return std::move(red.reduced);
+  // The simple threshold rule over-keeps noise directions at low SNR
+  // (smooth singular-value decay). Re-estimate the signal rank with MDL
+  // over the singular-value profile, capped at max_paths.
+  const index_t p = snapshots.cols();
+  const index_t r = red.singular_values.size();
+  linalg::RVec lam(r);  // ascending eigenvalues of (1/p) Y Y^H
+  for (index_t i = 0; i < r; ++i) {
+    const double s = red.singular_values[r - 1 - i];
+    lam[i] = s * s / static_cast<double>(p);
+  }
+  const index_t mdl = music::estimate_model_order(lam, p);
+  const index_t rank =
+      std::clamp<index_t>(mdl, 1, std::min(cfg.max_paths, red.reduced.cols()));
+  if (rank == red.reduced.cols()) return std::move(red.reduced);
+  CMat trimmed(red.reduced.rows(), rank);
+  for (index_t j = 0; j < rank; ++j) trimmed.set_col(j, red.reduced.col_vec(j));
+  return trimmed;
+}
 
-/// The coarse-to-fine solve path: greedy candidate selection on the
-/// decimated-grid operator, then the convex solve restricted to the
-/// refined factored support (see sparse/coarse_fine.hpp and DESIGN.md
-/// "Coarse-to-fine factored dictionary"). `y` holds the solve input
-/// columns (the stacked snapshots, or the l1-SVD reduced ones).
-CoarseFineSolve solve_coarse_to_fine(const sparse::KroneckerOperator& op,
-                                     const CMat& y, const RoArrayConfig& cfg,
-                                     const dsp::ArrayConfig& array_cfg,
-                                     sparse::SolveConfig solver,
-                                     const runtime::EstimateContext& ctx,
-                                     const sparse::IterationCallback& callback) {
+/// The coarse-to-fine operator pick: greedy candidate selection on the
+/// decimated-grid operator, then the restriction of `op` to the refined
+/// factored support (see sparse/coarse_fine.hpp and DESIGN.md
+/// "Coarse-to-fine factored dictionary"), emplaced into `sub`, with its
+/// own Lipschitz hint and the refine caps applied to `solver`. Leaves
+/// `sub` empty when no cell is selected (an all-zero measurement, whose
+/// full solve is all zeros too).
+void select_support_operator(const sparse::KroneckerOperator& op,
+                             const CMat& y, const RoArrayConfig& cfg,
+                             const dsp::ArrayConfig& array_cfg,
+                             const runtime::EstimateContext& ctx,
+                             std::optional<sparse::SupportOperator>& sub,
+                             sparse::SolveConfig& solver) {
   const sparse::CoarseFineConfig& cf = cfg.coarse_fine;
   std::shared_ptr<const runtime::CachedOperator> coarse_cached;
   std::optional<sparse::KroneckerOperator> coarse_local;
@@ -156,16 +163,9 @@ CoarseFineSolve solve_coarse_to_fine(const sparse::KroneckerOperator& op,
 
   const sparse::FactoredSupport support = sparse::select_factored_support(
       coarse_op, y, cfg.aoa_grid.size(), cfg.toa_grid.size(), cf);
+  if (support.empty()) return;
 
-  CoarseFineSolve out;
-  if (support.empty()) {
-    // No correlated energy anywhere (all-zero measurement): the full
-    // solve would return all zeros too.
-    out.coefficients = CMat(op.cols(), y.cols());
-    return out;
-  }
-
-  const sparse::SupportOperator sub(op, support.aoa, support.toa);
+  sub.emplace(op, support.aoa, support.toa);
   // Cached / caller Lipschitz hints describe the FULL operator; the
   // restricted one needs its own (tighter) constant. The restriction is
   // itself a Kronecker product of the gathered factors, so lambda_max
@@ -173,8 +173,8 @@ CoarseFineSolve solve_coarse_to_fine(const sparse::KroneckerOperator& op,
   // power iterations on the tiny factor matrices instead of one on the
   // joint operator, identical cached vs uncached.
   solver.lipschitz_hint =
-      sparse::operator_norm_sq(sparse::DenseOperator(sub.sub().left())) *
-      sparse::operator_norm_sq(sparse::DenseOperator(sub.sub().right()));
+      sparse::operator_norm_sq(sparse::DenseOperator(sub->sub().left())) *
+      sparse::operator_norm_sq(sparse::DenseOperator(sub->sub().right()));
   if (cf.max_refine_iterations > 0) {
     solver.max_iterations =
         std::min(solver.max_iterations, cf.max_refine_iterations);
@@ -182,28 +182,6 @@ CoarseFineSolve solve_coarse_to_fine(const sparse::KroneckerOperator& op,
   if (cf.refine_tolerance > 0.0) {
     solver.tolerance = std::max(solver.tolerance, cf.refine_tolerance);
   }
-
-  if (y.cols() == 1) {
-    sparse::IterationCallback cb;
-    if (callback) {
-      cb = [&callback, &sub](int it, const CVec& x) {
-        callback(it, sub.scatter(x));
-      };
-    }
-    const sparse::SolveResult sol =
-        sparse::solve_l1(sub, y.col_vec(0), solver, cb);
-    out.iterations = sol.iterations;
-    out.converged = sol.converged;
-    out.coefficients = CMat(op.cols(), 1);
-    out.coefficients.set_col(0, sub.scatter(sol.x));
-  } else {
-    const sparse::GroupSolveResult sol =
-        sparse::solve_group_l1(sub, y, solver, ctx.pool);
-    out.iterations = sol.iterations;
-    out.converged = sol.converged;
-    out.coefficients = sub.scatter(sol.x);
-  }
-  return out;
 }
 
 }  // namespace
@@ -222,6 +200,9 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
                                const runtime::EstimateContext& ctx,
                                const sparse::IterationCallback& callback) {
   if (packets.empty()) throw std::invalid_argument("roarray_estimate: no packets");
+  if (cfg.max_paths < 1) {
+    throw std::invalid_argument("roarray_estimate: max_paths must be >= 1");
+  }
   array_cfg.validate();
 
   // The steering factors and the power-iteration Lipschitz estimate
@@ -255,64 +236,40 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
     snapshots.set_col(static_cast<index_t>(p), stack_csi(csi));
   }
 
-  RoArrayResult out;
-  if (packets.size() == 1) {
-    if (cfg.coarse_fine.enabled) {
-      const CoarseFineSolve sol = solve_coarse_to_fine(
-          op, snapshots, cfg, array_cfg, solver, ctx, callback);
-      out.solver_iterations = sol.iterations;
-      out.solver_converged = sol.converged;
-      out.spectrum = coefficients_to_spectrum(sol.coefficients.col_vec(0),
-                                              cfg.aoa_grid, cfg.toa_grid);
-    } else {
-      const sparse::SolveResult sol =
-          sparse::solve_l1(op, snapshots.col_vec(0), solver, callback);
-      out.solver_iterations = sol.iterations;
-      out.solver_converged = sol.converged;
-      out.spectrum = coefficients_to_spectrum(sol.x, cfg.aoa_grid, cfg.toa_grid);
-    }
-  } else {
-    // Multi-packet fusion: l1-SVD reduction, then one row-sparse solve.
-    sparse::SvdReduction red =
-        sparse::reduce_snapshots(snapshots, cfg.fusion_rank);
-    if (cfg.fusion_rank <= 0) {
-      // The simple threshold rule over-keeps noise directions at low
-      // SNR (smooth singular-value decay). Re-estimate the signal rank
-      // with MDL over the singular-value profile, capped at max_paths.
-      const index_t p = snapshots.cols();
-      const index_t r = red.singular_values.size();
-      linalg::RVec lam(r);  // ascending eigenvalues of (1/p) Y Y^H
-      for (index_t i = 0; i < r; ++i) {
-        const double s = red.singular_values[r - 1 - i];
-        lam[i] = s * s / static_cast<double>(p);
-      }
-      const index_t mdl = music::estimate_model_order(lam, p);
-      const index_t rank =
-          std::clamp<index_t>(mdl, 1, std::min(cfg.max_paths, red.reduced.cols()));
-      if (rank < red.reduced.cols()) {
-        CMat trimmed(red.reduced.rows(), rank);
-        for (index_t j = 0; j < rank; ++j) {
-          trimmed.set_col(j, red.reduced.col_vec(j));
-        }
-        red.reduced = std::move(trimmed);
-        red.rank_estimate = rank;
-      }
-    }
-    if (cfg.coarse_fine.enabled) {
-      const CoarseFineSolve sol = solve_coarse_to_fine(
-          op, red.reduced, cfg, array_cfg, solver, ctx, nullptr);
-      out.solver_iterations = sol.iterations;
-      out.solver_converged = sol.converged;
-      out.spectrum =
-          coefficients_to_spectrum(sol.coefficients, cfg.aoa_grid, cfg.toa_grid);
-    } else {
-      const sparse::GroupSolveResult sol =
-          sparse::solve_group_l1(op, red.reduced, solver, ctx.pool);
-      out.solver_iterations = sol.iterations;
-      out.solver_converged = sol.converged;
-      out.spectrum = coefficients_to_spectrum(sol.x, cfg.aoa_grid, cfg.toa_grid);
-    }
+  // Y: the stacked snapshot of a single packet (Eq. 18 is the one-column
+  // case of the l2,1 problem), or the l1-SVD fusion of a burst.
+  const CMat y = packets.size() == 1 ? std::move(snapshots)
+                                      : fused_columns(snapshots, cfg);
+
+  // The operator: the full grid, or its coarse-to-fine restriction.
+  std::optional<sparse::SupportOperator> sub;
+  if (cfg.coarse_fine.enabled) {
+    select_support_operator(op, y, cfg, array_cfg, ctx, sub, solver);
   }
+
+  RoArrayResult out;
+  CMat coefficients;
+  if (cfg.coarse_fine.enabled && !sub) {
+    coefficients = CMat(op.cols(), y.cols());
+    out.solver_converged = true;
+  } else {
+    const sparse::LinearOperator& solve_op =
+        sub ? static_cast<const sparse::LinearOperator&>(*sub) : op;
+    // Observers see iterates in full-grid coordinates.
+    sparse::IterationCallback cb = callback;
+    if (sub && callback) {
+      cb = [&callback, &sub](int it, const CMat& x) {
+        callback(it, sub->scatter(x));
+      };
+    }
+    sparse::GroupSolveResult sol =
+        sparse::solve_group_l1(solve_op, y, solver, ctx.pool, cb);
+    out.solver_iterations = sol.iterations;
+    out.solver_converged = sol.converged;
+    coefficients = sub ? sub->scatter(sol.x) : std::move(sol.x);
+  }
+  out.spectrum =
+      coefficients_to_spectrum(coefficients, cfg.aoa_grid, cfg.toa_grid);
   extract_paths(out, cfg, dsp::aoa_wrap_period(cfg.aoa_grid, array_cfg));
   return out;
 }

@@ -8,8 +8,9 @@
 //   2. stack each M x L CSI matrix into a 90-dim measurement (Eq. 15);
 //   3. multi-packet fusion: l1-SVD reduction of the snapshot matrix to
 //      its dominant subspace (Section III-D "Multi-Packet fusion");
-//   4. solve the l1 (single snapshot, Eq. 18) or l2,1 (fused) problem
-//      over the Kronecker-structured joint steering operator (Eq. 16);
+//   4. solve the l2,1 problem over the Kronecker-structured joint
+//      steering operator (Eq. 16); a single packet is its one-column
+//      case, the l1 problem of Eq. 18;
 //   5. peaks of |a| reshaped over the grid are the paths; the smallest
 //      ToA peak is the direct path (Section III-B).
 #pragma once
@@ -100,8 +101,10 @@ struct RoArrayResult {
 
 /// Runs the ROArray estimator on a burst of CSI packets (one or many).
 /// With an optional per-iteration callback receiving the current sparse
-/// iterate (single-packet path only), used to trace spectrum sharpening
-/// (paper Fig. 3).
+/// iterate in full-grid coordinates (one column for a single packet, the
+/// fused l1-SVD columns for a burst), used to trace spectrum sharpening
+/// (paper Fig. 3). Throws std::invalid_argument on an empty burst, a CSI
+/// shape mismatch or max_paths < 1.
 [[nodiscard]] RoArrayResult roarray_estimate(
     std::span<const CMat> packets, const RoArrayConfig& cfg,
     const dsp::ArrayConfig& array_cfg,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -18,12 +17,6 @@
 namespace roarray::sparse {
 
 namespace {
-
-double resolve_kappa(const LinearOperator& op, const CVec& y,
-                     const SolveConfig& cfg) {
-  if (cfg.kappa > 0.0) return cfg.kappa;
-  return cfg.kappa_ratio * kappa_max(op, y);
-}
 
 /// 1 / (safety * lambda_max(S^H S)); `solver` names the caller in the
 /// zero-operator error.
@@ -89,7 +82,7 @@ void momentum_update(const cxd* x_new, const cxd* x, double beta, cxd* z,
 /// column (+0 in both parts), and a row that is +0 in both x_new and x
 /// adds nothing to momentum_update: dr = di = +0, so diff_sq and new_sq
 /// gain +0 (the identity on an accumulator >= +0, NaN and inf included),
-/// and z = +0 + beta * (+0) = +0 for the solvers' beta >= 0. Running the
+/// and z = +0 + beta * (+0) = +0 for the solver's beta >= 0. Running the
 /// momentum pass over the rows live in x_new or x only therefore leaves
 /// every result bit for bit unchanged; z needs an explicit +0 only where
 /// it was live before. On the solver iterates ~1.5 % of rows are live,
@@ -171,7 +164,7 @@ class LiveRows {
 };
 
 /// sz = sx_new + beta (sx_new - sx): the momentum identity on the
-/// cached forward applications (reuse path).
+/// cached forward applications.
 void extrapolate(const cxd* sx_new, const cxd* sx, double beta, cxd* sz,
                  index_t count) {
   const double* nd = reinterpret_cast<const double*>(sx_new);
@@ -180,39 +173,6 @@ void extrapolate(const cxd* sx_new, const cxd* sx, double beta, cxd* sz,
   for (index_t i = 0; i < 2 * count; ++i) {
     zd[i] = nd[i] + beta * (nd[i] - od[i]);
   }
-}
-
-/// x_new = from - step * grad over interleaved storage (one pass; the
-/// unfused version copies `from` and then subtracts a scaled copy of
-/// the gradient).
-void gradient_step(const cxd* from, const cxd* grad, double step, cxd* x_new,
-                   index_t count) {
-  const double* fd = reinterpret_cast<const double*>(from);
-  const double* gd = reinterpret_cast<const double*>(grad);
-  double* xd = reinterpret_cast<double*>(x_new);
-  for (index_t i = 0; i < 2 * count; ++i) {
-    xd[i] = fd[i] - step * gd[i];
-  }
-}
-
-// The plain applies, for the one never-screened block of an operator
-// without Kronecker structure (CVec for solve_l1, CMat for the group
-// solver).
-void dense_adjoint(const LinearOperator& op, const CVec& r, CVec& g,
-                   const runtime::ThreadPool*) {
-  g = op.apply_adjoint(r);
-}
-void dense_adjoint(const LinearOperator& op, const CMat& r, CMat& g,
-                   const runtime::ThreadPool* pool) {
-  op.apply_adjoint_mat_into(r, g, pool);
-}
-void dense_forward(const LinearOperator& op, const CVec& x, CVec& y,
-                   const runtime::ThreadPool*) {
-  y = op.apply(x);
-}
-void dense_forward(const LinearOperator& op, const CMat& x, CMat& y,
-                   const runtime::ThreadPool* pool) {
-  op.apply_mat_into(x, y, pool);
 }
 
 /// Per-iteration ToA-block screening (DESIGN.md §5 item 10). Unknown
@@ -225,14 +185,14 @@ void dense_forward(const LinearOperator& op, const CMat& x, CMat& y,
 /// over every snapshot column. Whenever
 ///     fl(fl(step^2 Lmax^2 (1 + kDelta)) (B_j + kUnderflowPad)) < fl(shrink^2)
 /// every row of the block falls below shrink^2 exactly, so the prox
-/// zeros it (the sqrt prefilter or the sqrt test; for one column also
-/// both soft_threshold compares): the block is screened, its gradient
-/// is never formed, and the gradient-step, row-decision and forward
-/// passes skip it. kDelta covers the roundings on both sides and
-/// kUnderflowPad the underflow in B_j; the test is switched off (coef_
-/// is NaN) unless step, Lmax^2 and shrink^2 lie in [2^-300, 2^300] and
-/// M k <= 2^16, the ranges the derivation in DESIGN.md assumes. NaN or
-/// inf in B_j fails the compare, so such a block is never screened.
+/// zeros it (the sqrt prefilter or the sqrt test): the block is
+/// screened, its gradient is never formed, and the gradient-step,
+/// row-decision and forward passes skip it. kDelta covers the roundings
+/// on both sides and kUnderflowPad the underflow in B_j; the test is
+/// switched off (coef_ is NaN) unless step, Lmax^2 and shrink^2 lie in
+/// [2^-300, 2^300] and M k <= 2^16, the ranges the derivation in
+/// DESIGN.md assumes. NaN or inf in B_j fails the compare, so such a
+/// block is never screened.
 ///
 /// Most blocks are cleared without forming bp_j at all. The screen keeps
 /// a reference residual r_ref and the norms ||bp_j(r_ref)|| of its last
@@ -254,19 +214,12 @@ void dense_forward(const LinearOperator& op, const CMat& x, CMat& y,
 /// solve.
 class BlockScreen {
  public:
-  /// even_ranges: keep every run of unscreened rows at an even start
-  /// and length (the end of the unknowns excepted), by screening ToA
-  /// blocks in pairs when N_l is odd. The simd soft_threshold handles
-  /// elements in pairs and a last odd one on its own, so only ranges
-  /// aligned like the full vector reproduce its every element.
-  BlockScreen(const LinearOperator& op, index_t k, double step, double shrink,
-              bool even_ranges)
+  BlockScreen(const LinearOperator& op, index_t k, double step, double shrink)
       : op_(op),
         kron_(op.kronecker()),
         k_(k),
         nl_(kron_ != nullptr ? kron_->left().cols() : op.cols()),
         nr_(kron_ != nullptr ? kron_->right().cols() : 1),
-        even_ranges_(even_ranges && nl_ % 2 != 0),
         open_(static_cast<std::size_t>(nr_), 1),
         live_(static_cast<std::size_t>(nr_)) {
     if (kron_ == nullptr) return;
@@ -293,12 +246,11 @@ class BlockScreen {
   /// grad = S^H residual on every block not screened against `from`,
   /// whose live rows are from_rows[0, nfrom), ascending (every other row
   /// of it is +0). Screened blocks of grad are left unwritten.
-  template <class Block>
-  void screen_gradient(const Block& residual, const index_t* from_rows,
-                       index_t nfrom, Block& grad,
+  void screen_gradient(const CMat& residual, const index_t* from_rows,
+                       index_t nfrom, CMat& grad,
                        const runtime::ThreadPool* pool) {
     if (kron_ == nullptr) {
-      dense_adjoint(op_, residual, grad, pool);
+      op_.apply_adjoint_mat_into(residual, grad, pool);
       return;
     }
     // Blocks live in `from` stay open; every other block is screened
@@ -310,7 +262,6 @@ class BlockScreen {
     if (!screen_from_reference(residual.data(), pool)) {
       screen_fresh(residual.data(), pool);
     }
-    if (even_ranges_) pair_blocks(open_);
     kron_->aoa_expand(bp_, k_, open_.data(), grad.data(), ws_, pool);
   }
 
@@ -324,11 +275,10 @@ class BlockScreen {
 
   /// y = S x for an x whose live rows are rows[0, count) (every other
   /// row +0): the forward runs on those rows' ToA blocks only.
-  template <class Block>
-  void forward_live(const Block& x, const index_t* rows, index_t count,
-                    Block& y, const runtime::ThreadPool* pool) {
+  void forward_live(const CMat& x, const index_t* rows, index_t count,
+                    CMat& y, const runtime::ThreadPool* pool) {
     if (kron_ == nullptr) {
-      dense_forward(op_, x, y, pool);
+      op_.apply_mat_into(x, y, pool);
       return;
     }
     std::fill(live_.begin(), live_.end(), std::uint8_t{0});
@@ -368,13 +318,6 @@ class BlockScreen {
   /// the block is screened.
   [[nodiscard]] bool bound_clears(double bj) const {
     return coef_ * (bj + kUnderflowPad) < shrink_sq_;
-  }
-
-  /// Opens both blocks of each pair (0, 1), (2, 3), ... when either is.
-  static void pair_blocks(std::vector<std::uint8_t>& mask) {
-    for (std::size_t j = 0; j + 1 < mask.size(); j += 2) {
-      mask[j] = mask[j + 1] = mask[j] | mask[j + 1];
-    }
   }
 
   /// Forms the correlation of every block, gives every non-live block
@@ -438,13 +381,12 @@ class BlockScreen {
       if (nexact == kMaxExact) return false;
       exact_[static_cast<std::size_t>(nexact++)] = j;
     }
-    // Columns the exact tests and the expansion read: the live blocks,
-    // the uncleared ones, and (paired screening) their partners.
+    // Columns the exact tests and the expansion read: the live blocks
+    // and the uncleared ones.
     std::copy(open_.begin(), open_.end(), want_.begin());
     for (index_t e = 0; e < nexact; ++e) {
       want_[static_cast<std::size_t>(exact_[static_cast<std::size_t>(e)])] = 1;
     }
-    if (even_ranges_) pair_blocks(want_);
     kron_->toa_correlate(r, k_, want_.data(), bp_, ws_, pool);
     for (index_t e = 0; e < nexact; ++e) {
       const index_t j = exact_[static_cast<std::size_t>(e)];
@@ -458,7 +400,6 @@ class BlockScreen {
   const LinearOperator& op_;
   const KroneckerOperator* kron_;
   index_t k_, nl_, nr_;
-  bool even_ranges_;
   double coef_ = std::numeric_limits<double>::quiet_NaN();
   double shrink_sq_ = 0.0;
   std::vector<std::uint8_t> open_, live_;
@@ -475,24 +416,11 @@ class BlockScreen {
   ScreenStats stats_;
 };
 
-}  // namespace
-
-double kappa_max(const LinearOperator& op, const CVec& y) {
-  return norm_inf(op.apply_adjoint(y));
-}
-
-double l1_objective(const LinearOperator& op, const CVec& y, const CVec& x,
-                    double kappa) {
-  CVec r = op.apply(x);
-  r -= y;
-  return 0.5 * norm2_sq(r) + kappa * norm1(x);
-}
-
-// Both solvers below keep the forward applications S x and S z cached
-// across iterations (cfg.reuse_applies). Per iteration the direct path
-// costs three operator applications — S z for the gradient, S^H r, and
-// S x_new for the objective — while the reuse path costs two: S x_new
-// is retained, and the next momentum point's S z follows by linearity,
+// The solver keeps the forward applications S x and S z cached across
+// iterations. Applying S to z afresh would cost three operator
+// applications per iteration — S z for the gradient, S^H r, and S x_new
+// for the objective — while the cache costs two: S x_new is retained,
+// and the next momentum point's S z follows by linearity,
 //   z = x_new + beta (x_new - x)  =>  S z = (1+beta) S x_new - beta S x,
 // so the objective evaluation's application is never repeated. After a
 // monotone restart beta = 0 and S z = S x_new exactly; the cached S x is
@@ -502,145 +430,36 @@ double l1_objective(const LinearOperator& op, const CVec& y, const CVec& x,
 // All large per-iteration buffers (iterate, momentum point, gradient,
 // residual, cached applications) are allocated once and recycled via
 // swaps; element-wise passes over the grid-sized iterate are fused, the
-// momentum pass (and the group prox's write) visit only the rows that
-// can be nonzero, and BlockScreen skips the gradient, prox and forward
-// work of the ToA blocks the prox provably zeros (see the helpers
-// above). This matters: the
-// unknown block is tall (grid size x snapshots), only a few percent of
-// its rows are live, and the naive expression-by-expression loop spends
-// more time re-walking and re-allocating it than in the operator.
-
-SolveResult solve_l1(const LinearOperator& op, const CVec& y,
-                     const SolveConfig& cfg, const IterationCallback& callback) {
-  if (y.size() != op.rows()) throw std::invalid_argument("solve_l1: rhs size");
-  if (cfg.max_iterations < 1) throw std::invalid_argument("solve_l1: max_iterations");
-
-  SolveResult out;
-  out.kappa = resolve_kappa(op, y, cfg);
-  const double step = resolve_step(op, cfg, "solve_l1");
-  const double shrink = step * out.kappa;
-  const bool accelerated = cfg.algorithm == Algorithm::kFista;
-  const bool reuse = cfg.reuse_applies;
-
-  const index_t n = op.cols();
-  const index_t m = op.rows();
-  const auto& bk = linalg::backend::active();
-  CVec x(n);
-  CVec z(n);      // momentum point (equals x for ISTA)
-  CVec x_new(n);
-  CVec grad(n);
-  CVec sx(m);     // S x (x starts at zero)
-  CVec sz(m);     // S z, maintained only on the reuse path
-  CVec sx_new(m);
-  CVec residual(m);
-  LiveRows live(n);
-  BlockScreen screen(op, 1, step, shrink, /*even_ranges=*/true);
-  out.objective.reserve(static_cast<std::size_t>(cfg.max_iterations));
-  double t = 1.0;
-  double prev_obj = half_residual_sq(sx.data(), y.data(), m);  // x = 0
-
-  // x_new = soft_threshold(from - step * grad) on the rows the screen
-  // left open, then lists x_new's live elements: all but the +0 ones
-  // (soft_threshold writes +0 for every element it shrinks to zero).
-  // Every screened element would have been shrunk to +0; set_new writes
-  // that +0 wherever the buffer still holds an earlier value.
-  auto prox_gradient_step = [&](const CVec& from) {
-    index_t nlive = 0;
-    screen.for_each_open_range([&](index_t r0, index_t r1) {
-      gradient_step(from.data() + r0, grad.data() + r0, step,
-                    x_new.data() + r0, r1 - r0);
-      bk.soft_threshold(x_new.data() + r0, r1 - r0, shrink);
-      for (index_t i = r0; i < r1; ++i) {
-        live.spare()[nlive] = i;
-        nlive += (std::bit_cast<std::uint64_t>(x_new[i].real()) |
-                  std::bit_cast<std::uint64_t>(x_new[i].imag())) != 0;
-      }
-    });
-    live.set_new(nlive, [&](index_t row) { x_new[row] = cxd{}; });
-  };
-
-  for (int it = 1; it <= cfg.max_iterations; ++it) {
-    // Gradient of the smooth part at z: S^H (S z - y).
-    residual = reuse ? sz : op.apply(z);
-    residual -= y;
-    screen.screen_gradient(residual, live.active(), live.active_count(), grad,
-                           nullptr);
-    prox_gradient_step(z);
-    screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
-                        nullptr);
-    double obj =
-        half_residual_sq(sx_new.data(), y.data(), m) + out.kappa * norm1(x_new);
-
-    if (accelerated && obj > prev_obj) {
-      // Monotone restart: the momentum step overshot. Discard it and
-      // take a plain proximal-gradient step from x, which the step-size
-      // majorization guarantees does not increase the objective. S x is
-      // already cached, so the restart gradient costs no extra forward
-      // application on the reuse path.
-      residual = reuse ? sx : op.apply(x);
-      residual -= y;
-      screen.screen_gradient(residual, live.x_rows(), live.x_count(), grad,
-                             nullptr);
-      prox_gradient_step(x);
-      screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
-                          nullptr);
-      obj = half_residual_sq(sx_new.data(), y.data(), m) +
-            out.kappa * norm1(x_new);
-      t = 1.0;
-    }
-    out.objective.push_back(obj);
-    out.iterations = it;
-
-    double beta = 0.0;
-    if (accelerated) {
-      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
-      beta = (t - 1.0) / t_new;
-      t = t_new;
-    }
-    double diff_sq = 0.0;
-    double new_sq = 0.0;
-    const index_t nactive = live.update(z.data(), n, 1);
-    momentum_update(x_new.data(), x.data(), beta, z.data(), n, 1,
-                    live.active(), nactive, diff_sq, new_sq);
-    const double rel_change =
-        std::sqrt(diff_sq) / std::max(1.0, std::sqrt(new_sq));
-    if (reuse) extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m);
-
-    prev_obj = obj;
-    std::swap(x, x_new);
-    live.swap_iterates();
-    std::swap(sx, sx_new);
-    if (callback) callback(it, x);
-    if (rel_change < cfg.tolerance) {
-      out.converged = true;
-      break;
-    }
-  }
-  out.x = std::move(x);
-  out.screen = screen.stats();
-  return out;
-}
-
-GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
-                                const SolveConfig& cfg,
-                                const runtime::ThreadPool* pool) {
-  if (y.rows() != op.rows()) throw std::invalid_argument("solve_group_l1: rhs rows");
-  if (y.cols() < 1) throw std::invalid_argument("solve_group_l1: no snapshots");
+// momentum pass and the prox's write visit only the rows that can be
+// nonzero, and BlockScreen skips the gradient, prox and forward work of
+// the ToA blocks the prox provably zeros (see the helpers above). This
+// matters: the unknown block is tall (grid size x snapshots), only a few
+// percent of its rows are live, and the naive expression-by-expression
+// loop spends more time re-walking and re-allocating it than in the
+// operator.
+//
+// `solver` names the public entry point in error messages.
+GroupSolveResult solve(const LinearOperator& op, const CMat& y,
+                       const SolveConfig& cfg, const runtime::ThreadPool* pool,
+                       const IterationCallback& callback, const char* solver) {
+  const std::string name(solver);
+  if (y.rows() != op.rows()) throw std::invalid_argument(name + ": rhs rows");
+  if (y.cols() < 1) throw std::invalid_argument(name + ": no snapshots");
   if (cfg.max_iterations < 1) {
-    throw std::invalid_argument("solve_group_l1: max_iterations");
+    throw std::invalid_argument(name + ": max_iterations");
   }
 
   GroupSolveResult out;
   const index_t n = op.cols();
   const index_t k = y.cols();
   const index_t m = op.rows();
+  const auto& bk = linalg::backend::active();
 
   // Auto kappa for the group norm: largest row norm of S^H Y.
   if (cfg.kappa > 0.0) {
     out.kappa = cfg.kappa;
   } else {
     const CMat g = op.apply_adjoint_mat(y, pool);
-    const auto& bk = linalg::backend::active();
     std::vector<double> row_sq(static_cast<std::size_t>(n), 0.0);
     for (index_t j = 0; j < k; ++j) {
       bk.row_sq_accumulate(g.data() + j * n, n, row_sq.data());
@@ -651,23 +470,20 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     }
     out.kappa = cfg.kappa_ratio * mx;
   }
-  const double step = resolve_step(op, cfg, "solve_group_l1");
+  const double step = resolve_step(op, cfg, solver);
   const double shrink = step * out.kappa;
-  const bool accelerated = cfg.algorithm == Algorithm::kFista;
-  const bool reuse = cfg.reuse_applies;
-  const auto& bk = linalg::backend::active();
 
   CMat x(n, k);
   CMat z(n, k);
   CMat x_new(n, k);
   CMat grad(n, k);
   CMat sx(m, k);  // S x (x starts at zero)
-  CMat sz(m, k);  // S z, maintained only on the reuse path
+  CMat sz(m, k);  // S z
   CMat sx_new(m, k);
   CMat residual(m, k);
   std::vector<double> row_scale(static_cast<std::size_t>(n));
   LiveRows live(n);
-  BlockScreen screen(op, k, step, shrink, /*even_ranges=*/false);
+  BlockScreen screen(op, k, step, shrink);
   out.objective.reserve(static_cast<std::size_t>(cfg.max_iterations));
   double t = 1.0;
   double prev_obj = half_residual_sq(sx.data(), y.data(), m * k);  // x = 0
@@ -684,12 +500,12 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   // x_new buffer still holds from an earlier write get +0; every other
   // row already is +0. The returned l2,1 value is the analytic
   // post-shrink norm (row norm times its shrink factor).
-  auto prox_gradient_step = [&](const CMat& from, const CMat& g) {
+  auto prox_step = [&](const CMat& from) {
     RowShrink shrunk;
     screen.for_each_open_range([&](index_t r0, index_t r1) {
       std::fill(row_scale.begin() + r0, row_scale.begin() + r1, 0.0);
       for (index_t j = 0; j < k; ++j) {
-        bk.gradient_row_sq(from.data() + j * n + r0, g.data() + j * n + r0,
+        bk.gradient_row_sq(from.data() + j * n + r0, grad.data() + j * n + r0,
                            step, r1 - r0, row_scale.data() + r0);
       }
       row_shrink_factors(row_scale.data(), r0, r1, shrink, shrunk,
@@ -701,7 +517,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     const index_t* rows = live.new_rows();
     for (index_t j = 0; j < k; ++j) {
       const double* fd = reinterpret_cast<const double*>(from.data() + j * n);
-      const double* gd = reinterpret_cast<const double*>(g.data() + j * n);
+      const double* gd = reinterpret_cast<const double*>(grad.data() + j * n);
       double* xd = reinterpret_cast<double*>(x_new.data() + j * n);
       for (index_t r = 0; r < shrunk.kept; ++r) {
         const index_t i = rows[r];
@@ -714,32 +530,28 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   };
 
   for (int it = 1; it <= cfg.max_iterations; ++it) {
-    if (reuse) {
-      residual = sz;
-    } else {
-      op.apply_mat_into(z, residual, pool);
-    }
+    // Gradient of the smooth part at z: S^H (S z - y).
+    residual = sz;
     residual -= y;
     screen.screen_gradient(residual, live.active(), live.active_count(), grad,
                            pool);
-
-    double l21 = prox_gradient_step(z, grad);
+    double l21 = prox_step(z);
     screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
                         pool);
     double obj =
         half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
 
-    if (accelerated && obj > prev_obj) {
-      // Monotone restart (see solve_l1): redo as a plain step from x.
-      if (reuse) {
-        residual = sx;
-      } else {
-        op.apply_mat_into(x, residual, pool);
-      }
+    if (obj > prev_obj) {
+      // Monotone restart: the momentum step overshot. Discard it and
+      // take a plain proximal-gradient step from x, which the step-size
+      // majorization guarantees does not increase the objective. S x is
+      // already cached, so the restart gradient costs no extra forward
+      // application.
+      residual = sx;
       residual -= y;
       screen.screen_gradient(residual, live.x_rows(), live.x_count(), grad,
                              pool);
-      l21 = prox_gradient_step(x, grad);
+      l21 = prox_step(x);
       screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
                           pool);
       obj = half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
@@ -748,12 +560,9 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     out.objective.push_back(obj);
     out.iterations = it;
 
-    double beta = 0.0;
-    if (accelerated) {
-      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
-      beta = (t - 1.0) / t_new;
-      t = t_new;
-    }
+    const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
+    const double beta = (t - 1.0) / t_new;
+    t = t_new;
     double diff_sq = 0.0;
     double new_sq = 0.0;
     const index_t nactive = live.update(z.data(), n, k);
@@ -761,12 +570,13 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
                     live.active(), nactive, diff_sq, new_sq);
     const double rel_change =
         std::sqrt(diff_sq) / std::max(1.0, std::sqrt(new_sq));
-    if (reuse) extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m * k);
+    extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m * k);
 
     prev_obj = obj;
     std::swap(x, x_new);
     live.swap_iterates();
     std::swap(sx, sx_new);
+    if (callback) callback(it, x);
     if (rel_change < cfg.tolerance) {
       out.converged = true;
       break;
@@ -775,6 +585,42 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   out.x = std::move(x);
   out.screen = screen.stats();
   return out;
+}
+
+}  // namespace
+
+double kappa_max(const LinearOperator& op, const CVec& y) {
+  return norm_inf(op.apply_adjoint(y));
+}
+
+double l1_objective(const LinearOperator& op, const CVec& y, const CVec& x,
+                    double kappa) {
+  CVec r = op.apply(x);
+  r -= y;
+  return 0.5 * norm2_sq(r) + kappa * norm1(x);
+}
+
+SolveResult solve_l1(const LinearOperator& op, const CVec& y,
+                     const SolveConfig& cfg) {
+  if (y.size() != op.rows()) throw std::invalid_argument("solve_l1: rhs size");
+  CMat ym(y.size(), 1);
+  ym.set_col(0, y);
+  GroupSolveResult g = solve(op, ym, cfg, nullptr, nullptr, "solve_l1");
+  SolveResult out;
+  out.x = g.x.col_vec(0);
+  out.iterations = g.iterations;
+  out.converged = g.converged;
+  out.kappa = g.kappa;
+  out.objective = std::move(g.objective);
+  out.screen = g.screen;
+  return out;
+}
+
+GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
+                                const SolveConfig& cfg,
+                                const runtime::ThreadPool* pool,
+                                const IterationCallback& callback) {
+  return solve(op, y, cfg, pool, callback, "solve_group_l1");
 }
 
 }  // namespace roarray::sparse

@@ -1,11 +1,14 @@
-// Proximal-gradient solvers (ISTA / FISTA) for the paper's Lagrangian
-// sparse-recovery objective (Eq. 11 / Eq. 18):
+// The FISTA solver for the paper's Lagrangian sparse-recovery objective
+// in its multi-snapshot (l2,1 / l1-SVD) form
+//
+//     min_X  1/2 ||Y - S X||_F^2 + kappa sum_i ||X(i,:)||_2,
+//
+// whose one-column case is the single-snapshot problem (Eq. 11 / Eq. 18)
 //
 //     min_x  1/2 ||y - S x||_2^2 + kappa ||x||_1
 //
-// and its multi-snapshot (l2,1 / l1-SVD) generalization
-//
-//     min_X  1/2 ||Y - S X||_F^2 + kappa sum_i ||X(i,:)||_2.
+// (for one column the row norm is |x_i|). solve_group_l1 is the one
+// iteration loop; solve_l1 runs it on y as an m x 1 matrix.
 //
 // The paper solves the constrained SOCP form with CVX; the Lagrangian
 // proximal form has identical minimizers (see DESIGN.md) and maps the
@@ -20,15 +23,10 @@
 
 namespace roarray::sparse {
 
-/// Which proximal-gradient flavor to run.
-enum class Algorithm {
-  kIsta,   ///< plain proximal gradient (baseline, slower convergence).
-  kFista,  ///< Nesterov-accelerated with adaptive (function) restart.
-};
-
-/// Solver configuration.
+/// Solver configuration. The solver is FISTA with a monotone (function)
+/// restart, and it forms S z from cached forward applications (two
+/// operator applications per iteration; see DESIGN.md §5).
 struct SolveConfig {
-  Algorithm algorithm = Algorithm::kFista;
   int max_iterations = 400;
   /// Stop when the relative iterate change drops below this.
   double tolerance = 1e-6;
@@ -44,15 +42,6 @@ struct SolveConfig {
   /// power iteration is deterministic, a cached value equals the
   /// per-call one exactly — solutions are bit-identical either way.
   double lipschitz_hint = -1.0;
-  /// Reuse cached forward applications across iterations: S z is formed
-  /// from the momentum identity S z = (1 + beta) S x_new - beta S x_prev
-  /// instead of a fresh operator application, cutting the per-iteration
-  /// operator cost from 3 applications to 2 (the objective evaluation's
-  /// S x_new is kept and becomes the next iterate's cached value). The
-  /// identity is exact in exact arithmetic; in floating point iterates
-  /// match the direct path to solver tolerance (see DESIGN.md). false
-  /// recovers the direct 3-application path.
-  bool reuse_applies = true;
 };
 
 /// What the per-iteration ToA-block screen did over one solve (DESIGN.md
@@ -77,7 +66,7 @@ struct ScreenStats {
   friend bool operator==(const ScreenStats&, const ScreenStats&) = default;
 };
 
-/// Result of a single-snapshot solve.
+/// Result of a single-snapshot solve (solve_l1 and ADMM).
 struct SolveResult {
   CVec x;                         ///< recovered sparse coefficient vector.
   int iterations = 0;             ///< iterations actually run.
@@ -98,25 +87,28 @@ struct GroupSolveResult {
 };
 
 /// Optional per-iteration observer (used to trace spectrum sharpening,
-/// paper Fig. 3). Called after each iteration with the current iterate.
-using IterationCallback = std::function<void(int iteration, const CVec& x)>;
+/// paper Fig. 3). Called after each iteration with the current n x k
+/// iterate.
+using IterationCallback = std::function<void(int iteration, const CMat& x)>;
 
 /// Smallest kappa for which the l1 solution is identically zero.
 [[nodiscard]] double kappa_max(const LinearOperator& op, const CVec& y);
 
-/// Solves min_x 1/2 ||y - S x||^2 + kappa ||x||_1.
+/// Solves min_x 1/2 ||y - S x||^2 + kappa ||x||_1: solve_group_l1 on y
+/// as one column, bit for bit (errors name solve_l1).
 /// Throws std::invalid_argument on dimension mismatch.
 [[nodiscard]] SolveResult solve_l1(const LinearOperator& op, const CVec& y,
-                                   const SolveConfig& cfg = {},
-                                   const IterationCallback& callback = nullptr);
+                                   const SolveConfig& cfg = {});
 
 /// Solves the row-group problem
 /// min_X 1/2 ||Y - S X||_F^2 + kappa sum_i ||X(i,:)||_2.
 /// The optional pool parallelizes the per-snapshot operator columns
-/// (results identical to the serial path).
+/// (results identical to the serial path); the optional callback sees
+/// every iterate.
 [[nodiscard]] GroupSolveResult solve_group_l1(
     const LinearOperator& op, const CMat& y, const SolveConfig& cfg = {},
-    const runtime::ThreadPool* pool = nullptr);
+    const runtime::ThreadPool* pool = nullptr,
+    const IterationCallback& callback = nullptr);
 
 /// Objective value 1/2 ||y - S x||^2 + kappa ||x||_1 (for tests/benches).
 [[nodiscard]] double l1_objective(const LinearOperator& op, const CVec& y,

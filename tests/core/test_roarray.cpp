@@ -168,7 +168,7 @@ TEST(RoArray, InsensitiveToModelOrder) {
 TEST(RoArray, CoarseToFineAgreesWithFullGridSolve) {
   // The pruned factored-dictionary path must land on the same direct
   // path as the full-grid solve, to within grid resolution. Exercised
-  // both single-packet (solve_l1) and multi-packet (group solve).
+  // both single-packet (one column) and multi-packet (l1-SVD columns).
   const std::vector<Path> paths = {
       make_path(105.0, 70e-9, cxd{1.0, 0.0}),
       make_path(48.0, 260e-9, cxd{0.5, 0.2}),
@@ -206,9 +206,9 @@ TEST(RoArray, CoarseToFineHonorsIterationCallbackInFullCoordinates) {
   int calls = 0;
   bool shapes_ok = true;
   const RoArrayResult r = roarray_estimate(
-      packets, cfg, kArray, [&](int, const linalg::CVec& x) {
+      packets, cfg, kArray, [&](int, const linalg::CMat& x) {
         ++calls;
-        shapes_ok = shapes_ok && x.size() == full_cols;
+        shapes_ok = shapes_ok && x.rows() == full_cols && x.cols() == 1;
       });
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(calls, 10);
@@ -246,7 +246,7 @@ TEST(RoArray, IterationCallbackTracksProgress) {
   cfg.solver.tolerance = 0.0;
   int calls = 0;
   const RoArrayResult r = roarray_estimate(
-      packets, cfg, kArray, [&](int, const linalg::CVec&) { ++calls; });
+      packets, cfg, kArray, [&](int, const linalg::CMat&) { ++calls; });
   EXPECT_EQ(calls, 25);
   EXPECT_EQ(r.solver_iterations, 25);
 }
@@ -256,6 +256,28 @@ TEST(RoArray, EmptyAndMalformedInputsThrow) {
   EXPECT_THROW(roarray_estimate({}, cfg, kArray), std::invalid_argument);
   const std::vector<linalg::CMat> bad = {linalg::CMat(2, 30)};
   EXPECT_THROW(roarray_estimate(bad, cfg, kArray), std::invalid_argument);
+}
+
+TEST(RoArray, NonPositiveMaxPathsThrowsForEveryBurstSize) {
+  // max_paths caps the MDL fusion rank and the peak count; below 1 the
+  // rank clamp has no valid range, so the estimator rejects the config
+  // up front, for a single packet as for a fused burst.
+  const std::vector<Path> paths = {make_path(90.0, 80e-9, cxd{1.0, 0.0})};
+  for (linalg::index_t packets : {linalg::index_t{1}, linalg::index_t{3}}) {
+    const auto burst = noisy_packets(paths, 25.0, packets, 320 + packets);
+    for (const linalg::index_t max_paths :
+         {linalg::index_t{0}, linalg::index_t{-2}}) {
+      RoArrayConfig cfg;
+      cfg.max_paths = max_paths;
+      EXPECT_THROW(roarray_estimate(burst, cfg, kArray), std::invalid_argument)
+          << "packets " << packets << " max_paths " << max_paths;
+    }
+    RoArrayConfig one;
+    one.max_paths = 1;
+    const RoArrayResult r = roarray_estimate(burst, one, kArray);
+    EXPECT_TRUE(r.valid) << "packets " << packets;
+    EXPECT_EQ(r.paths.size(), 1u) << "packets " << packets;
+  }
 }
 
 TEST(RoArrayAoaSpectrum, PeaksAtTrueAngle) {

@@ -131,21 +131,6 @@ inline std::vector<GoldenScenario> golden_scenarios() {
     out.push_back(std::move(s));
   }
 
-  // ISTA instead of FISTA: pins the baseline solver flavor too.
-  {
-    GoldenScenario s;
-    s.name = "ista_solver";
-    s.paths = {make_path(70.0, 100.0, 1.0, 0.0, 0),
-               make_path(115.0, 280.0, 0.5, 2.2, 1)};
-    s.burst.num_packets = 2;
-    s.burst.snr_db = 30.0;
-    s.noise_seed = 20;
-    s.estimator = golden_estimator_config();
-    s.estimator.solver.algorithm = sparse::Algorithm::kIsta;
-    s.estimator.solver.max_iterations = 300;
-    out.push_back(std::move(s));
-  }
-
   // Robust-fusion round: one adversarially blocked AP in the paper
   // testbed, run end-to-end (sim -> per-AP estimate -> robust localize).
   // Pins the fused fix and the per-AP inlier verdicts (DESIGN.md §13).

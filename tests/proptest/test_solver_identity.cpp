@@ -1,28 +1,33 @@
-// Bit-identity of the FISTA solvers against a frozen reference copy.
+// Bit-identity of the FISTA solver against a frozen reference copy.
 //
-// The oracles below are the proximal-gradient loops of solve_l1 and
-// solve_group_l1 as they stood before the row-sparse prox / momentum
-// passes: a dense gradient step written in full, a sqrt for every row's
-// zero test, the backend row_scale pass, and a momentum pass over every
-// element. The production solvers must reproduce them exactly — the
-// bytes of x and of the objective history, the iteration count and the
-// convergence flag — on random Kronecker and support-restricted
-// problems, under the scalar table and (when present) the simd table.
-// Operator applications, soft-thresholding and row scaling go through
-// the same backend table in both, so any difference is a change in the
-// solver's own arithmetic. The oracles form every gradient in full; the
-// production solvers screen ToA blocks the Cauchy-Schwarz bound proves
-// zero, most of them through a stale-reference drift bound, so the
-// second property builds cases that put a block's bound (the exact one
-// at the first gradient, the drift bound at the second) right at
-// shrink^2, poison the data with NaN / inf, take M k past the drift
-// bound's limit, or run on a pool. The oracles also run a frozen model
-// of the screen, and the ScreenStats each production solve reports
-// must equal the model's counts.
+// The oracle below is the proximal-gradient loop of solve_group_l1 as
+// it stood before the row-sparse prox / momentum passes: a dense
+// gradient step written in full, a sqrt for every row's zero test, the
+// backend row_scale pass, and a momentum pass over every element. The
+// production solver must reproduce it exactly — the bytes of x and of
+// the objective history, the iteration count and the convergence flag —
+// on random Kronecker and support-restricted problems, under the scalar
+// table and (when present) the simd table. Operator applications and
+// row scaling go through the same backend table in both, so any
+// difference is a change in the solver's own arithmetic. The oracle
+// forms every gradient in full; the production solver screens ToA
+// blocks the Cauchy-Schwarz bound proves zero, most of them through a
+// stale-reference drift bound, so the second property builds cases that
+// put a block's bound (the exact one at the first gradient, the drift
+// bound at the second) right at shrink^2, poison the data with NaN /
+// inf, take M k past the drift bound's limit, or run on a pool. The
+// oracle also runs a frozen model of the screen, and the ScreenStats
+// each production solve reports must equal the model's counts.
+//
+// The oracle keeps the direct path that applies S to every momentum
+// point afresh (three applications per iteration); the production
+// solver forms S z from the momentum identity instead, which matches
+// the direct path to rounding, and one variant checks that. Every case
+// also checks that solve_l1 is the group solve on one column, and that
+// the single-column spectrum overload is the matrix one, byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -32,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/roarray.hpp"
 #include "generators.hpp"
 #include "linalg/backend/backend.hpp"
 #include "proptest.hpp"
@@ -39,7 +45,6 @@
 #include "sparse/fista.hpp"
 #include "sparse/operator.hpp"
 #include "sparse/power.hpp"
-#include "sparse/prox.hpp"
 
 namespace pt = roarray::proptest;
 namespace be = roarray::linalg::backend;
@@ -57,6 +62,7 @@ namespace {
 
 /// What the generated cases exercised, counted in the oracle loops.
 struct Coverage {
+  int single_column = 0;  ///< solves with k = 1.
   int restarts = 0;       ///< monotone restarts.
   int screened = 0;       ///< non-live blocks the screen clears.
   int dead_open = 0;      ///< non-live blocks that fail the exact test.
@@ -72,7 +78,7 @@ struct Coverage {
 /// the last full correlation, at most 4 exact tests before a refresh).
 /// It counts what the production screen reports in ScreenStats, and the
 /// properties compare the two. The blocks live in the point a step
-/// starts from are given as a row mask, kept by the oracles the way
+/// starts from are given as a row mask, kept by the oracle the way
 /// LiveRows keeps its lists.
 class ScreenModel {
  public:
@@ -212,12 +218,6 @@ class ScreenModel {
 
 namespace oracle {
 
-double resolve_kappa(const LinearOperator& op, const CVec& y,
-                     const SolveConfig& cfg) {
-  if (cfg.kappa > 0.0) return cfg.kappa;
-  return cfg.kappa_ratio * kappa_max(op, y);
-}
-
 double resolve_step(const LinearOperator& op, const SolveConfig& cfg) {
   const double norm_sq =
       cfg.lipschitz_hint > 0.0 ? cfg.lipschitz_hint : operator_norm_sq(op);
@@ -267,119 +267,21 @@ void extrapolate(const cxd* sx_new, const cxd* sx, double beta, cxd* sz,
   }
 }
 
-void gradient_step(const cxd* from, const cxd* grad, double step, cxd* x_new,
-                   index_t count) {
-  const double* fd = reinterpret_cast<const double*>(from);
-  const double* gd = reinterpret_cast<const double*>(grad);
-  double* xd = reinterpret_cast<double*>(x_new);
-  for (index_t i = 0; i < 2 * count; ++i) {
-    xd[i] = fd[i] - step * gd[i];
-  }
-}
-
-/// Both oracles also run the screen model (its counts go into the
-/// result's ScreenStats) and count monotone restarts and the screen's
+/// The oracle also runs the screen model (its counts go into the
+/// result's ScreenStats) and counts monotone restarts and the screen's
 /// decisions (Coverage), so the properties can check that the generated
 /// cases exercise those paths. The live-row masks follow LiveRows: x_new
-/// is live where the prox keeps it, z where x_new or x is.
-SolveResult solve_l1(const LinearOperator& op, const CVec& y,
-                     const SolveConfig& cfg, Coverage& cov) {
-  SolveResult out;
-  out.kappa = resolve_kappa(op, y, cfg);
-  const double step = resolve_step(op, cfg);
-  const double shrink = step * out.kappa;
-  const bool accelerated = cfg.algorithm == Algorithm::kFista;
-  const bool reuse = cfg.reuse_applies;
-
-  const index_t n = op.cols();
-  const index_t m = op.rows();
-  CVec x(n);
-  CVec z(n);
-  CVec x_new(n);
-  CVec sx(m);
-  CVec sz(m);
-  CVec sx_new(m);
-  CVec residual(m);
-  ScreenModel model(op, 1, step, shrink);
-  std::vector<char> live_x(static_cast<std::size_t>(n), 0);
-  std::vector<char> live_z = live_x;
-  std::vector<char> live_new = live_x;
-  const auto mark_new = [&] {
-    for (index_t i = 0; i < n; ++i) {
-      live_new[static_cast<std::size_t>(i)] =
-          (std::bit_cast<std::uint64_t>(x_new[i].real()) |
-           std::bit_cast<std::uint64_t>(x_new[i].imag())) != 0;
-    }
-  };
-  double t = 1.0;
-  double prev_obj = half_residual_sq(sx.data(), y.data(), m);
-
-  for (int it = 1; it <= cfg.max_iterations; ++it) {
-    residual = reuse ? sz : op.apply(z);
-    residual -= y;
-    model.screen(residual.data(), live_z, cov);
-    CVec grad = op.apply_adjoint(residual);
-
-    gradient_step(z.data(), grad.data(), step, x_new.data(), n);
-    soft_threshold_inplace(x_new, shrink);
-    mark_new();
-    sx_new = op.apply(x_new);
-    double obj =
-        half_residual_sq(sx_new.data(), y.data(), m) + out.kappa * norm1(x_new);
-
-    if (accelerated && obj > prev_obj) {
-      ++cov.restarts;
-      residual = reuse ? sx : op.apply(x);
-      residual -= y;
-      model.screen(residual.data(), live_x, cov);
-      grad = op.apply_adjoint(residual);
-      gradient_step(x.data(), grad.data(), step, x_new.data(), n);
-      soft_threshold_inplace(x_new, shrink);
-      mark_new();
-      sx_new = op.apply(x_new);
-      obj = half_residual_sq(sx_new.data(), y.data(), m) +
-            out.kappa * norm1(x_new);
-      t = 1.0;
-    }
-    out.objective.push_back(obj);
-    out.iterations = it;
-
-    double beta = 0.0;
-    if (accelerated) {
-      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
-      beta = (t - 1.0) / t_new;
-      t = t_new;
-    }
-    double diff_sq = 0.0;
-    double new_sq = 0.0;
-    momentum_update(x_new.data(), x.data(), beta, z.data(), n, diff_sq, new_sq);
-    const double rel_change =
-        std::sqrt(diff_sq) / std::max(1.0, std::sqrt(new_sq));
-    if (reuse) extrapolate(sx_new.data(), sx.data(), beta, sz.data(), m);
-    for (std::size_t i = 0; i < live_z.size(); ++i) {
-      live_z[i] = live_new[i] | live_x[i];
-    }
-    live_x = live_new;
-
-    prev_obj = obj;
-    std::swap(x, x_new);
-    std::swap(sx, sx_new);
-    if (rel_change < cfg.tolerance) {
-      out.converged = true;
-      break;
-    }
-  }
-  out.x = std::move(x);
-  out.screen = model.stats;
-  return out;
-}
-
+/// is live where the prox keeps it, z where x_new or x is. reuse = false
+/// runs the direct path: S z applied afresh instead of the momentum
+/// identity on the cached applications.
 GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
-                                const SolveConfig& cfg, Coverage& cov) {
+                                const SolveConfig& cfg, Coverage& cov,
+                                bool reuse = true) {
   GroupSolveResult out;
   const index_t n = op.cols();
   const index_t k = y.cols();
   const index_t m = op.rows();
+  cov.single_column += k == 1 ? 1 : 0;
 
   if (cfg.kappa > 0.0) {
     out.kappa = cfg.kappa;
@@ -398,8 +300,6 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   }
   const double step = resolve_step(op, cfg);
   const double shrink = step * out.kappa;
-  const bool accelerated = cfg.algorithm == Algorithm::kFista;
-  const bool reuse = cfg.reuse_applies;
 
   CMat x(n, k);
   CMat z(n, k);
@@ -466,7 +366,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     double obj =
         half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
 
-    if (accelerated && obj > prev_obj) {
+    if (obj > prev_obj) {
       ++cov.restarts;
       if (reuse) {
         residual = sx;
@@ -484,12 +384,9 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     out.objective.push_back(obj);
     out.iterations = it;
 
-    double beta = 0.0;
-    if (accelerated) {
-      const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
-      beta = (t - 1.0) / t_new;
-      t = t_new;
-    }
+    const double t_new = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
+    const double beta = (t - 1.0) / t_new;
+    t = t_new;
     double diff_sq = 0.0;
     double new_sq = 0.0;
     momentum_update(x_new.data(), x.data(), beta, z.data(), n * k, diff_sq,
@@ -522,12 +419,11 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
 
 /// Solver settings a case exercises.
 enum class Variant {
-  kAutoKappa,     ///< defaults: auto kappa, FISTA, apply reuse.
+  kAutoKappa,     ///< defaults: auto kappa.
   kExplicit,      ///< explicit kappa.
-  kNoReuse,       ///< reuse_applies = false (direct 3-apply path).
+  kDirect,        ///< also matches the oracle's direct path to rounding.
   kZeroRhs,       ///< y = 0 (kappa 0: nothing shrinks but zero rows).
   kConverging,    ///< loose tolerance: stops before the cap.
-  kIsta,          ///< plain proximal gradient (beta = 0).
   kCount,
 };
 
@@ -594,9 +490,9 @@ SolveConfig make_config(const SolverCase& c) {
   cfg.kappa_ratio = c.kappa_ratio;
   switch (c.variant) {
     case Variant::kExplicit: cfg.kappa = 0.3 * c.kappa_ratio; break;
-    case Variant::kNoReuse: cfg.reuse_applies = false; break;
+    // Both paths run every iteration, so the histories line up.
+    case Variant::kDirect: cfg.tolerance = 0.0; break;
     case Variant::kConverging: cfg.tolerance = 2e-3; break;
-    case Variant::kIsta: cfg.algorithm = Algorithm::kIsta; break;
     default: break;
   }
   return cfg;
@@ -619,9 +515,10 @@ bool same_doubles(const double* a, const double* b, std::size_t count,
   return true;
 }
 
-/// Compares a production result with its oracle; nullopt when equal.
-template <typename R>
-std::optional<std::string> compare(const R& got, const R& want,
+/// Compares a production result with its oracle (or solve_l1's with the
+/// group solve's); nullopt when equal.
+template <typename R, typename W>
+std::optional<std::string> compare(const R& got, const W& want,
                                    const char* what, const char* table,
                                    bool nan_any = false) {
   std::ostringstream os;
@@ -673,15 +570,79 @@ struct ForceGuard {
   ~ForceGuard() { be::force(nullptr); }
 };
 
-/// Runs both production solvers against their oracles under every
-/// table; nullopt when all match (nan_any: see same_doubles). Adds the
-/// oracles' coverage to `cov` and their converged runs to `converged`.
-/// A pool, when given, runs the production group solver.
+/// The momentum identity against the direct path: the same iteration
+/// count and kappa, x within 1e-6 and each objective within
+/// 1e-6 (1 + |objective|); nullopt when they match.
+std::optional<std::string> near_direct(const GroupSolveResult& got,
+                                       const GroupSolveResult& direct,
+                                       const char* table) {
+  std::ostringstream os;
+  os << "solve_group_l1 vs the direct path on " << table << ": ";
+  if (got.iterations != direct.iterations || got.kappa != direct.kappa ||
+      got.objective.size() != direct.objective.size()) {
+    os << "iterations / kappa differ";
+    return os.str();
+  }
+  for (index_t i = 0; i < direct.x.size(); ++i) {
+    if (!(std::abs(got.x.data()[i] - direct.x.data()[i]) <= 1e-6)) {
+      os << "x differs at " << i;
+      return os.str();
+    }
+  }
+  for (std::size_t i = 0; i < direct.objective.size(); ++i) {
+    if (!(std::abs(got.objective[i] - direct.objective[i]) <=
+          1e-6 * (1.0 + std::abs(direct.objective[i])))) {
+      os << "objective differs at " << i;
+      return os.str();
+    }
+  }
+  return std::nullopt;
+}
+
+/// The single-column entry points against the group solve: solve_l1 on
+/// y's first column equals solve_group_l1 on that column in every field,
+/// and the CVec spectrum overload equals the CMat one on its x, byte for
+/// byte (nan_any: see same_doubles); nullopt when they match.
+std::optional<std::string> single_column_match(const LinearOperator& op,
+                                               const CMat& y,
+                                               const SolveConfig& cfg,
+                                               const char* table,
+                                               bool nan_any,
+                                               const ThreadPool* pool) {
+  const CVec y0 = y.col_vec(0);
+  CMat y1(y.rows(), 1);
+  y1.set_col(0, y0);
+  const SolveResult got = solve_l1(op, y0, cfg);
+  const GroupSolveResult want = solve_group_l1(op, y1, cfg, pool);
+  if (auto err = compare(got, want, "solve_l1 vs solve_group_l1 at k = 1",
+                         table, nan_any)) {
+    return err;
+  }
+  const KroneckerOperator& kron = *op.kronecker();
+  const roarray::dsp::Grid aoa(0.0, 1.0, kron.left().cols());
+  const roarray::dsp::Grid toa(0.0, 1.0, kron.right().cols());
+  const auto vec = roarray::core::coefficients_to_spectrum(got.x, aoa, toa);
+  const auto mat = roarray::core::coefficients_to_spectrum(want.x, aoa, toa);
+  if (!same_doubles(vec.values.data(), mat.values.data(),
+                    static_cast<std::size_t>(mat.values.size()), nan_any)) {
+    return std::string("coefficients_to_spectrum CVec vs CMat at k = 1 on ") +
+           table;
+  }
+  return std::nullopt;
+}
+
+/// Runs the production solver against its oracle under every table, and
+/// the single-column entry points against it; nullopt when all match
+/// (nan_any: see same_doubles). direct also holds the solver to the
+/// oracle's direct path within rounding. Adds the oracle's coverage to
+/// `cov` and its converged runs to `converged`. A pool, when given, runs
+/// the production group solves.
 std::optional<std::string> solvers_match(const LinearOperator& op,
                                          const CMat& y, const SolveConfig& cfg,
                                          Coverage& cov, int& converged,
                                          bool nan_any = false,
-                                         const ThreadPool* pool = nullptr) {
+                                         const ThreadPool* pool = nullptr,
+                                         bool direct = false) {
   for (const be::Backend* table : tables()) {
     be::force(table);
     const GroupSolveResult want = oracle::solve_group_l1(op, y, cfg, cov);
@@ -690,13 +651,17 @@ std::optional<std::string> solvers_match(const LinearOperator& op,
             compare(got, want, "solve_group_l1", table->name, nan_any)) {
       return err;
     }
-    const CVec y0 = y.col_vec(0);
-    const SolveResult want1 = oracle::solve_l1(op, y0, cfg, cov);
-    const SolveResult got1 = solve_l1(op, y0, cfg);
-    if (auto err = compare(got1, want1, "solve_l1", table->name, nan_any)) {
+    if (direct) {
+      Coverage unused;
+      const GroupSolveResult want_direct =
+          oracle::solve_group_l1(op, y, cfg, unused, /*reuse=*/false);
+      if (auto err = near_direct(got, want_direct, table->name)) return err;
+    }
+    if (auto err =
+            single_column_match(op, y, cfg, table->name, nan_any, pool)) {
       return err;
     }
-    converged += (want.converged ? 1 : 0) + (want1.converged ? 1 : 0);
+    converged += want.converged ? 1 : 0;
   }
   return std::nullopt;
 }
@@ -731,7 +696,8 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
   pt::CheckConfig cfg;
   cfg.cases = 40;
   pt::check<SolverCase>(
-      "solve_group_l1 / solve_l1 == frozen reference, byte for byte",
+      "solve_group_l1 == frozen reference, solve_l1 == its k = 1 case, "
+      "byte for byte",
       gen_solver_case(),
       [&](const SolverCase& c) -> std::optional<std::string> {
         pt::Rng rng(c.data_seed);
@@ -740,16 +706,18 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
         const LinearOperator& op = cop.op();
         CMat y = make_rhs(op, c.k, rng);
         if (c.variant == Variant::kZeroRhs) y = CMat(op.rows(), c.k);
-        return solvers_match(op, y, make_config(c), cov, converged);
+        return solvers_match(op, y, make_config(c), cov, converged, false,
+                             nullptr, c.variant == Variant::kDirect);
       },
       {}, show_solver_case, cfg);
   // The generated cases must reach the paths the row-sparse passes and
-  // the block screen could get wrong: monotone restarts, early
-  // convergence, the support-restricted operator, screened blocks,
-  // blocks that are zero where the step starts but fail the bound, and
-  // the stale-reference screen's three outcomes. A single-case replay
-  // cannot cover them all.
+  // the block screen could get wrong: single-column solves, monotone
+  // restarts, early convergence, the support-restricted operator,
+  // screened blocks, blocks that are zero where the step starts but fail
+  // the bound, and the stale-reference screen's three outcomes. A
+  // single-case replay cannot cover them all.
   if (!pt::replaying()) {
+    EXPECT_GT(cov.single_column, 0);
     EXPECT_GT(cov.restarts, 0);
     EXPECT_GT(converged, 0);
     EXPECT_GT(support_cases, 0);
@@ -963,6 +931,7 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
       },
       {}, show_edge_case, cfg);
   if (!pt::replaying()) {
+    EXPECT_GT(cov.single_column, 0);
     EXPECT_GT(cov.screened, 0);
     EXPECT_GT(cov.dead_open, 0);
     EXPECT_GT(cov.drift_cleared, 0);

@@ -562,6 +562,19 @@ void check_hot_alloc(const std::vector<SourceFile>& files,
                      const CodeModel& model, const Specs& specs,
                      std::vector<Finding>& findings) {
   const HotPathSpec& spec = specs.hot;
+
+  // Spec sanity: every named function must exist in the scanned code (a
+  // rename or deletion must not silently leave a stale scope behind).
+  std::set<std::string> defined;
+  for (const FunctionSpan& fn : model.functions) defined.insert(fn.name);
+  for (const std::string& name : spec.hot_fns) {
+    if (defined.count(name) == 0) {
+      findings.push_back({specs.hot_origin, 0, "spec",
+                          "spec names a function not found in the scanned "
+                          "sources: " + name});
+    }
+  }
+
   for (const SourceFile& f : files) {
     std::vector<HotRange> ranges;
     for (const std::string& d : spec.hot_dirs) {

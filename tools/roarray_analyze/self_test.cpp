@@ -496,6 +496,18 @@ const char* const kTwoModules =
          "}\n"}},
        {}});
 
+  fx.push_back({"hot-alloc: spec naming an unknown function fails closed",
+                kOneModule,
+                "",
+                "hot-fn prox_fn\nhot-fn retired_pass\n",
+                {{"src/sparse/p.hpp",
+                  "#pragma once\n"
+                  "inline void prox_fn(int n, double* x) {\n"
+                  "  for (int i = 0; i < n; ++i) x[i] *= 0.5;\n"
+                  "}\n"}},
+                {{"spec", "function not found in the scanned sources: "
+                          "retired_pass"}}});
+
   fx.push_back({"hot-alloc: malformed hot-path directive fails closed",
                 kOneModule,
                 "",
