@@ -31,7 +31,6 @@
 #include "sparse/l1svd.hpp"
 #include "sparse/omp.hpp"
 #include "sparse/prox.hpp"
-#include "sparse/reweighted.hpp"
 #include "sparse/operator.hpp"
 
 namespace {
@@ -301,21 +300,6 @@ void BM_SolverOmp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverOmp)->Unit(benchmark::kMillisecond);
-
-void BM_SolverReweighted(benchmark::State& state) {
-  const dsp::Grid aoa(0.0, 180.0, 91);
-  const dsp::Grid toa(0.0, 784e-9, 50);
-  const sparse::KroneckerOperator op(dsp::steering_matrix_aoa(aoa, kArray),
-                                     dsp::steering_matrix_toa(toa, kArray));
-  const CVec y = measurement_for(kArray, 2);
-  sparse::ReweightedConfig cfg;
-  cfg.rounds = 3;
-  cfg.inner.max_iterations = 150;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sparse::solve_reweighted_l1(op, y, cfg));
-  }
-}
-BENCHMARK(BM_SolverReweighted)->Unit(benchmark::kMillisecond);
 
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<index_t>(state.range(0));

@@ -5,8 +5,8 @@
 # -D_GLIBCXX_ASSERTIONS precondition checks). The sanitizer leg
 # reruns the whole ctest suite with a multi-threaded runtime
 # (ROARRAY_THREADS) so data races and lifetime bugs in the pool/cache
-# layer surface under instrumentation. The repo-invariant linter
-# (tools/roarray_lint) runs inside every ctest pass (label: lint).
+# layer surface under instrumentation. The source-analysis tool
+# (tools/roarray_analyze) runs inside every ctest pass (label: lint).
 #
 # Usage:
 #   scripts/ci.sh [jobs]              full CI (Release + bench smoke + ASan)
@@ -54,12 +54,13 @@
 #                                     own bit-identity checks gate the
 #                                     change. Also runs inside the full
 #                                     leg.
-#   scripts/ci.sh --analyze [jobs]    semantic-analyzer leg: builds
+#   scripts/ci.sh --analyze [jobs]    source-analysis leg: builds
 #                                     tools/roarray_analyze, runs its
-#                                     fixture self-test, then runs the
-#                                     include-layering / lock-order /
-#                                     hot-alloc rules over src/ against
-#                                     the specs in tools/roarray_analyze/.
+#                                     fixture self-test, then runs all
+#                                     four rule families over src tests
+#                                     bench examples tools (the same
+#                                     command as ctest) against the
+#                                     specs in tools/roarray_analyze/.
 #                                     Never skips — the tool is std-only
 #                                     and builds wherever the library
 #                                     does; any finding exits nonzero.
@@ -189,17 +190,17 @@ print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]
   done
 }
 
-# Builds the source tools and runs the semantic analyzer (self-test
-# first, then the committed src/ tree against the committed specs).
-# Deliberately no graceful skip: the analyzer is std-only, so "cannot
+# Builds the source-analysis tool and runs it (self-test first, then
+# the five committed roots against the committed specs, as ctest does).
+# Deliberately no graceful skip: the tool is std-only, so "cannot
 # build the analyzer" is itself a CI failure.
 analyze_gate() {
-  echo "== Semantic analysis (tools/roarray_analyze) =="
+  echo "== Source analysis (tools/roarray_analyze) =="
   cmake --preset default >/dev/null
-  cmake --build --preset default -j "${JOBS}" \
-    --target roarray_analyze roarray_lint
+  cmake --build --preset default -j "${JOBS}" --target roarray_analyze
   ./build/tools/roarray_analyze --self-test
-  ./build/tools/roarray_analyze --spec-dir tools/roarray_analyze src
+  ./build/tools/roarray_analyze --spec-dir tools/roarray_analyze \
+    src tests bench examples tools
 }
 
 if [[ "$MODE" == analyze ]]; then

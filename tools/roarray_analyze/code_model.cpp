@@ -119,29 +119,23 @@ void extract_annotations(const std::vector<Token>& pending,
 
 class FileScanner {
  public:
-  FileScanner(SourceFile& file, CodeModel& model)
+  FileScanner(const SourceFile& file, CodeModel& model)
       : file_(file), model_(model) {}
 
   void run() {
-    bool in_block_comment = false;
     bool pp_continues = false;
-    file_.code.clear();
-    file_.code.reserve(file_.raw.size());
     for (std::size_t li = 0; li < file_.raw.size(); ++li) {
       const std::string& raw = file_.raw[li];
       line_ = static_cast<int>(li) + 1;
-      std::string code = strip_code(raw, in_block_comment);
-      const std::string trimmed = trim(code);
+      const std::string trimmed = trim(file_.code[li]);
       const bool is_pp = pp_continues || (!trimmed.empty() && trimmed[0] == '#');
       if (is_pp) {
         pp_continues = !raw.empty() && raw.back() == '\\';
         if (starts_with(trimmed, "#include")) record_include(raw);
-        file_.code.push_back(std::move(code));
         continue;
       }
       pp_continues = false;
-      feed_line(code);
-      file_.code.push_back(std::move(code));
+      feed_line(file_.code[li]);
     }
     // Close any dangling scopes so spans are recorded even for
     // truncated fixtures.
@@ -491,7 +485,7 @@ class FileScanner {
     pending_eq_ = false;
   }
 
-  SourceFile& file_;
+  const SourceFile& file_;
   CodeModel& model_;
   int line_ = 0;
   int brace_depth_ = 0;
@@ -510,7 +504,7 @@ class FileScanner {
 
 }  // namespace
 
-void scan_file(SourceFile& file, CodeModel& model) {
+void scan_file(const SourceFile& file, CodeModel& model) {
   FileScanner scanner(file, model);
   scanner.run();
 }

@@ -1,6 +1,7 @@
 // Lightweight structural model of a C++ source tree, extracted with the
 // shared lexer (no real parser, no compiler dependency). One scan pass
-// per file recovers exactly the facts the three rule families need:
+// per src/ file recovers exactly the facts the three semantic rule
+// families (layering, lock-order, hot-alloc) need:
 //
 //   * quoted #include edges                       (include-layering DAG)
 //   * class definitions and their Mutex members   (lock registry)
@@ -31,8 +32,8 @@
 
 namespace roarray::srctool {
 
-/// One scanned file: repo-relative path plus raw and comment/string-
-/// stripped lines (1-based access via index + 1).
+/// One scanned file: repo-relative path (see scope_path) plus raw and
+/// comment/string-stripped lines (1-based access via index + 1).
 struct SourceFile {
   std::string path;
   std::vector<std::string> raw;
@@ -115,8 +116,9 @@ struct CodeModel {
   std::vector<PrimitiveUse> primitives;
 };
 
-/// Populates `file.code` from `file.raw` and folds the file's structure
-/// into `model`. Call once per file; the model accumulates.
-void scan_file(SourceFile& file, CodeModel& model);
+/// Folds the file's structure into `model`; `file.code` must already
+/// hold the stripped lines (see strip_lines). Call once per file; the
+/// model accumulates.
+void scan_file(const SourceFile& file, CodeModel& model);
 
 }  // namespace roarray::srctool

@@ -1,5 +1,5 @@
-// Finding record shared by the roarray_analyze rule families, plus the
-// human-readable and --json renderers.
+// Finding record shared by every roarray_analyze rule family, plus the
+// one human-readable and --json renderer pair.
 #pragma once
 
 #include <algorithm>
@@ -12,7 +12,10 @@ namespace roarray::srctool {
 struct Finding {
   std::string path;
   int line = 0;
-  std::string rule;     ///< "layering" | "lock-order" | "hot-alloc" | "spec".
+  std::string rule;  ///< "layering" | "lock-order" | "hot-alloc" | "spec", or
+                     ///< a token rule: "determinism" | "no-iostream" |
+                     ///< "pragma-once" | "mutable-global" |
+                     ///< "unchecked-io" | "intrinsics".
   std::string message;
 };
 

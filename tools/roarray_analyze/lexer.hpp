@@ -1,21 +1,17 @@
-// Shared lightweight C++ lexing primitives for the repo's dependency-free
-// source tools (tools/roarray_lint.cpp and tools/roarray_analyze/).
+// Lightweight C++ lexing primitives for roarray_analyze, the repo's
+// dependency-free source-analysis tool.
 //
 // The core operation is strip_code(): given one raw source line it removes
 // // and /* */ comments and the contents of string/char literals (carrying
 // the block-comment state across lines), so token-level checks never fire
 // on prose or quoted text. On top of that sit boundary-aware token search
-// (has_token), a positional tokenizer (tokenize) for the structural scans
-// in roarray_analyze, and the shared one-line suppression syntax:
+// (has_token), a positional tokenizer (tokenize) for the structural scans,
+// and the one-line suppression syntax every rule family honors:
 //
-//     ... // roarray-lint: allow(<rule>) <why>
 //     ... // roarray-analyze: allow(<rule>) <why>
 //
-// Either marker suppresses the named rule on that line in both tools, so a
-// file moving between the linters never needs its annotations rewritten.
-//
-// Header-only and std-only by design: the tools must build anywhere the
-// library builds and run as ordinary ctest cases.
+// Header-only and std-only by design: the tool must build anywhere the
+// library builds and run as an ordinary ctest case.
 #pragma once
 
 #include <cctype>
@@ -97,23 +93,30 @@ namespace roarray::srctool {
   return false;
 }
 
-/// One-line local suppression, honored by both tools: the raw line
-/// carries `roarray-lint: allow(<rules>)` or `roarray-analyze:
-/// allow(<rules>)` naming this rule.
+/// Strips a whole file, line by line, carrying /* */ state across lines.
+[[nodiscard]] inline std::vector<std::string> strip_lines(
+    const std::vector<std::string>& raw) {
+  std::vector<std::string> code;
+  code.reserve(raw.size());
+  bool in_block = false;
+  for (const std::string& line : raw) {
+    code.push_back(strip_code(line, in_block));
+  }
+  return code;
+}
+
+/// One-line local suppression: the raw line carries
+/// `roarray-analyze: allow(<rules>)` naming this rule.
 [[nodiscard]] inline bool suppressed(const std::string& raw_line,
                                      std::string_view rule) {
-  for (const std::string_view marker :
-       {"roarray-lint: allow(", "roarray-analyze: allow("}) {
-    const std::size_t pos = raw_line.find(marker);
-    if (pos == std::string::npos) continue;
-    const std::size_t open = pos + marker.size() - 1;
-    const std::size_t close = raw_line.find(')', open);
-    if (close == std::string::npos) continue;
-    const std::string_view rules(raw_line.data() + open + 1,
-                                 close - open - 1);
-    if (rules.find(rule) != std::string_view::npos) return true;
-  }
-  return false;
+  constexpr std::string_view kMarker = "roarray-analyze: allow(";
+  const std::size_t pos = raw_line.find(kMarker);
+  if (pos == std::string::npos) return false;
+  const std::size_t open = pos + kMarker.size() - 1;
+  const std::size_t close = raw_line.find(')', open);
+  if (close == std::string::npos) return false;
+  const std::string_view rules(raw_line.data() + open + 1, close - open - 1);
+  return rules.find(rule) != std::string_view::npos;
 }
 
 [[nodiscard]] inline std::vector<std::string> path_components(

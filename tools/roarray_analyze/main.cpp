@@ -1,10 +1,18 @@
-// roarray_analyze — semantic companion to roarray_lint. Three rule
-// families driven by machine-readable specs living next to the binary's
-// sources (see spec.hpp for the directive grammar):
+// roarray_analyze — the repo's source-analysis tool. Four rule
+// families, the first three driven by machine-readable specs living next
+// to the binary's sources (see spec.hpp for the directive grammar):
 //
 //   layering   include edges must follow the module DAG in layering.txt
 //   lock-order mutex acquisition graph must match lock_order.txt
 //   hot-alloc  no heap allocation in hot_paths.txt scopes
+//   token      determinism, no-iostream, pragma-once, mutable-global,
+//              unchecked-io, intrinsics: line-local invariants with
+//              fixed path scopes (see check_tokens in rules.cpp)
+//
+// The first three read src/ only; the token rules read every root. Files
+// are scoped by their path relative to the root they were found under
+// (see scope_path), so pass the repo's top-level directories:
+//   roarray_analyze --spec-dir tools/roarray_analyze src tests bench examples tools
 //
 // Usage:
 //   roarray_analyze [--json] [--spec-dir <dir>] <path>...
@@ -17,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lexer.hpp"
@@ -30,20 +39,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace roarray::srctool;
-
-/// Maps any on-disk path to the repo-relative form the specs use
-/// ("src/..."), so absolute ctest invocations and relative CLI runs
-/// produce identical findings.
-[[nodiscard]] std::string repo_relative(const std::string& path) {
-  std::string p = path;
-  for (char& c : p) {
-    if (c == '\\') c = '/';
-  }
-  const std::size_t pos = p.rfind("/src/");
-  if (pos != std::string::npos) return p.substr(pos + 1);
-  if (starts_with(p, "./")) return p.substr(2);
-  return p;
-}
 
 [[nodiscard]] bool source_ext(const fs::path& p) {
   const std::string e = p.extension().string();
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<std::string> paths;
+  std::vector<std::pair<std::string, std::string>> paths;  // (root, file).
   for (const std::string& root : roots) {
     std::error_code ec;
     if (fs::is_directory(root, ec)) {
@@ -155,11 +150,11 @@ int main(int argc, char** argv) {
           continue;
         }
         if (it->is_regular_file() && source_ext(p)) {
-          paths.push_back(p.string());
+          paths.emplace_back(root, p.string());
         }
       }
     } else if (fs::is_regular_file(root, ec)) {
-      paths.push_back(root);
+      paths.emplace_back(root, root);
     } else {
       std::fprintf(stderr, "roarray_analyze: no such file or directory: %s\n",
                    root.c_str());
@@ -169,9 +164,9 @@ int main(int argc, char** argv) {
 
   std::vector<SourceFile> files;
   files.reserve(paths.size());
-  for (const std::string& p : paths) {
+  for (const auto& [root, p] : paths) {
     SourceFile sf;
-    sf.path = repo_relative(p);
+    sf.path = scope_path(root, p);
     if (!read_lines(p, sf.raw)) {
       std::fprintf(stderr, "roarray_analyze: cannot read %s\n", p.c_str());
       return 2;

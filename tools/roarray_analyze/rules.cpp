@@ -1,5 +1,6 @@
 #include "rules.hpp"
 
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
@@ -10,6 +11,26 @@
 namespace roarray::srctool {
 
 namespace {
+
+// ---------------------------------------------------------------------------
+// Path scopes
+// ---------------------------------------------------------------------------
+
+/// Where a scope_path() lies, as the rule families see it: layering,
+/// lock-order and hot-alloc read src/ only, and the token rules carve
+/// out src/runtime/, src/io/ and src/linalg/backend/.
+struct PathScope {
+  bool in_src = false;
+  bool in_runtime = false;
+  bool in_io = false;
+  bool in_backend = false;
+};
+
+[[nodiscard]] PathScope classify(std::string_view path) {
+  return {starts_with(path, "src/"), starts_with(path, "src/runtime/"),
+          starts_with(path, "src/io/"),
+          starts_with(path, "src/linalg/backend/")};
+}
 
 // ---------------------------------------------------------------------------
 // Include layering
@@ -645,14 +666,213 @@ void check_hot_alloc(const std::vector<SourceFile>& files,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Token rules
+// ---------------------------------------------------------------------------
+
+/// Tokens that make library output depend on process entropy or clocks.
+/// `require_call` distinguishes calls from substrings of longer names.
+struct ForbiddenToken {
+  const char* token;
+  bool require_call;
+};
+constexpr ForbiddenToken kDeterminismTokens[] = {
+    {"rand", true},          {"srand", true},
+    {"rand_r", true},        {"random_device", false},
+    {"system_clock", false}, {"steady_clock", false},
+    {"high_resolution_clock", false},
+    {"gettimeofday", true},  {"clock_gettime", true},
+    {"time", true},          {"clock", true},
+    {"localtime", true},     {"gmtime", true},
+};
+
+/// Heuristic for a mutable namespace-scope variable definition. Only
+/// lines at column 0 are considered (this codebase does not indent
+/// namespace contents; class members and function bodies are indented),
+/// and declaration keywords that cannot define a mutable object bail
+/// out early. Function definitions/declarations are excluded by the
+/// no-parenthesis requirement.
+[[nodiscard]] bool looks_like_mutable_global(const std::string& code) {
+  if (code.empty() || std::isspace(static_cast<unsigned char>(code[0])) != 0) {
+    return false;
+  }
+  const std::string t = trim(code);
+  for (const char* benign :
+       {"#", "//", "}", "{", "using ", "typedef ", "namespace ", "template",
+        "struct ", "class ", "enum ", "return ", "friend ", "extern ",
+        "case ", "public", "private", "protected", "ROARRAY_", "TEST"}) {
+    if (starts_with(t, benign)) return false;
+  }
+  if (t.find("const") != std::string::npos) return false;  // const/constexpr
+  if (t.find('(') != std::string::npos) return false;      // function-ish
+  const bool storage = starts_with(t, "static ") || starts_with(t, "inline ") ||
+                       starts_with(t, "thread_local ") ||
+                       starts_with(t, "mutable ");
+  const bool defines = t.find('=') != std::string::npos ||
+                       (!t.empty() && t.back() == ';');
+  if (!defines) return false;
+  if (storage) return true;
+  if (!ident_char(t[0])) return false;
+  // Plain `T name = init;` at namespace scope. Without an initializer,
+  // require at least two identifier-ish tokens (`std::random_device rd;`)
+  // so single-word statements don't trip.
+  if (t.find('=') != std::string::npos) return true;
+  int words = 0;
+  bool in_word = false;
+  for (const char c : t) {
+    const bool w = ident_char(c);
+    if (w && !in_word) ++words;
+    in_word = w;
+  }
+  return words >= 2;
+}
+
+/// True when `code` (already comment/string-stripped) contains a raw
+/// SIMD intrinsic identifier: anything beginning `_mm` (SSE/AVX/AVX-512
+/// calls and masks), `__m<digit>` (the vector register types), or a
+/// NEON-style `v...q_{f,s,u}<width>` / `v...q_lane` name.
+[[nodiscard]] bool has_intrinsic_token(std::string_view code) {
+  std::size_t i = 0;
+  while (i < code.size()) {
+    if (!ident_char(code[i]) || (i > 0 && ident_char(code[i - 1]))) {
+      ++i;
+      continue;
+    }
+    std::size_t e = i;
+    while (e < code.size() && ident_char(code[e])) ++e;
+    const std::string_view id = code.substr(i, e - i);
+    if (starts_with(id, "_mm")) return true;
+    if (starts_with(id, "__m") && id.size() > 3 &&
+        std::isdigit(static_cast<unsigned char>(id[3])) != 0) {
+      return true;
+    }
+    if (id.size() > 6 && id[0] == 'v' &&
+        (id.find("q_f64") != std::string_view::npos ||
+         id.find("q_f32") != std::string_view::npos ||
+         id.find("q_u64") != std::string_view::npos ||
+         id.find("q_s64") != std::string_view::npos ||
+         id.find("q_lane_") != std::string_view::npos)) {
+      return true;
+    }
+    i = e;
+  }
+  return false;
+}
+
+/// Detects an fread/fwrite call whose result is visibly discarded: the
+/// trimmed statement begins with the call itself, optionally behind a
+/// (void) cast. Results consumed by a condition, assignment, or
+/// comparison leave the call mid-expression and do not match.
+[[nodiscard]] bool discards_stdio_result(std::string_view t) {
+  if (starts_with(t, "(void)")) {
+    t.remove_prefix(6);
+    while (!t.empty() && std::isspace(static_cast<unsigned char>(t[0])) != 0) {
+      t.remove_prefix(1);
+    }
+  }
+  for (const std::string_view call : {"std::fread", "std::fwrite", "::fread",
+                                      "::fwrite", "fread", "fwrite"}) {
+    if (!starts_with(t, call)) continue;
+    std::size_t i = call.size();
+    while (i < t.size() &&
+           std::isspace(static_cast<unsigned char>(t[i])) != 0) {
+      ++i;
+    }
+    if (i < t.size() && t[i] == '(') return true;
+  }
+  return false;
+}
+
+/// Line-local invariants, scoped by path:
+///   determinism     no entropy or clock reads in src/
+///   no-iostream     no <iostream> or std::cout/cerr/clog/cin in src/
+///   pragma-once     every header carries #pragma once
+///   mutable-global  no mutable namespace-scope state in src/ outside
+///                   src/runtime/
+///   unchecked-io    no discarded fread/fwrite result in src/io/
+///   intrinsics      raw SIMD intrinsics only in src/linalg/backend/
+void check_tokens(const std::vector<SourceFile>& files,
+                  std::vector<Finding>& findings) {
+  for (const SourceFile& f : files) {
+    const PathScope scope = classify(f.path);
+    bool saw_pragma_once = false;
+    for (std::size_t i = 0; i < f.code.size(); ++i) {
+      const std::string& code = f.code[i];
+      const std::string t = trim(code);
+      const int line = static_cast<int>(i) + 1;
+      const bool include = starts_with(t, "#include");
+      if (t == "#pragma once") saw_pragma_once = true;
+
+      if (!scope.in_backend &&
+          ((include && (t.find("immintrin.h") != std::string::npos ||
+                        t.find("arm_neon.h") != std::string::npos)) ||
+           has_intrinsic_token(code))) {
+        findings.push_back(
+            {f.path, line, "intrinsics",
+             "raw SIMD intrinsics are confined to src/linalg/backend/ "
+             "(add a kernel to the Backend table instead)"});
+      }
+      if (!scope.in_src) continue;
+
+      for (const ForbiddenToken& ft : kDeterminismTokens) {
+        if (has_token(code, ft.token, ft.require_call)) {
+          findings.push_back(
+              {f.path, line, "determinism",
+               std::string("forbidden nondeterminism source '") + ft.token +
+                   "' in library code (seed explicitly instead)"});
+          break;
+        }
+      }
+      if ((include && t.find("<iostream>") != std::string::npos) ||
+          has_token(code, "cout") || has_token(code, "cerr") ||
+          has_token(code, "clog") || has_token(code, "cin")) {
+        findings.push_back({f.path, line, "no-iostream",
+                            "iostream is banned in library targets (return "
+                            "values / exceptions instead)"});
+      }
+      if (scope.in_io && discards_stdio_result(t)) {
+        findings.push_back(
+            {f.path, line, "unchecked-io",
+             "discarded fread/fwrite result in src/io (short reads/writes "
+             "must reach the typed TraceError/ReadStatus paths)"});
+      }
+      if (!scope.in_runtime && looks_like_mutable_global(code)) {
+        findings.push_back(
+            {f.path, line, "mutable-global",
+             "mutable namespace-scope state outside src/runtime/ (move it "
+             "into the runtime layer and guard it)"});
+      }
+    }
+    if ((ends_with(f.path, ".hpp") || ends_with(f.path, ".h")) &&
+        !saw_pragma_once) {
+      findings.push_back(
+          {f.path, 1, "pragma-once", "header is missing #pragma once"});
+    }
+  }
+}
+
 }  // namespace
+
+std::string scope_path(const std::string& root, const std::string& file) {
+  namespace fs = std::filesystem;
+  fs::path r = fs::path(root).lexically_normal();
+  const fs::path f = fs::path(file).lexically_normal();
+  if (!r.has_filename()) r = r.parent_path();  // "src/" -> "src".
+  const fs::path scoped =
+      f == r ? f : (r.filename() / f.lexically_relative(r)).lexically_normal();
+  return scoped.generic_string();
+}
 
 std::vector<Finding> run_rules(std::vector<SourceFile>& files,
                                const Specs& specs) {
   CodeModel model;
-  for (SourceFile& f : files) scan_file(f, model);
+  for (SourceFile& f : files) {
+    f.code = strip_lines(f.raw);
+    if (classify(f.path).in_src) scan_file(f, model);
+  }
 
   std::vector<Finding> findings;
+  check_tokens(files, findings);
   check_layering(model, specs, findings);
   check_lock_order(model, specs, findings);
   check_hot_alloc(files, model, specs, findings);

@@ -1,11 +1,13 @@
 // Built-in fixture battery for roarray_analyze (--self-test): every
 // rule family gets at least one clean and one violating fixture, plus
-// fixtures for suppressions and fail-closed spec handling. Fixtures are
-// synthetic in-memory files run through exactly the production pipeline
-// (scan -> rules -> suppression filter), so a behavior change that
-// weakens a rule fails here before it reaches CI.
+// fixtures for suppressions, path scopes and fail-closed spec handling.
+// Fixtures are synthetic in-memory files run through exactly the
+// production pipeline (scope_path -> scan -> rules -> suppression
+// filter), so a behavior change that weakens a rule fails here before it
+// reaches CI.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rules.hpp"
@@ -45,6 +47,163 @@ const char* const kTwoModules =
 
 [[nodiscard]] std::vector<Fixture> make_fixtures() {
   std::vector<Fixture> fx;
+
+  // -- token rules ---------------------------------------------------------
+  // Single-file fixtures under the one-module map (so the semantic
+  // families stay quiet), each expecting an exact multiset of rules.
+
+  const auto token = [&fx](std::string name, std::string path,
+                           std::string content,
+                           const std::vector<std::string>& rules) {
+    std::vector<Expected> expect;
+    for (const std::string& r : rules) expect.push_back({r, ""});
+    fx.push_back({std::move(name), kOneModule, "", "",
+                  {{std::move(path), std::move(content)}}, std::move(expect)});
+  };
+
+  token("token: rand call flagged", "src/dsp/a.cpp",
+        "int f() { return rand(); }\n", {"determinism"});
+  token("token: std::rand flagged", "src/dsp/a.cpp",
+        "#include <cstdlib>\nint f() { return std::rand(); }\n",
+        {"determinism"});
+  token("token: random_device flagged", "src/core/b.cpp",
+        "std::random_device rd;\n", {"determinism", "mutable-global"});
+  token("token: wall clock flagged", "src/core/b.cpp",
+        "auto t = std::chrono::system_clock::now();\n", {"determinism"});
+  token("token: time() call flagged", "src/core/b.cpp",
+        "long f() { return time(nullptr); }\n", {"determinism"});
+  token("token: runtime( is not time(", "src/core/b.cpp",
+        "void runtime(int); void f() { runtime (3); }\n", {});
+  token("token: comment mention ok", "src/core/b.cpp",
+        "// steady_clock would break determinism here\nint x() { return 1; }\n",
+        {});
+  token("token: string mention ok", "src/core/b.cpp",
+        "const char* k = \"std::rand() is banned\";\n", {});
+  token("token: block comment ok", "src/core/b.cpp",
+        "/* srand(7) was\n   the old seeding */\nint y() { return 2; }\n", {});
+  token("token: suppression honored", "src/core/b.cpp",
+        "long f() { return time(nullptr); }  "
+        "// roarray-analyze: allow(determinism) boot stamp only\n",
+        {});
+  token("token: clock outside src ok", "bench/b.cpp",
+        "auto t = std::chrono::steady_clock::now();\n", {});
+  token("token: iostream include flagged", "src/eval/c.cpp",
+        "#include <iostream>\n", {"no-iostream"});
+  token("token: cerr use flagged", "src/eval/c.cpp",
+        "void f() { std::cerr << 1; }\n", {"no-iostream"});
+  token("token: iostream in tests ok", "tests/t.cpp",
+        "#include <iostream>\n", {});
+  token("token: missing pragma once", "src/dsp/h.hpp", "int f();\n",
+        {"pragma-once"});
+  token("token: pragma once present", "src/dsp/h.hpp",
+        "// doc\n#pragma once\nint f();\n", {});
+  token("token: pragma enforced outside src too", "tests/t.hpp", "int f();\n",
+        {"pragma-once"});
+  token("token: mutable global flagged", "src/music/g.cpp",
+        "static int call_count = 0;\n", {"mutable-global"});
+  token("token: inline global flagged", "src/music/g.hpp",
+        "#pragma once\ninline int hits = 0;\n", {"mutable-global"});
+  token("token: plain global flagged", "src/music/g.cpp",
+        "int counter = 0;\n", {"mutable-global"});
+  token("token: const global ok", "src/music/g.cpp",
+        "static const int kLimit = 3;\n", {});
+  token("token: constexpr global ok", "src/music/g.hpp",
+        "#pragma once\ninline constexpr double kPi = 3.14;\n", {});
+  token("token: function def ok", "src/music/g.cpp",
+        "static int helper() { return 1; }\n", {});
+  token("token: indented local ok", "src/music/g.cpp",
+        "int f() {\n  static int memo = compute();\n  return memo;\n}\n", {});
+  token("token: runtime exempt", "src/runtime/pool.cpp",
+        "inline thread_local bool in_region = false;\n", {});
+  token("token: global in tests ok", "tests/t.cpp",
+        "static int hits = 0;\n", {});
+  token("token: suppressed global ok", "src/music/g.cpp",
+        "static int hits = 0;  // roarray-analyze: allow(mutable-global) why\n",
+        {});
+  token("token: bare fread flagged in io", "src/io/r.cpp",
+        "void f(FILE* fp, char* b) {\n  fread(b, 1, 8, fp);\n}\n",
+        {"unchecked-io"});
+  token("token: void-cast fwrite flagged in io", "src/io/w.cpp",
+        "void f(FILE* fp, const char* b) {\n  (void)fwrite(b, 1, 8, fp);\n}\n",
+        {"unchecked-io"});
+  token("token: std::fread flagged in io", "src/io/r.cpp",
+        "void f(FILE* fp, char* b) {\n  std::fread(b, 1, 8, fp);\n}\n",
+        {"unchecked-io"});
+  token("token: checked fread ok in io", "src/io/r.cpp",
+        "bool f(FILE* fp, char* b) {\n  return fread(b, 1, 8, fp) == 8;\n}\n",
+        {});
+  token("token: assigned fwrite ok in io", "src/io/w.cpp",
+        "void f(FILE* fp, const char* b) {\n"
+        "  const size_t n = fwrite(b, 1, 8, fp);\n  (void)n;\n}\n",
+        {});
+  token("token: fread-like name ok in io", "src/io/r.cpp",
+        "void fread_all(int);\nvoid f() {\n  fread_all(3);\n}\n", {});
+  token("token: bare fread outside io ok", "src/sim/s.cpp",
+        "void f(FILE* fp, char* b) {\n  fread(b, 1, 8, fp);\n}\n", {});
+  token("token: suppressed fread ok in io", "src/io/r.cpp",
+        "void f(FILE* fp, char* b) {\n"
+        "  fread(b, 1, 8, fp);  // roarray-analyze: allow(unchecked-io) probe\n"
+        "}\n",
+        {});
+  token("token: immintrin include flagged outside backend",
+        "src/linalg/gemm.cpp",
+        "#include <immintrin.h>\n", {"intrinsics"});
+  token("token: arm_neon include flagged outside backend", "src/dsp/x.cpp",
+        "#include <arm_neon.h>\n", {"intrinsics"});
+  token("token: avx call flagged outside backend", "src/sparse/p.cpp",
+        "void f(double* x) {\n  __m256d v = _mm256_loadu_pd(x);\n"
+        "  _mm256_storeu_pd(x, v);\n}\n",
+        {"intrinsics", "intrinsics"});
+  token("token: neon call flagged outside backend", "src/channel/c.cpp",
+        "void f(double* x) {\n  auto v = vld1q_f64(x);\n"
+        "  vst1q_f64(x, vfmaq_f64(v, v, v));\n}\n",
+        {"intrinsics", "intrinsics"});
+  token("token: intrinsics flagged in tests too", "tests/t.cpp",
+        "void f(double* x) {\n  auto v = _mm_loadu_pd(x);\n  (void)v;\n}\n",
+        {"intrinsics"});
+  token("token: intrinsics ok inside backend",
+        "src/linalg/backend/simd_avx2.cpp",
+        "#include <immintrin.h>\n"
+        "void f(double* x) {\n  _mm256_storeu_pd(x, _mm256_setzero_pd());\n}\n",
+        {});
+  token("token: intrinsic in comment ok", "src/linalg/gemm.cpp",
+        "// the backend's _mm256_fmadd_pd path handles this\nint f();\n", {});
+  token("token: intrinsic in string ok", "src/eval/r.cpp",
+        "const char* k = \"_mm256_fmadd_pd\";\n", {});
+  token("token: vector-ish name ok", "src/music/m.cpp",
+        "int vq_f6(int virtq_lanes);\nvoid f(int verify_f64q);\n", {});
+  token("token: suppressed intrinsic ok", "src/dsp/y.cpp",
+        "auto v = _mm_pause();  "
+        "// roarray-analyze: allow(intrinsics) spin hint\n",
+        {});
+  // Serve-layer pair: the sharded router is src/ code like any
+  // other — iostream debugging is flagged, while a clean header
+  // with #pragma once and leaf-lock annotations passes untouched.
+  token("token: iostream flagged in serve router", "src/serve/sharded.cpp",
+        "#include <iostream>\nvoid dbg() { std::cout << \"steal\\n\"; }\n",
+        {"no-iostream", "no-iostream"});
+  token("token: annotated serve header ok", "src/serve/sharded.hpp",
+        "// router front end\n#pragma once\n"
+        "#include \"runtime/thread_annotations.hpp\"\n"
+        "class S {\n  mutable roarray::runtime::Mutex router_mutex_;\n"
+        "  bool stopping_ ROARRAY_GUARDED_BY(router_mutex_) = false;\n};\n",
+        {});
+
+  // Scopes come from the path below the scanned root, never from the
+  // directories above it: a checkout living under some ".../src/" keeps
+  // its tests/ lenient and its src/ strict.
+  token("token: tests/ under an ancestor src/ stays test code",
+        scope_path("/home/ci/src/checkout/tests",
+                   "/home/ci/src/checkout/tests/sim/t.cpp"),
+        "#include <iostream>\n"
+        "void f() { std::cout << std::rand(); }\n",
+        {});
+  token("token: src/ under an ancestor src/ stays library code",
+        scope_path("/home/ci/src/checkout/src/",
+                   "/home/ci/src/checkout/src/dsp/a.cpp"),
+        "#include <iostream>\n"
+        "void f() { std::cout << std::rand(); }\n",
+        {"determinism", "no-iostream", "no-iostream"});
 
   // -- include layering ----------------------------------------------------
 
@@ -481,18 +640,6 @@ const char* const kTwoModules =
          "void setup(int n, Sink& out) {\n"
          "  out.vals.reserve(static_cast<unsigned long>(n));  "
          "// roarray-analyze: allow(hot-alloc) one-time warmup before loop\n"
-         "}\n"}},
-       {}});
-
-  fx.push_back(
-      {"hot-alloc: legacy roarray-lint marker also suppresses",
-       kOneModule,
-       "",
-       "hot-dir src/linalg/backend/\n",
-       {{"src/linalg/backend/k.cpp",
-         "void setup(int n, Sink& out) {\n"
-         "  out.vals.reserve(static_cast<unsigned long>(n));  "
-         "// roarray-lint: allow(hot-alloc) one-time warmup before loop\n"
          "}\n"}},
        {}});
 
