@@ -10,12 +10,16 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include "channel/csi.hpp"
 #include "common.hpp"
 #include "core/roarray.hpp"
 #include "eval/report.hpp"
+#include "io/crc32.hpp"
+#include "io/trace_reader.hpp"
+#include "io/trace_writer.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/sanitize.hpp"
 #include "dsp/steering.hpp"
@@ -331,10 +335,12 @@ BENCHMARK(BM_PowerDelayProfile)->Unit(benchmark::kMicrosecond);
 // BENCH_micro.json: the operator-cache / parallel-runtime report.
 // Measures (1) estimation setup cost, fresh vs cache hit, (2) one joint
 // solve with the Lipschitz constant recomputed per call vs taken from
-// the cache, and (3) a small fig6-style Monte Carlo end to end under the
+// the cache, (3) a small fig6-style Monte Carlo end to end under the
 // three execution modes (serial per-call setup, serial with cached
 // operator, N-thread pool with cached operator), checking that all three
-// produce bit-identical error samples.
+// produce bit-identical error samples, and (4) trace I/O throughput:
+// CRC-32, encode and decode, checked against a byte-at-a-time CRC and
+// the records the trace was written from.
 
 double elapsed_ms(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -352,6 +358,122 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
   return true;
 }
 
+/// Trace I/O throughput on an in-memory trace of the perfbench
+/// serve_open shape: 256 clients, each heard by 3-6 APs (4.5 on
+/// average) with 4 packets per AP, so 4608 records of 3 x 30 CSI.
+struct TraceIoReport {
+  std::size_t records = 0;
+  std::size_t bytes = 0;
+  double crc32_mb_s = 0.0;
+  double encode_mb_s = 0.0;
+  double decode_mb_s = 0.0;
+  bool crc32_matches_bytewise = false;
+  bool decode_identical_to_recorded = false;
+};
+
+/// The plain byte-at-a-time CRC-32 the sliced io::crc32 must equal.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n) {
+  std::uint32_t state = io::crc32_init();
+  for (std::size_t i = 0; i < n; ++i) {
+    state = io::detail::kCrc32Table[(state ^ p[i]) & 0xFFU] ^ (state >> 8);
+  }
+  return io::crc32_final(state);
+}
+
+TraceIoReport measure_trace_io() {
+  using clock = std::chrono::steady_clock;
+  constexpr int kReps = 5;
+  constexpr std::uint64_t kClients = 256;
+  constexpr index_t kPackets = 4;
+  std::mt19937_64 rng(19);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<io::TraceRecord> recorded;
+  std::uint64_t tick = 0;
+  for (std::uint64_t c = 0; c < kClients; ++c) {
+    for (std::uint32_t ap = 0; ap < 3 + c % 4; ++ap) {
+      for (index_t k = 0; k < kPackets; ++k) {
+        io::TraceRecord rec;
+        rec.ap_id = ap;
+        rec.client_id = c;
+        rec.timestamp_tick = tick++;
+        rec.snr_db = 10.0 + 20.0 * unit(rng);
+        rec.csi = CMat(kArray.num_antennas, kArray.num_subcarriers);
+        for (index_t i = 0; i < rec.csi.size(); ++i) {
+          rec.csi.data()[i] = cxd(unit(rng), unit(rng));
+        }
+        recorded.push_back(std::move(rec));
+      }
+    }
+  }
+
+  TraceIoReport r;
+  r.records = recorded.size();
+  std::string trace;
+  double encode_ms = 1e300, crc_ms = 1e300, decode_ms = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::ostringstream os(std::ios::binary);
+    auto t = clock::now();
+    io::TraceWriter writer(os, kArray);
+    for (const io::TraceRecord& rec : recorded) writer.append(rec);
+    writer.flush();
+    encode_ms = std::min(encode_ms, elapsed_ms(t));
+    trace = os.str();
+  }
+  r.bytes = trace.size();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(trace.data());
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto t = clock::now();
+    benchmark::DoNotOptimize(io::crc32(bytes, trace.size()));
+    crc_ms = std::min(crc_ms, elapsed_ms(t));
+  }
+  // Every start offset modulo the 8-byte step, so the sliced loop meets
+  // every tail length.
+  r.crc32_matches_bytewise = true;
+  for (std::size_t off = 0; off < 8; ++off) {
+    r.crc32_matches_bytewise =
+        r.crc32_matches_bytewise &&
+        io::crc32(bytes + off, trace.size() - off) ==
+            crc32_bytewise(bytes + off, trace.size() - off);
+  }
+
+  std::vector<io::ClientRound> rounds;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::istringstream in(trace, std::ios::binary);
+    const auto t = clock::now();
+    io::TraceReader reader(in);
+    rounds = io::read_client_rounds(reader);
+    decode_ms = std::min(decode_ms, elapsed_ms(t));
+  }
+  // The rounds regroup the records in order: client by client, AP by
+  // AP, packet by packet, exactly as they were generated.
+  std::size_t next = 0;
+  bool same = rounds.size() == kClients;
+  for (const io::ClientRound& round : rounds) {
+    for (std::size_t a = 0; a < round.ap_ids.size(); ++a) {
+      for (const CMat& csi : round.bursts[a]) {
+        if (next == recorded.size()) {
+          same = false;
+          break;
+        }
+        const io::TraceRecord& want = recorded[next++];
+        same = same && round.client_id == want.client_id &&
+               round.ap_ids[a] == want.ap_id &&
+               csi.size() == want.csi.size() &&
+               std::memcmp(csi.data(), want.csi.data(),
+                           static_cast<std::size_t>(csi.size()) *
+                               sizeof(cxd)) == 0;
+      }
+    }
+  }
+  r.decode_identical_to_recorded = same && next == recorded.size();
+
+  const double mb = static_cast<double>(r.bytes) / 1e6;
+  r.encode_mb_s = mb / (encode_ms / 1e3);
+  r.crc32_mb_s = mb / (crc_ms / 1e3);
+  r.decode_mb_s = mb / (decode_ms / 1e3);
+  return r;
+}
+
 /// Returns false when the report could not be written (the CI smoke leg
 /// depends on the file existing, so a write failure must fail the run).
 /// `coarse_fine` adds the coarse_to_fine section (--coarse-fine flag).
@@ -360,7 +482,7 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
   const dsp::Grid aoa = dsp::default_aoa_grid();
   const dsp::Grid toa = dsp::default_toa_grid();
 
-  // (1) Setup: fresh build (steering factors + power iteration + grams)
+  // (1) Setup: fresh build (steering factors + power iteration)
   // vs a warm cache hit.
   auto t = clock::now();
   const auto fresh = runtime::build_cached_operator(aoa, toa, kArray);
@@ -720,6 +842,8 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
     }
   }
 
+  const TraceIoReport trace_io = measure_trace_io();
+
   const bool written = bench::write_json_report(path, [&](eval::JsonWriter& w) {
     w.begin_object();
     bench::emit_machine_provenance(w, par_opts.threads);
@@ -799,6 +923,16 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
       w.key("simd_matches_scalar").value(bkr_matches);
     }
     w.end_object();
+    w.end_object();
+    w.key("io").begin_object();
+    w.key("records").value(static_cast<std::int64_t>(trace_io.records));
+    w.key("bytes").value(static_cast<std::int64_t>(trace_io.bytes));
+    w.key("crc32_mb_s").value(trace_io.crc32_mb_s);
+    w.key("encode_mb_s").value(trace_io.encode_mb_s);
+    w.key("decode_mb_s").value(trace_io.decode_mb_s);
+    w.key("crc32_matches_bytewise").value(trace_io.crc32_matches_bytewise);
+    w.key("decode_identical_to_recorded")
+        .value(trace_io.decode_identical_to_recorded);
     w.end_object();
     w.key("fig6_end_to_end").begin_object();
     w.key("serial_percall_ms").value(e2e_percall_ms);

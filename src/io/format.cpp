@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "io/crc32.hpp"
+#include "io/wire.hpp"
 
 namespace roarray::io {
 
@@ -46,19 +47,19 @@ dsp::ArrayConfig TraceHeader::array_config() const {
 }
 
 std::vector<unsigned char> encode_header(const TraceHeader& h) {
-  std::vector<unsigned char> out;
-  out.reserve(kHeaderBytes);
-  wire::put_u64(out, kTraceMagic);
-  wire::put_u32(out, h.version);
-  wire::put_u32(out, static_cast<std::uint32_t>(kHeaderBytes));
-  wire::put_u32(out, h.num_antennas);
-  wire::put_u32(out, h.num_subcarriers);
-  wire::put_f64(out, h.wavelength_m);
-  wire::put_f64(out, h.antenna_spacing_m);
-  wire::put_f64(out, h.subcarrier_spacing_hz);
-  wire::put_u64(out, 0);  // reserved
-  wire::put_u32(out, 0);  // reserved
-  wire::put_u32(out, crc32(out.data(), out.size()));
+  std::vector<unsigned char> out(kHeaderBytes);
+  unsigned char* p = out.data();
+  p = wire::put_u64(p, kTraceMagic);
+  p = wire::put_u32(p, h.version);
+  p = wire::put_u32(p, static_cast<std::uint32_t>(kHeaderBytes));
+  p = wire::put_u32(p, h.num_antennas);
+  p = wire::put_u32(p, h.num_subcarriers);
+  p = wire::put_f64(p, h.wavelength_m);
+  p = wire::put_f64(p, h.antenna_spacing_m);
+  p = wire::put_f64(p, h.subcarrier_spacing_hz);
+  p = wire::put_u64(p, 0);  // reserved
+  p = wire::put_u32(p, 0);  // reserved
+  wire::put_u32(p, crc32(out.data(), kHeaderBytes - 4));
   return out;
 }
 

@@ -2,8 +2,9 @@
 //
 // A trace is one 64-byte file header followed by zero or more
 // fixed-size records. Everything multi-byte is little-endian on disk
-// regardless of host endianness (serialized byte-by-byte, doubles as
-// their IEEE-754 bit patterns, so CSI values round-trip bit-exactly).
+// regardless of host endianness (serialized by the wire codec in
+// wire.hpp, doubles as their IEEE-754 bit patterns, so CSI values
+// round-trip bit-exactly).
 //
 // File header (64 bytes):
 //   offset size field
@@ -37,7 +38,6 @@
 // version they were not built for. See DESIGN.md §9.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -126,47 +126,6 @@ struct TraceRecord {
   double snr_db = 0.0;
   linalg::CMat csi;
 };
-
-namespace wire {
-
-/// Little-endian byte codec. Append-to-vector on the write side,
-/// pointer reads on the read side; doubles travel as their IEEE-754
-/// bit patterns (bit-exact round trip, including non-finite values).
-inline void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  out.push_back(static_cast<unsigned char>(v & 0xFFU));
-  out.push_back(static_cast<unsigned char>((v >> 8) & 0xFFU));
-  out.push_back(static_cast<unsigned char>((v >> 16) & 0xFFU));
-  out.push_back(static_cast<unsigned char>((v >> 24) & 0xFFU));
-}
-
-inline void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFFU));
-  }
-}
-
-inline void put_f64(std::vector<unsigned char>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-[[nodiscard]] inline std::uint32_t get_u32(const unsigned char* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-[[nodiscard]] inline std::uint64_t get_u64(const unsigned char* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-[[nodiscard]] inline double get_f64(const unsigned char* p) noexcept {
-  return std::bit_cast<double>(get_u64(p));
-}
-
-}  // namespace wire
 
 /// Serializes the 64-byte header image (CRC included).
 [[nodiscard]] std::vector<unsigned char> encode_header(const TraceHeader& h);

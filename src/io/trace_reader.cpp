@@ -5,8 +5,21 @@
 #include <utility>
 
 #include "io/crc32.hpp"
+#include "io/wire.hpp"
 
 namespace roarray::io {
+
+namespace {
+
+/// Decodes `n` CSI values stored as re, im f64 pairs at `p`.
+void decode_csi(const unsigned char* p, linalg::cxd* dst,
+                std::size_t n) noexcept {
+  for (std::size_t k = 0; k < n; ++k, p += 16) {
+    dst[k] = linalg::cxd(wire::get_f64(p), wire::get_f64(p + 8));
+  }
+}
+
+}  // namespace
 
 const char* read_status_name(ReadStatus status) noexcept {
   switch (status) {
@@ -117,15 +130,9 @@ ReadStatus TraceReader::next(TraceRecord& out) {
     const auto rows = static_cast<index_t>(header_.num_antennas);
     const auto cols = static_cast<index_t>(header_.num_subcarriers);
     out.csi = linalg::CMat(rows, cols);
-    const unsigned char* p = base + 32;
-    for (index_t j = 0; j < cols; ++j) {
-      for (index_t i = 0; i < rows; ++i) {
-        const double re = wire::get_f64(p);
-        const double im = wire::get_f64(p + 8);
-        out.csi(i, j) = linalg::cxd(re, im);
-        p += 16;
-      }
-    }
+    // Column-major (antenna-fastest), matching linalg::Matrix storage.
+    decode_csi(base + 32, out.csi.data(),
+               static_cast<std::size_t>(out.csi.size()));
     consume(record_size_);
     ++records_read_;
     return ReadStatus::kOk;

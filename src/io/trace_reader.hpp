@@ -80,8 +80,8 @@ class TraceReader {
   /// Tops the window up to `n` unconsumed bytes (stops early at EOF).
   void ensure(std::size_t n);
   void consume(std::size_t n);
-  /// Recovery transition: drop `parsed_from` bytes ahead of head_ while
-  /// hunting for the next record magic; positions head_ on it. Returns
+  /// Recovery transition: drop the damaged byte at head_ and the bytes
+  /// after it up to the next record magic; positions head_ on it. Returns
   /// false when the stream ends first (everything left is discarded).
   [[nodiscard]] bool resync();
   [[nodiscard]] ReadStatus latch(ReadStatus status) {

@@ -3,8 +3,24 @@
 #include <ostream>
 
 #include "io/crc32.hpp"
+#include "io/wire.hpp"
 
 namespace roarray::io {
+
+namespace {
+
+/// Encodes `n` CSI values as re, im f64 pairs from `p`; returns the
+/// position past the last one.
+unsigned char* encode_csi(const linalg::cxd* src, std::size_t n,
+                          unsigned char* p) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    p = wire::put_f64(p, src[k].real());
+    p = wire::put_f64(p, src[k].imag());
+  }
+  return p;
+}
+
+}  // namespace
 
 TraceWriter::TraceWriter(std::ostream& os, const dsp::ArrayConfig& array_cfg)
     : os_(os), header_(TraceHeader::of(array_cfg)) {
@@ -43,22 +59,18 @@ void TraceWriter::append(const TraceRecord& record) {
             std::to_string(record.csi.cols()) + " but the trace header says " +
             std::to_string(rows) + "x" + std::to_string(cols));
   }
-  buf_.clear();
-  buf_.reserve(header_.record_size_bytes());
-  wire::put_u32(buf_, kRecordMagic);
-  wire::put_u32(buf_, record.ap_id);
-  wire::put_u64(buf_, record.client_id);
-  wire::put_u64(buf_, record.timestamp_tick);
-  wire::put_f64(buf_, record.snr_db);
+  // Sized once: every record of a trace has the same length.
+  buf_.resize(header_.record_size_bytes());
+  unsigned char* p = buf_.data();
+  p = wire::put_u32(p, kRecordMagic);
+  p = wire::put_u32(p, record.ap_id);
+  p = wire::put_u64(p, record.client_id);
+  p = wire::put_u64(p, record.timestamp_tick);
+  p = wire::put_f64(p, record.snr_db);
   // Column-major (antenna-fastest), matching linalg::Matrix storage.
-  for (index_t j = 0; j < cols; ++j) {
-    for (index_t i = 0; i < rows; ++i) {
-      const linalg::cxd v = record.csi(i, j);
-      wire::put_f64(buf_, v.real());
-      wire::put_f64(buf_, v.imag());
-    }
-  }
-  wire::put_u32(buf_, crc32(buf_.data(), buf_.size()));
+  p = encode_csi(record.csi.data(),
+                 static_cast<std::size_t>(record.csi.size()), p);
+  wire::put_u32(p, crc32(buf_.data(), buf_.size() - 4));
   os_.write(reinterpret_cast<const char*>(buf_.data()),
             static_cast<std::streamsize>(buf_.size()));
   if (!os_) {

@@ -50,7 +50,8 @@ TEST(ConcurrencyCache, ContendedGetYieldsOneInstancePerKey) {
         // Entries are immutable once published: reading derived fields
         // from many threads at once must be race-free.
         ASSERT_GT(entry->norm_sq, 0.0);
-        ASSERT_EQ(entry->row_gram.rows(), entry->op.rows());
+        ASSERT_EQ(entry->op.cols(), aoa_grid_for(which).size() *
+                                        toa_grid_for(which).size());
         if (seen[t][which] == nullptr) {
           seen[t][which] = entry.get();
         } else {

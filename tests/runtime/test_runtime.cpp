@@ -200,8 +200,8 @@ TEST(OperatorCache, CachedNormMatchesFreshPowerIteration) {
   const dsp::Grid toa(0.0, 784e-9, 11);
   const auto entry = cache.get(aoa, toa, arr);
   EXPECT_EQ(entry->norm_sq, sparse::operator_norm_sq(entry->op));
-  EXPECT_EQ(entry->row_gram.rows(), entry->op.rows());
-  EXPECT_EQ(entry->row_gram.cols(), entry->op.rows());
+  EXPECT_EQ(entry->op.rows(), arr.num_antennas * arr.num_subcarriers);
+  EXPECT_EQ(entry->op.cols(), aoa.size() * toa.size());
 }
 
 std::vector<core::CsiBurst> test_bursts(index_t count) {
