@@ -139,9 +139,9 @@ void BM_KroneckerApplyMat(benchmark::State& state) {
   CMat y;
   for (auto _ : state) {
     if (batched) {
-      op.apply_mat_into(x, y, nullptr);
+      op.apply_mat_into(x, y);
     } else {
-      op.LinearOperator::apply_mat_into(x, y, nullptr);
+      op.LinearOperator::apply_mat_into(x, y);
     }
     benchmark::DoNotOptimize(y.data());
   }
@@ -581,18 +581,18 @@ TraceIoReport measure_trace_io() {
   for (int rep = 0; rep < 3; ++rep) {
     t = clock::now();
     for (int i = 0; i < kKronReps; ++i) {
-      hit->op.apply_mat_into(xk, y_batched, nullptr);
+      hit->op.apply_mat_into(xk, y_batched);
     }
     kron_batched_ms = std::min(kron_batched_ms, elapsed_ms(t) / kKronReps);
     t = clock::now();
     for (int i = 0; i < kKronReps; ++i) {
-      hit->op.LinearOperator::apply_mat_into(xk, y_percol, nullptr);
+      hit->op.LinearOperator::apply_mat_into(xk, y_percol);
     }
     kron_percol_ms = std::min(kron_percol_ms, elapsed_ms(t) / kKronReps);
   }
   CMat xa_batched, xa_percol;
-  hit->op.apply_adjoint_mat_into(y_batched, xa_batched, nullptr);
-  hit->op.LinearOperator::apply_adjoint_mat_into(y_percol, xa_percol, nullptr);
+  hit->op.apply_adjoint_mat_into(y_batched, xa_batched);
+  hit->op.LinearOperator::apply_adjoint_mat_into(y_percol, xa_percol);
   bool kron_identical = true;
   for (index_t j = 0; j < y_batched.cols() && kron_identical; ++j) {
     for (index_t i = 0; i < y_batched.rows(); ++i) {
@@ -658,11 +658,11 @@ TraceIoReport measure_trace_io() {
     CMat g_scalar, g_simd;
     for (int rep = 0; rep < 5; ++rep) {
       t = clock::now();
-      g_scalar = linalg::matmul_blocked(sj, xblk, nullptr, &be::scalar());
+      g_scalar = linalg::matmul_blocked(sj, xblk, &be::scalar());
       bkg_scalar_ms = std::min(bkg_scalar_ms, elapsed_ms(t));
       if (simd_available) {
         t = clock::now();
-        g_simd = linalg::matmul_blocked(sj, xblk, nullptr, be::simd());
+        g_simd = linalg::matmul_blocked(sj, xblk, be::simd());
         bkg_simd_ms = std::min(bkg_simd_ms, elapsed_ms(t));
       }
     }

@@ -263,7 +263,7 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
       };
     }
     sparse::GroupSolveResult sol =
-        sparse::solve_group_l1(solve_op, y, solver, ctx.pool, cb);
+        sparse::solve_group_l1(solve_op, y, solver, cb);
     out.solver_iterations = sol.iterations;
     out.solver_converged = sol.converged;
     coefficients = sub ? sub->scatter(sol.x) : std::move(sol.x);
@@ -289,9 +289,9 @@ std::vector<RoArrayResult> roarray_estimate_batch(
     }
   }
   // Per-burst estimation is independent; slot i receives burst i's
-  // result, so any thread count yields the serial output exactly.
-  // Inside a worker the nested per-snapshot parallelism degrades to
-  // serial (see ThreadPool), keeping the fan-out deadlock-free.
+  // result, so any thread count yields the serial output exactly. This
+  // is the library's one level of parallelism: each burst's solve runs
+  // serially on the lane that took it.
   auto run_one = [&](index_t i) {
     results[static_cast<std::size_t>(i)] =
         roarray_estimate(bursts[static_cast<std::size_t>(i)], cfg, array_cfg, ctx);

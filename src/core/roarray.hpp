@@ -111,9 +111,10 @@ struct RoArrayResult {
     const sparse::IterationCallback& callback = nullptr);
 
 /// Same, with a runtime context: a non-null cache reuses the steering
-/// factors / Lipschitz estimate across calls sharing (grids, array); a
-/// non-null pool parallelizes multi-snapshot operator applications.
-/// Results are bit-identical to the context-free overload.
+/// factors / Lipschitz estimate across calls sharing (grids, array).
+/// ctx.pool is not used here: one estimate runs on the calling thread,
+/// and only roarray_estimate_batch fans out. Results are bit-identical
+/// to the context-free overload.
 [[nodiscard]] RoArrayResult roarray_estimate(
     std::span<const CMat> packets, const RoArrayConfig& cfg,
     const dsp::ArrayConfig& array_cfg, const runtime::EstimateContext& ctx,

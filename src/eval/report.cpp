@@ -47,26 +47,6 @@ void print_cdf_summary(std::ostream& os, const std::vector<NamedCdf>& curves,
   }
 }
 
-void print_series(std::ostream& os, const std::string& title,
-                  const std::string& x_name, const std::vector<double>& x,
-                  const std::vector<std::pair<std::string, std::vector<double>>>&
-                      series) {
-  for (const auto& [name, y] : series) {
-    if (y.size() != x.size()) {
-      throw std::invalid_argument("print_series: length mismatch for " + name);
-    }
-  }
-  os << "== " << title << " ==\n";
-  os << std::left << std::setw(14) << x_name;
-  for (const auto& [name, y] : series) os << std::setw(14) << name;
-  os << "\n";
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    os << std::left << std::setw(14) << std::fixed << std::setprecision(4) << x[i];
-    for (const auto& [name, y] : series) os << std::setw(14) << y[i];
-    os << "\n";
-  }
-}
-
 void print_spectrum_sketch(std::ostream& os, const std::vector<double>& x,
                            const std::vector<double>& values, int height) {
   if (x.size() != values.size() || x.empty() || height < 1) return;
@@ -279,27 +259,5 @@ void JsonWriter::after_value() {
 }
 
 bool JsonWriter::complete() const noexcept { return done_ && stack_.empty(); }
-
-void write_cdf_summary_json(std::ostream& os,
-                            const std::vector<NamedCdf>& curves) {
-  JsonWriter w(os);
-  w.begin_array();
-  for (const NamedCdf& c : curves) {
-    w.begin_object();
-    w.key("name").value(c.name);
-    w.key("n").value(static_cast<std::int64_t>(c.cdf.size()));
-    if (c.cdf.empty()) {
-      w.key("median").null();
-      w.key("mean").null();
-      w.key("p90").null();
-    } else {
-      w.key("median").value(c.cdf.median());
-      w.key("mean").value(c.cdf.mean());
-      w.key("p90").value(c.cdf.percentile(0.9));
-    }
-    w.end_object();
-  }
-  w.end_array();
-}
 
 }  // namespace roarray::eval

@@ -31,13 +31,6 @@ void print_cdf_table(std::ostream& os, const std::string& title,
 void print_cdf_summary(std::ostream& os, const std::vector<NamedCdf>& curves,
                        const std::string& unit);
 
-/// Prints an (x, y...) series table, e.g. a spectrum: column headers then
-/// one row per x with the matching y from every series.
-void print_series(std::ostream& os, const std::string& title,
-                  const std::string& x_name, const std::vector<double>& x,
-                  const std::vector<std::pair<std::string, std::vector<double>>>&
-                      series);
-
 /// Renders a 1-D spectrum as a rough ASCII sketch (for eyeballing the
 /// sharpness that the paper's polar plots show).
 void print_spectrum_sketch(std::ostream& os, const std::vector<double>& x,
@@ -91,10 +84,5 @@ class JsonWriter {
   bool have_key_ = false;     ///< a key was just written; value must follow.
   bool done_ = false;         ///< a complete top-level value was emitted.
 };
-
-/// Per-curve summary (median / mean / p90 / sample count) as a JSON
-/// array, one object per curve. Empty CDFs emit n = 0 with null
-/// statistics — the same rows print_cdf_summary renders as "no samples".
-void write_cdf_summary_json(std::ostream& os, const std::vector<NamedCdf>& curves);
 
 }  // namespace roarray::eval

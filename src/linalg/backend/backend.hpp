@@ -14,16 +14,16 @@
 // kernel entry points (gemm, soft_threshold_inplace, ...) for
 // differential testing. ROARRAY_BACKEND=scalar|simd|auto overrides the
 // default (auto). Selection is deliberately NOT per-request: operator
-// caches and pool workers are shared across requests, and mixing
+// caches and worker threads are shared across requests, and mixing
 // backends inside one process would let a cached Gram matrix or
 // Lipschitz constant disagree with the kernels consuming it. A device
 // backend (CUDA) would slot in as another table plus a memory-space
 // contract; see DESIGN.md "Compute backends".
 //
 // Determinism contract per table:
-//   * Every kernel is bit-identical across thread counts (the tile
-//     partition and reduction order never depend on the pool), for the
-//     scalar AND the simd table alike.
+//   * Every kernel is bit-identical on whichever thread runs it (the
+//     tile partition and reduction order depend only on the shapes),
+//     for the scalar AND the simd table alike.
 //   * The scalar table reproduces the pre-backend kernels bit-for-bit
 //     (the loops moved, the arithmetic did not).
 //   * scalar vs simd may differ only to rounding: the simd kernels keep

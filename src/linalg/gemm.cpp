@@ -5,62 +5,25 @@
 #include <stdexcept>
 
 #include "linalg/backend/backend.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace roarray::linalg {
 
 namespace {
 
-// Fixed output-tile shape. The partition must depend only on the output
-// shape (never on the thread count) so serial and pooled runs execute
-// the exact same tiles and stay bit-identical.
+// Fixed output-tile shape of the generic kernels.
 constexpr index_t kRowTile = 128;
 constexpr index_t kColTile = 32;
 
-// Below this many fused multiply-adds the pool dispatch overhead beats
-// any parallel win; run the tile schedule on the calling thread.
-constexpr index_t kParallelFlopFloor = 1 << 15;
-
 using backend::Backend;
-using runtime::ThreadPool;
 
-/// Runs `tile(i0, i1, j0, j1)` over the fixed output partition, fanning
-/// out along whichever output dimension yields more tiles. Each output
-/// element belongs to exactly one tile, so pooled runs are bit-identical
-/// to serial ones.
+/// Runs `tile(i0, i1, j0, j1)` over the fixed output partition. Each
+/// output element belongs to exactly one tile and is reduced over the
+/// whole inner dimension there.
 template <typename Tile>
-void run_tiled(index_t m, index_t n, index_t k, const ThreadPool* pool,
-               const Tile& tile) {
-  const index_t row_tiles = (m + kRowTile - 1) / kRowTile;
-  const index_t col_tiles = (n + kColTile - 1) / kColTile;
-  const bool parallel = pool != nullptr && pool->threads() > 1 &&
-                        m * n * (k + 1) >= kParallelFlopFloor &&
-                        row_tiles * col_tiles > 1;
-  if (col_tiles >= row_tiles) {
-    auto cols = [&](index_t j0, index_t j1) {
-      for (index_t i0 = 0; i0 < m; i0 += kRowTile) {
-        tile(i0, std::min(m, i0 + kRowTile), j0, j1);
-      }
-    };
-    if (parallel) {
-      pool->parallel_for_range(n, kColTile, cols);
-    } else {
-      for (index_t j0 = 0; j0 < n; j0 += kColTile) {
-        cols(j0, std::min(n, j0 + kColTile));
-      }
-    }
-  } else {
-    auto rows = [&](index_t i0, index_t i1) {
-      for (index_t j0 = 0; j0 < n; j0 += kColTile) {
-        tile(i0, i1, j0, std::min(n, j0 + kColTile));
-      }
-    };
-    if (parallel) {
-      pool->parallel_for_range(m, kRowTile, rows);
-    } else {
-      for (index_t i0 = 0; i0 < m; i0 += kRowTile) {
-        rows(i0, std::min(m, i0 + kRowTile));
-      }
+void run_tiled(index_t m, index_t n, const Tile& tile) {
+  for (index_t j0 = 0; j0 < n; j0 += kColTile) {
+    for (index_t i0 = 0; i0 < m; i0 += kRowTile) {
+      tile(i0, std::min(m, i0 + kRowTile), j0, std::min(n, j0 + kColTile));
     }
   }
 }
@@ -68,10 +31,10 @@ void run_tiled(index_t m, index_t n, index_t k, const ThreadPool* pool,
 }  // namespace
 
 void gemm(index_t m, index_t n, index_t k, const cxd* a, const cxd* b,
-          cxd* c, const ThreadPool* pool, const Backend* be) {
+          cxd* c, const Backend* be) {
   if (m <= 0 || n <= 0) return;
   // Resolve the kernel table once per call: every tile of this product
-  // (and every pool worker executing one) uses the same table.
+  // uses the same table.
   const Backend& bk = be != nullptr ? *be : backend::active();
   if (k <= 0) {
     std::memset(static_cast<void*>(c), 0, static_cast<std::size_t>(m * n) * sizeof(cxd));
@@ -79,72 +42,50 @@ void gemm(index_t m, index_t n, index_t k, const cxd* a, const cxd* b,
   }
   if (m <= backend::kSmallRowLimit) {
     // Fixed-height kernel: every column is written exactly once (no
-    // memset needed), parallelism comes from disjoint column ranges.
-    const index_t col_tiles = (n + kColTile - 1) / kColTile;
-    const bool parallel = pool != nullptr && pool->threads() > 1 &&
-                          m * n * (k + 1) >= kParallelFlopFloor &&
-                          col_tiles > 1;
-    if (parallel) {
-      pool->parallel_for_range(n, kColTile, [&](index_t j0, index_t j1) {
-        bk.gemm_cols(m, j0, j1, k, a, b, c);
-      });
-    } else {
-      bk.gemm_cols(m, 0, n, k, a, b, c);
-    }
+    // memset needed).
+    bk.gemm_cols(m, 0, n, k, a, b, c);
     return;
   }
   if (k <= backend::kSmallDepthLimit) {
-    const index_t col_tiles = (n + kColTile - 1) / kColTile;
-    const bool parallel = pool != nullptr && pool->threads() > 1 &&
-                          m * n * (k + 1) >= kParallelFlopFloor &&
-                          col_tiles > 1;
-    if (parallel) {
-      pool->parallel_for_range(n, kColTile, [&](index_t j0, index_t j1) {
-        bk.gemm_cols_depth(m, j0, j1, k, a, b, c);
-      });
-    } else {
-      bk.gemm_cols_depth(m, 0, n, k, a, b, c);
-    }
+    bk.gemm_cols_depth(m, 0, n, k, a, b, c);
     return;
   }
   std::memset(static_cast<void*>(c), 0, static_cast<std::size_t>(m * n) * sizeof(cxd));
-  run_tiled(m, n, k, pool, [&](index_t i0, index_t i1, index_t j0, index_t j1) {
+  run_tiled(m, n, [&](index_t i0, index_t i1, index_t j0, index_t j1) {
     bk.gemm_tile(i0, i1, j0, j1, m, k, a, b, c);
   });
 }
 
 void gemm_adj_left(index_t m, index_t n, index_t k, const cxd* a,
-                   const cxd* b, cxd* c, const ThreadPool* pool,
-                   const Backend* be) {
+                   const cxd* b, cxd* c, const Backend* be) {
   if (m <= 0 || n <= 0) return;
   const Backend& bk = be != nullptr ? *be : backend::active();
   if (k <= 0) {
     std::memset(static_cast<void*>(c), 0, static_cast<std::size_t>(m * n) * sizeof(cxd));
     return;
   }
-  run_tiled(m, n, k, pool, [&](index_t i0, index_t i1, index_t j0, index_t j1) {
+  run_tiled(m, n, [&](index_t i0, index_t i1, index_t j0, index_t j1) {
     bk.gemm_adj_tile(i0, i1, j0, j1, m, k, a, b, c);
   });
 }
 
-CMat matmul_blocked(const CMat& a, const CMat& b, const ThreadPool* pool,
-                    const Backend* be) {
+CMat matmul_blocked(const CMat& a, const CMat& b, const Backend* be) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("matmul_blocked: shape mismatch");
   }
   CMat c(a.rows(), b.cols());
-  gemm(a.rows(), b.cols(), a.cols(), a.data(), b.data(), c.data(), pool, be);
+  gemm(a.rows(), b.cols(), a.cols(), a.data(), b.data(), c.data(), be);
   return c;
 }
 
 CMat matmul_adj_left_blocked(const CMat& a, const CMat& b,
-                             const ThreadPool* pool, const Backend* be) {
+                             const Backend* be) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("matmul_adj_left_blocked: shape mismatch");
   }
   CMat c(a.cols(), b.cols());
   gemm_adj_left(a.cols(), b.cols(), a.rows(), a.data(), b.data(), c.data(),
-                pool, be);
+                be);
   return c;
 }
 

@@ -1,6 +1,8 @@
 // The runtime context handed to estimation entry points: an optional
 // operator cache (reuse per-grid setup across calls) and an optional
-// thread pool (fan work out across cores). Both may be null — every
+// thread pool. The pool is read only by core::roarray_estimate_batch,
+// which fans its bursts out over it; each burst's estimate, solve and
+// GEMMs run serially on the lane that took it. Both may be null — every
 // consumer falls back to per-call setup / serial execution, producing
 // bit-identical results either way.
 #pragma once
@@ -12,7 +14,7 @@ class ThreadPool;
 
 struct EstimateContext {
   OperatorCache* cache = nullptr;  ///< non-owning; nullptr = build per call.
-  ThreadPool* pool = nullptr;      ///< non-owning; nullptr = run serial.
+  ThreadPool* pool = nullptr;      ///< non-owning; nullptr = bursts run serial.
 };
 
 }  // namespace roarray::runtime

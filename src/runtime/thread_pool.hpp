@@ -1,12 +1,18 @@
 // A small persistent thread pool with a deterministic parallel_for.
 //
-// The pool exists so Monte Carlo trial loops, per-AP estimation fan-out,
-// and multi-snapshot operator applications can share one set of worker
-// threads instead of spawning ad hoc. Determinism contract: parallel_for
-// runs body(i) exactly once for every i in [0, n); bodies must write to
-// disjoint, index-addressed slots, and any reduction over those slots is
-// done by the caller in index order — so results are bit-identical to a
-// serial loop regardless of thread count or scheduling.
+// The pool exists so Monte Carlo trial loops and the per-burst
+// estimation fan-out (core::roarray_estimate_batch) share one set of
+// worker threads instead of spawning ad hoc. Its jobs are top-level
+// work items only: nothing below core (GEMMs, operators, the solver)
+// takes a pool. A nested call — a bench's per-location job that calls
+// roarray_estimate_batch on the same pool — runs serially on its lane
+// rather than deadlock.
+//
+// Determinism contract: parallel_for runs body(i) exactly once for
+// every i in [0, n); bodies must write to disjoint, index-addressed
+// slots, and any reduction over those slots is done by the caller in
+// index order — so results are bit-identical to a serial loop
+// regardless of thread count or scheduling.
 //
 // Concurrency invariants (statically checked by clang -Wthread-safety
 // via the annotations from runtime/thread_annotations.hpp):
@@ -22,9 +28,9 @@
 //     for active_workers_ == 0 guarantees no straggler dereferences it
 //     after parallel_for returns.
 //
-// Header-only on purpose: roarray_sparse and roarray_loc use it without
-// depending on the roarray_runtime library (which itself depends on
-// roarray_sparse for the operator cache).
+// Header-only: its users (roarray_core, roarray_serve, the benches)
+// need no library for it, and loc::localize only forward-declares it
+// for a parameter it ignores.
 #pragma once
 
 #include <atomic>
@@ -131,27 +137,6 @@ class ThreadPool {
       error = job_error_;
     }
     if (error) std::rethrow_exception(error);
-  }
-
-  /// Range/tile variant used by the blocked GEMM kernels: partitions
-  /// [0, n) into ceil(n / grain) contiguous ranges of at most `grain`
-  /// indices and runs body(begin, end) exactly once per range. The
-  /// partition depends only on (n, grain) — never on the thread count —
-  /// so a kernel that writes each output element from exactly one range
-  /// produces bit-identical results at any parallelism degree. Blocks
-  /// until every range is done; exceptions propagate like parallel_for.
-  void parallel_for_range(
-      index_t n, index_t grain,
-      const std::function<void(index_t, index_t)>& body) const
-      ROARRAY_EXCLUDES(call_mutex_, mutex_) {
-    if (n <= 0) return;
-    const index_t g = grain > 0 ? grain : 1;
-    const index_t tiles = (n + g - 1) / g;
-    parallel_for(tiles, [&](index_t t) {
-      const index_t begin = t * g;
-      const index_t end = begin + g < n ? begin + g : n;
-      body(begin, end);
-    });
   }
 
   /// Deterministic map: slot i of the result receives fn(i). The output

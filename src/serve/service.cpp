@@ -69,6 +69,18 @@ void ServeConfig::validate() const {
         "ServeConfig: localize.robust_min_aps must be >= 2");
   }
   localize.fusion.validate();
+  // The estimator settings core::roarray_estimate rejects on every call:
+  // accepting them would fail every batch (terminating a dispatcher
+  // thread, or throwing out of drain() with no callback delivered).
+  if (estimator.max_paths < 1) {
+    throw std::invalid_argument(
+        "ServeConfig: estimator.max_paths must be >= 1");
+  }
+  if (estimator.solver.max_iterations < 1) {
+    throw std::invalid_argument(
+        "ServeConfig: estimator.solver.max_iterations must be >= 1");
+  }
+  if (estimator.coarse_fine.enabled) estimator.coarse_fine.validate();
 }
 
 LocalizationService::LocalizationService(ServeConfig cfg,

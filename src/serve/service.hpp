@@ -79,7 +79,10 @@ struct ServeConfig {
 
   /// Throws std::invalid_argument on nonsense (empty AP table, bad
   /// array geometry, non-positive batch/queue bounds, negative
-  /// dispatcher count, non-positive localization grid step).
+  /// dispatcher count, non-positive localization grid step) and on the
+  /// estimator settings every roarray_estimate call would reject
+  /// (max_paths < 1, solver.max_iterations < 1, an enabled coarse_fine
+  /// that fails CoarseFineConfig::validate()).
   void validate() const;
 };
 

@@ -247,10 +247,9 @@ class BlockScreen {
   /// whose live rows are from_rows[0, nfrom), ascending (every other row
   /// of it is +0). Screened blocks of grad are left unwritten.
   void screen_gradient(const CMat& residual, const index_t* from_rows,
-                       index_t nfrom, CMat& grad,
-                       const runtime::ThreadPool* pool) {
+                       index_t nfrom, CMat& grad) {
     if (kron_ == nullptr) {
-      op_.apply_adjoint_mat_into(residual, grad, pool);
+      op_.apply_adjoint_mat_into(residual, grad);
       return;
     }
     // Blocks live in `from` stay open; every other block is screened
@@ -259,10 +258,8 @@ class BlockScreen {
     for (index_t r = 0; r < nfrom; ++r) {
       open_[static_cast<std::size_t>(from_rows[r] / nl_)] = 1;
     }
-    if (!screen_from_reference(residual.data(), pool)) {
-      screen_fresh(residual.data(), pool);
-    }
-    kron_->aoa_expand(bp_, k_, open_.data(), grad.data(), ws_, pool);
+    if (!screen_from_reference(residual.data())) screen_fresh(residual.data());
+    kron_->aoa_expand(bp_, k_, open_.data(), grad.data(), ws_);
   }
 
   /// Calls f(r0, r1) for every maximal run [r0, r1) of rows the last
@@ -276,16 +273,16 @@ class BlockScreen {
   /// y = S x for an x whose live rows are rows[0, count) (every other
   /// row +0): the forward runs on those rows' ToA blocks only.
   void forward_live(const CMat& x, const index_t* rows, index_t count,
-                    CMat& y, const runtime::ThreadPool* pool) {
+                    CMat& y) {
     if (kron_ == nullptr) {
-      op_.apply_mat_into(x, y, pool);
+      op_.apply_mat_into(x, y);
       return;
     }
     std::fill(live_.begin(), live_.end(), std::uint8_t{0});
     for (index_t r = 0; r < count; ++r) {
       live_[static_cast<std::size_t>(rows[r] / nl_)] = 1;
     }
-    kron_->apply_blocks(x.data(), k_, live_.data(), y.data(), ws_, pool);
+    kron_->apply_blocks(x.data(), k_, live_.data(), y.data(), ws_);
   }
 
   [[nodiscard]] const ScreenStats& stats() const { return stats_; }
@@ -322,8 +319,8 @@ class BlockScreen {
 
   /// Forms the correlation of every block, gives every non-live block
   /// the exact test, and (with the stale bound on) makes r the reference.
-  void screen_fresh(const cxd* r, const runtime::ThreadPool* pool) {
-    kron_->toa_correlate(r, k_, nullptr, bp_, ws_, pool);
+  void screen_fresh(const cxd* r) {
+    kron_->toa_correlate(r, k_, nullptr, bp_, ws_);
     ++stats_.full_correlates;
     const bool stale = !ref_.empty();
     for (index_t j = 0; j < nr_; ++j) {
@@ -364,7 +361,7 @@ class BlockScreen {
   /// but the scratch, when it cannot decide: no reference yet, a drift
   /// that is not finite, or more than kMaxExact blocks the drift bound
   /// cannot clear.
-  bool screen_from_reference(const cxd* r, const runtime::ThreadPool* pool) {
+  bool screen_from_reference(const cxd* r) {
     if (!has_ref_) return false;
     const double drift = drift_bound(r);
     if (!(drift <= std::numeric_limits<double>::max())) return false;
@@ -387,7 +384,7 @@ class BlockScreen {
     for (index_t e = 0; e < nexact; ++e) {
       want_[static_cast<std::size_t>(exact_[static_cast<std::size_t>(e)])] = 1;
     }
-    kron_->toa_correlate(r, k_, want_.data(), bp_, ws_, pool);
+    kron_->toa_correlate(r, k_, want_.data(), bp_, ws_);
     for (index_t e = 0; e < nexact; ++e) {
       const index_t j = exact_[static_cast<std::size_t>(e)];
       open_[static_cast<std::size_t>(j)] = !bound_clears(block_sq(j));
@@ -440,7 +437,7 @@ class BlockScreen {
 //
 // `solver` names the public entry point in error messages.
 GroupSolveResult solve(const LinearOperator& op, const CMat& y,
-                       const SolveConfig& cfg, const runtime::ThreadPool* pool,
+                       const SolveConfig& cfg,
                        const IterationCallback& callback, const char* solver) {
   const std::string name(solver);
   if (y.rows() != op.rows()) throw std::invalid_argument(name + ": rhs rows");
@@ -459,7 +456,7 @@ GroupSolveResult solve(const LinearOperator& op, const CMat& y,
   if (cfg.kappa > 0.0) {
     out.kappa = cfg.kappa;
   } else {
-    const CMat g = op.apply_adjoint_mat(y, pool);
+    const CMat g = op.apply_adjoint_mat(y);
     std::vector<double> row_sq(static_cast<std::size_t>(n), 0.0);
     for (index_t j = 0; j < k; ++j) {
       bk.row_sq_accumulate(g.data() + j * n, n, row_sq.data());
@@ -533,11 +530,9 @@ GroupSolveResult solve(const LinearOperator& op, const CMat& y,
     // Gradient of the smooth part at z: S^H (S z - y).
     residual = sz;
     residual -= y;
-    screen.screen_gradient(residual, live.active(), live.active_count(), grad,
-                           pool);
+    screen.screen_gradient(residual, live.active(), live.active_count(), grad);
     double l21 = prox_step(z);
-    screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
-                        pool);
+    screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new);
     double obj =
         half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
 
@@ -549,11 +544,9 @@ GroupSolveResult solve(const LinearOperator& op, const CMat& y,
       // application.
       residual = sx;
       residual -= y;
-      screen.screen_gradient(residual, live.x_rows(), live.x_count(), grad,
-                             pool);
+      screen.screen_gradient(residual, live.x_rows(), live.x_count(), grad);
       l21 = prox_step(x);
-      screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new,
-                          pool);
+      screen.forward_live(x_new, live.new_rows(), live.new_count(), sx_new);
       obj = half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
       t = 1.0;
     }
@@ -605,7 +598,7 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
   if (y.size() != op.rows()) throw std::invalid_argument("solve_l1: rhs size");
   CMat ym(y.size(), 1);
   ym.set_col(0, y);
-  GroupSolveResult g = solve(op, ym, cfg, nullptr, nullptr, "solve_l1");
+  GroupSolveResult g = solve(op, ym, cfg, nullptr, "solve_l1");
   SolveResult out;
   out.x = g.x.col_vec(0);
   out.iterations = g.iterations;
@@ -618,9 +611,8 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
 
 GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
                                 const SolveConfig& cfg,
-                                const runtime::ThreadPool* pool,
                                 const IterationCallback& callback) {
-  return solve(op, y, cfg, pool, callback, "solve_group_l1");
+  return solve(op, y, cfg, callback, "solve_group_l1");
 }
 
 }  // namespace roarray::sparse

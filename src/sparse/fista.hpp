@@ -102,12 +102,11 @@ using IterationCallback = std::function<void(int iteration, const CMat& x)>;
 
 /// Solves the row-group problem
 /// min_X 1/2 ||Y - S X||_F^2 + kappa sum_i ||X(i,:)||_2.
-/// The optional pool parallelizes the per-snapshot operator columns
-/// (results identical to the serial path); the optional callback sees
-/// every iterate.
+/// The optional callback sees every iterate. The solve runs on the
+/// calling thread; callers parallelize across solves (one per burst),
+/// never inside one.
 [[nodiscard]] GroupSolveResult solve_group_l1(
     const LinearOperator& op, const CMat& y, const SolveConfig& cfg = {},
-    const runtime::ThreadPool* pool = nullptr,
     const IterationCallback& callback = nullptr);
 
 /// Objective value 1/2 ||y - S x||^2 + kappa ||x||_1 (for tests/benches).

@@ -9,7 +9,6 @@
 
 #include "linalg/backend/backend.hpp"
 #include "linalg/gemm.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace roarray::sparse {
 
@@ -26,28 +25,16 @@ void ensure_shape(CMat& m, index_t rows, index_t cols) {
 
 }  // namespace
 
-void LinearOperator::apply_mat_into(const CMat& x, CMat& y,
-                                    const runtime::ThreadPool* pool) const {
+void LinearOperator::apply_mat_into(const CMat& x, CMat& y) const {
   ensure_shape(y, rows(), x.cols());
-  if (pool == nullptr || x.cols() < 2) {
-    for (index_t j = 0; j < x.cols(); ++j) y.set_col(j, apply(x.col_vec(j)));
-    return;
-  }
-  pool->parallel_for(x.cols(),
-                     [&](index_t j) { y.set_col(j, apply(x.col_vec(j))); });
+  for (index_t j = 0; j < x.cols(); ++j) y.set_col(j, apply(x.col_vec(j)));
 }
 
-void LinearOperator::apply_adjoint_mat_into(
-    const CMat& y, CMat& x, const runtime::ThreadPool* pool) const {
+void LinearOperator::apply_adjoint_mat_into(const CMat& y, CMat& x) const {
   ensure_shape(x, cols(), y.cols());
-  if (pool == nullptr || y.cols() < 2) {
-    for (index_t j = 0; j < y.cols(); ++j) {
-      x.set_col(j, apply_adjoint(y.col_vec(j)));
-    }
-    return;
+  for (index_t j = 0; j < y.cols(); ++j) {
+    x.set_col(j, apply_adjoint(y.col_vec(j)));
   }
-  pool->parallel_for(y.cols(),
-                     [&](index_t j) { x.set_col(j, apply_adjoint(y.col_vec(j))); });
 }
 
 CMat LinearOperator::row_gram() const {
@@ -66,7 +53,7 @@ CVec DenseOperator::apply(const CVec& x) const {
     throw std::invalid_argument("DenseOperator::apply: size");
   }
   CVec y(s_.rows());
-  gemm(s_.rows(), 1, s_.cols(), s_.data(), x.data(), y.data(), nullptr);
+  gemm(s_.rows(), 1, s_.cols(), s_.data(), x.data(), y.data());
   return y;
 }
 
@@ -75,28 +62,25 @@ CVec DenseOperator::apply_adjoint(const CVec& y) const {
     throw std::invalid_argument("DenseOperator::apply_adjoint: size");
   }
   CVec x(s_.cols());
-  gemm_adj_left(s_.cols(), 1, s_.rows(), s_.data(), y.data(), x.data(),
-                nullptr);
+  gemm_adj_left(s_.cols(), 1, s_.rows(), s_.data(), y.data(), x.data());
   return x;
 }
 
-void DenseOperator::apply_mat_into(const CMat& x, CMat& y,
-                                   const runtime::ThreadPool* pool) const {
+void DenseOperator::apply_mat_into(const CMat& x, CMat& y) const {
   if (x.rows() != s_.cols()) {
     throw std::invalid_argument("DenseOperator::apply_mat: rows");
   }
   ensure_shape(y, s_.rows(), x.cols());
-  gemm(s_.rows(), x.cols(), s_.cols(), s_.data(), x.data(), y.data(), pool);
+  gemm(s_.rows(), x.cols(), s_.cols(), s_.data(), x.data(), y.data());
 }
 
-void DenseOperator::apply_adjoint_mat_into(
-    const CMat& y, CMat& x, const runtime::ThreadPool* pool) const {
+void DenseOperator::apply_adjoint_mat_into(const CMat& y, CMat& x) const {
   if (y.rows() != s_.rows()) {
     throw std::invalid_argument("DenseOperator::apply_adjoint_mat: rows");
   }
   ensure_shape(x, s_.cols(), y.cols());
-  gemm_adj_left(s_.cols(), y.cols(), s_.rows(), s_.data(), y.data(), x.data(),
-                pool);
+  gemm_adj_left(s_.cols(), y.cols(), s_.rows(), s_.data(), y.data(),
+                x.data());
 }
 
 CMat DenseOperator::row_gram() const {
@@ -167,10 +151,8 @@ KroneckerOperator::KroneckerOperator(CMat left, CMat right)
 //   (2) permute B (M x N_r*k) into B' (M*k x N_r): row (c*M + r),
 //   (3) Y' = B' * right^T      one GEMM, rows = M*k,
 //   (4) scatter Y' back to Y (column c, entry l*M + r).
-// The permutations move contiguous M-element runs (memcpy), and each
-// GEMM output element is produced by exactly one tile, so the result is
-// bit-identical at any thread count and matches the per-column path to
-// rounding.
+// The permutations move contiguous M-element runs (memcpy), and the
+// result matches the per-column path to rounding.
 //
 // With a live mask (and M*k <= kSmallRowLimit, so both GEMMs run on
 // gemm_cols) step (1) runs on the live blocks' column runs only, and
@@ -182,8 +164,7 @@ KroneckerOperator::KroneckerOperator(CMat left, CMat right)
 // holds -0) leaves it unchanged.
 void KroneckerOperator::apply_blocks(const cxd* x, index_t k,
                                      const std::uint8_t* live, cxd* y,
-                                     Workspace& ws,
-                                     const runtime::ThreadPool* pool) const {
+                                     Workspace& ws) const {
   const index_t m = left_.rows(), nl = left_.cols();
   const index_t l = right_.rows(), nr = right_.cols();
   const bool masked = live != nullptr && m * k <= backend::kSmallRowLimit;
@@ -194,7 +175,7 @@ void KroneckerOperator::apply_blocks(const cxd* x, index_t k,
     for_each_block_run(live, nr, [&](index_t j0, index_t j1) {
       for (index_t c = 0; c < k; ++c) {
         gemm(m, j1 - j0, nl, left_.data(), x + (c * nr + j0) * nl,
-             ws.b.data() + (c * nr + j0) * m, pool);
+             ws.b.data() + (c * nr + j0) * m);
       }
     });
     ensure_size(ws.terms, nr);
@@ -203,7 +184,7 @@ void KroneckerOperator::apply_blocks(const cxd* x, index_t k,
       if (live[j] != 0) ws.terms[static_cast<std::size_t>(nt++)] = j;
     }
   } else {
-    gemm(m, nr * k, nl, left_.data(), x, ws.b.data(), pool);
+    gemm(m, nr * k, nl, left_.data(), x, ws.b.data());
   }
   const auto term = [&](index_t d) {
     return nt == nr ? d : ws.terms[static_cast<std::size_t>(d)];
@@ -233,11 +214,11 @@ void KroneckerOperator::apply_blocks(const cxd* x, index_t k,
   }
 
   if (k == 1) {
-    gemm(m, l, nt, bp, rt, y, pool);
+    gemm(m, l, nt, bp, rt, y);
     return;
   }
   ensure_shape(ws.yp, m * k, l);
-  gemm(m * k, l, nt, bp, rt, ws.yp.data(), pool);
+  gemm(m * k, l, nt, bp, rt, ws.yp.data());
   for (index_t c = 0; c < k; ++c) {
     for (index_t li = 0; li < l; ++li) {
       std::memcpy(y + c * (m * l) + li * m,
@@ -256,8 +237,7 @@ void KroneckerOperator::apply_blocks(const cxd* x, index_t k,
 // column layout is exactly the N_l x (N_r*k) view of the unknowns).
 void KroneckerOperator::toa_correlate(const cxd* y, index_t k,
                                       const std::uint8_t* cols, CMat& bp,
-                                      Workspace& ws,
-                                      const runtime::ThreadPool* pool) const {
+                                      Workspace& ws) const {
   const index_t m = left_.rows();
   const index_t l = right_.rows(), nr = right_.cols();
   const index_t mk = m * k;
@@ -274,19 +254,17 @@ void KroneckerOperator::toa_correlate(const cxd* y, index_t k,
     yp = ws.yp.data();
   }
   if (cols == nullptr || mk > backend::kSmallRowLimit) {
-    gemm(mk, nr, l, yp, right_conj_.data(), bp.data(), pool);
+    gemm(mk, nr, l, yp, right_conj_.data(), bp.data());
     return;
   }
   for_each_block_run(cols, nr, [&](index_t j0, index_t j1) {
-    gemm(mk, j1 - j0, l, yp, right_conj_.data() + j0 * l, bp.data() + j0 * mk,
-         pool);
+    gemm(mk, j1 - j0, l, yp, right_conj_.data() + j0 * l, bp.data() + j0 * mk);
   });
 }
 
 void KroneckerOperator::aoa_expand(const CMat& bp, index_t k,
                                    const std::uint8_t* keep, cxd* x,
-                                   Workspace& ws,
-                                   const runtime::ThreadPool* pool) const {
+                                   Workspace& ws) const {
   const index_t m = left_.rows(), nl = left_.cols();
   const index_t nr = right_.cols();
   const bool masked = keep != nullptr && per_column_gemm(nl, m);
@@ -305,13 +283,13 @@ void KroneckerOperator::aoa_expand(const CMat& bp, index_t k,
     b = ws.b.data();
   }
   if (!masked) {
-    gemm(nl, nr * k, m, left_adj_.data(), b, x, pool);
+    gemm(nl, nr * k, m, left_adj_.data(), b, x);
     return;
   }
   for_each_block_run(keep, nr, [&](index_t j0, index_t j1) {
     for (index_t c = 0; c < k; ++c) {
       gemm(nl, j1 - j0, m, left_adj_.data(), b + (c * nr + j0) * m,
-           x + (c * nr + j0) * nl, pool);
+           x + (c * nr + j0) * nl);
     }
   });
 }
@@ -322,7 +300,7 @@ CVec KroneckerOperator::apply(const CVec& x) const {
   }
   CVec y(rows());
   Workspace ws;
-  apply_blocks(x.data(), 1, nullptr, y.data(), ws, nullptr);
+  apply_blocks(x.data(), 1, nullptr, y.data(), ws);
   return y;
 }
 
@@ -333,24 +311,22 @@ CVec KroneckerOperator::apply_adjoint(const CVec& y) const {
   CVec x(cols());
   Workspace ws;
   CMat bp;
-  toa_correlate(y.data(), 1, nullptr, bp, ws, nullptr);
-  aoa_expand(bp, 1, nullptr, x.data(), ws, nullptr);
+  toa_correlate(y.data(), 1, nullptr, bp, ws);
+  aoa_expand(bp, 1, nullptr, x.data(), ws);
   return x;
 }
 
-void KroneckerOperator::apply_mat_into(const CMat& x, CMat& y,
-                                       const runtime::ThreadPool* pool) const {
+void KroneckerOperator::apply_mat_into(const CMat& x, CMat& y) const {
   if (x.rows() != cols()) {
     throw std::invalid_argument("KroneckerOperator::apply_mat: rows");
   }
   ensure_shape(y, rows(), x.cols());
   if (x.cols() == 0) return;
   Workspace ws;
-  apply_blocks(x.data(), x.cols(), nullptr, y.data(), ws, pool);
+  apply_blocks(x.data(), x.cols(), nullptr, y.data(), ws);
 }
 
-void KroneckerOperator::apply_adjoint_mat_into(
-    const CMat& y, CMat& x, const runtime::ThreadPool* pool) const {
+void KroneckerOperator::apply_adjoint_mat_into(const CMat& y, CMat& x) const {
   if (y.rows() != rows()) {
     throw std::invalid_argument("KroneckerOperator::apply_adjoint_mat: rows");
   }
@@ -358,8 +334,8 @@ void KroneckerOperator::apply_adjoint_mat_into(
   if (y.cols() == 0) return;
   Workspace ws;
   CMat bp;
-  toa_correlate(y.data(), y.cols(), nullptr, bp, ws, pool);
-  aoa_expand(bp, y.cols(), nullptr, x.data(), ws, pool);
+  toa_correlate(y.data(), y.cols(), nullptr, bp, ws);
+  aoa_expand(bp, y.cols(), nullptr, x.data(), ws);
 }
 
 CMat KroneckerOperator::row_gram() const {

@@ -20,10 +20,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
-namespace roarray::runtime {
-class ThreadPool;
-}
-
 namespace roarray::sparse {
 
 class KroneckerOperator;
@@ -48,32 +44,26 @@ class LinearOperator {
   [[nodiscard]] virtual CVec apply_adjoint(const CVec& y) const = 0;
 
   /// Application to a multi-snapshot matrix, written into y (n x k ->
-  /// m x k). The default loops apply() over columns, fanning out across
-  /// the pool when one is given (each column writes its own contiguous
-  /// slice — bit-identical to the serial loop). Implementations may
-  /// batch all columns at once; null pool = serial. y is resized if its
-  /// shape is wrong and must not alias x; callers that keep a
-  /// correctly-sized y across calls (the solvers' hot loops do) pay no
-  /// per-call allocation or zero-fill.
-  virtual void apply_mat_into(const CMat& x, CMat& y,
-                              const runtime::ThreadPool* pool) const;
+  /// m x k). The default loops apply() over columns; implementations may
+  /// batch all columns at once. y is resized if its shape is wrong and
+  /// must not alias x; callers that keep a correctly-sized y across
+  /// calls (the solvers' hot loops do) pay no per-call allocation or
+  /// zero-fill.
+  virtual void apply_mat_into(const CMat& x, CMat& y) const;
 
   /// Adjoint application to a multi-snapshot matrix, written into x
   /// (m x k -> n x k). Same contract as apply_mat_into.
-  virtual void apply_adjoint_mat_into(const CMat& y, CMat& x,
-                                      const runtime::ThreadPool* pool) const;
+  virtual void apply_adjoint_mat_into(const CMat& y, CMat& x) const;
 
   /// Allocating conveniences (forward to the _into virtuals).
-  [[nodiscard]] CMat apply_mat(const CMat& x,
-                               const runtime::ThreadPool* pool = nullptr) const {
+  [[nodiscard]] CMat apply_mat(const CMat& x) const {
     CMat y;
-    apply_mat_into(x, y, pool);
+    apply_mat_into(x, y);
     return y;
   }
-  [[nodiscard]] CMat apply_adjoint_mat(
-      const CMat& y, const runtime::ThreadPool* pool = nullptr) const {
+  [[nodiscard]] CMat apply_adjoint_mat(const CMat& y) const {
     CMat x;
-    apply_adjoint_mat_into(y, x, pool);
+    apply_adjoint_mat_into(y, x);
     return x;
   }
 
@@ -110,10 +100,8 @@ class DenseOperator final : public LinearOperator {
   [[nodiscard]] index_t cols() const noexcept override { return s_.cols(); }
   [[nodiscard]] CVec apply(const CVec& x) const override;
   [[nodiscard]] CVec apply_adjoint(const CVec& y) const override;
-  void apply_mat_into(const CMat& x, CMat& y,
-                      const runtime::ThreadPool* pool) const override;
-  void apply_adjoint_mat_into(const CMat& y, CMat& x,
-                              const runtime::ThreadPool* pool) const override;
+  void apply_mat_into(const CMat& x, CMat& y) const override;
+  void apply_adjoint_mat_into(const CMat& y, CMat& x) const override;
   [[nodiscard]] CMat row_gram() const override;
 
   [[nodiscard]] const CMat& matrix() const noexcept { return s_; }
@@ -136,8 +124,7 @@ class DenseOperator final : public LinearOperator {
 /// the column-major unknown block X (N_l*N_r x K) *is* an N_l x (N_r*K)
 /// matrix, so the forward map is three batched GEMMs (left * X, a
 /// deterministic permutation, * right^T) instead of K per-column
-/// applies — parallelism comes from the GEMM output tiles, not from the
-/// K snapshot columns.
+/// applies.
 ///
 /// Every application runs through apply_blocks (forward) or
 /// toa_correlate + aoa_expand (adjoint); the plain applies are their
@@ -175,10 +162,8 @@ class KroneckerOperator final : public LinearOperator {
   }
   [[nodiscard]] CVec apply(const CVec& x) const override;
   [[nodiscard]] CVec apply_adjoint(const CVec& y) const override;
-  void apply_mat_into(const CMat& x, CMat& y,
-                      const runtime::ThreadPool* pool) const override;
-  void apply_adjoint_mat_into(const CMat& y, CMat& x,
-                              const runtime::ThreadPool* pool) const override;
+  void apply_mat_into(const CMat& x, CMat& y) const override;
+  void apply_adjoint_mat_into(const CMat& y, CMat& x) const override;
 
   /// G = (right right^H) (x) (left left^H), formed from the two small
   /// factor Grams — never touches the full column dimension.
@@ -196,7 +181,7 @@ class KroneckerOperator final : public LinearOperator {
   /// (a dropped term is (+0) * finite, added to an accumulator that
   /// starts at +0). Above that size the mask is ignored.
   void apply_blocks(const cxd* x, index_t k, const std::uint8_t* live, cxd* y,
-                    Workspace& ws, const runtime::ThreadPool* pool) const;
+                    Workspace& ws) const;
 
   /// The adjoint's first stage: the ToA correlation bp = Y' conj(right)
   /// of y (M L x k), an (M k) x N_r matrix whose column j stacks every
@@ -208,8 +193,7 @@ class KroneckerOperator final : public LinearOperator {
   /// the other columns are left unwritten. Above that size the mask is
   /// ignored and every column is written.
   void toa_correlate(const cxd* y, index_t k, const std::uint8_t* cols,
-                     CMat& bp, Workspace& ws,
-                     const runtime::ThreadPool* pool) const;
+                     CMat& bp, Workspace& ws) const;
 
   /// The adjoint's second stage: block j of x (N_l N_r x k) becomes
   /// left^H times block j of bp, for every block in `keep`, bit for bit
@@ -218,7 +202,7 @@ class KroneckerOperator final : public LinearOperator {
   /// per-column GEMM kernels (N_l > kSmallRowLimit and M >
   /// kSmallDepthLimit): then every block is written.
   void aoa_expand(const CMat& bp, index_t k, const std::uint8_t* keep, cxd* x,
-                  Workspace& ws, const runtime::ThreadPool* pool) const;
+                  Workspace& ws) const;
 
   /// max over AoA atoms a of ||left(:, a)||^2, as computed once at
   /// construction (M for unit-modulus steering columns).
@@ -290,13 +274,11 @@ class SupportOperator final : public LinearOperator {
   [[nodiscard]] CVec apply_adjoint(const CVec& y) const override {
     return sub_.apply_adjoint(y);
   }
-  void apply_mat_into(const CMat& x, CMat& y,
-                      const runtime::ThreadPool* pool) const override {
-    sub_.apply_mat_into(x, y, pool);
+  void apply_mat_into(const CMat& x, CMat& y) const override {
+    sub_.apply_mat_into(x, y);
   }
-  void apply_adjoint_mat_into(const CMat& y, CMat& x,
-                              const runtime::ThreadPool* pool) const override {
-    sub_.apply_adjoint_mat_into(y, x, pool);
+  void apply_adjoint_mat_into(const CMat& y, CMat& x) const override {
+    sub_.apply_adjoint_mat_into(y, x);
   }
   [[nodiscard]] CMat row_gram() const override { return sub_.row_gram(); }
   [[nodiscard]] const KroneckerOperator* kronecker() const noexcept override {

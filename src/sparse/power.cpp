@@ -33,8 +33,8 @@ double operator_norm_sq(const LinearOperator& op, int iterations) {
   CMat w(n, 1);
   double lambda = 0.0;
   for (int it = 0; it < iterations; ++it) {
-    op.apply_mat_into(v, sv, nullptr);
-    op.apply_adjoint_mat_into(sv, w, nullptr);
+    op.apply_mat_into(v, sv);
+    op.apply_adjoint_mat_into(sv, w);
     const double nw = norm_fro(w);
     if (nw <= 0.0) return 0.0;
     lambda = nw;  // ||S^H S v|| -> lambda_max as v converges

@@ -120,24 +120,4 @@ inline void group_soft_threshold_rows_inplace(
   }
 }
 
-/// Sum of row l2 norms (the l2,1 norm). Column-major sweep for the same
-/// reason as group_soft_threshold_rows_inplace; identical values.
-[[nodiscard]] inline double norm_l21_rows(
-    const CMat& x, const linalg::backend::Backend* be = nullptr) {
-  const auto& bk = be != nullptr ? *be : linalg::backend::active();
-  const index_t n = x.rows();
-  const index_t k = x.cols();
-  if (n == 0 || k == 0) return 0.0;
-  std::vector<double> row_sq(  // roarray-analyze: allow(hot-alloc) n-double scratch amortized by the O(nk) sweep
-      static_cast<std::size_t>(n), 0.0);
-  for (index_t j = 0; j < k; ++j) {
-    bk.row_sq_accumulate(x.data() + j * n, n, row_sq.data());
-  }
-  double acc = 0.0;
-  for (index_t i = 0; i < n; ++i) {
-    acc += std::sqrt(row_sq[static_cast<std::size_t>(i)]);
-  }
-  return acc;
-}
-
 }  // namespace roarray::sparse

@@ -21,7 +21,6 @@
 #include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
-#include "runtime/thread_pool.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::linalg::backend {
@@ -179,8 +178,8 @@ TEST_F(BackendDifferential, GemmMatchesScalarOnAdversarialInputs) {
     const index_t m = s[0], n = s[1], k = s[2];
     const CMat a = rt::random_cmat(m, k, rng);
     const CMat b = adversarial_b(k, n, rng);
-    const CMat cs = matmul_blocked(a, b, nullptr, &scalar());
-    const CMat cv = matmul_blocked(a, b, nullptr, simd_);
+    const CMat cs = matmul_blocked(a, b, &scalar());
+    const CMat cv = matmul_blocked(a, b, simd_);
     expect_gemm_close(cv, cs, k, max_abs(a), max_col_abs_sum(b), "gemm");
   }
 }
@@ -192,8 +191,8 @@ TEST_F(BackendDifferential, GemmAdjointMatchesScalar) {
     const index_t m = s[0], n = s[1], k = s[2];
     const CMat a = rt::random_cmat(k, m, rng);
     const CMat b = rt::random_cmat(k, n, rng);
-    const CMat cs = matmul_adj_left_blocked(a, b, nullptr, &scalar());
-    const CMat cv = matmul_adj_left_blocked(a, b, nullptr, simd_);
+    const CMat cs = matmul_adj_left_blocked(a, b, &scalar());
+    const CMat cv = matmul_adj_left_blocked(a, b, simd_);
     expect_gemm_close(cv, cs, k, max_abs(a), max_col_abs_sum(b), "gemm_adj");
   }
 }
@@ -211,8 +210,8 @@ TEST_F(BackendDifferential, GemmZeroSkipIsExactOnRowSparseB) {
       for (index_t j = 0; j < n; ++j) b(i, j) = cxd{0.0, 0.0};
     }
   }
-  const CMat cs = matmul_blocked(a, b, nullptr, &scalar());
-  const CMat cv = matmul_blocked(a, b, nullptr, simd_);
+  const CMat cs = matmul_blocked(a, b, &scalar());
+  const CMat cv = matmul_blocked(a, b, simd_);
   expect_gemm_close(cv, cs, k, max_abs(a), max_col_abs_sum(b), "sparse gemm");
 }
 
@@ -319,24 +318,6 @@ TEST_F(BackendDifferential, PhaseRampMatchesScalar) {
           4.0 * kEps * static_cast<double>(n) * (std::abs(gain) + 1.0);
       EXPECT_NEAR(bv[i].real(), bs[i].real(), tol) << "i=" << i << " n=" << n;
     }
-  }
-}
-
-TEST_F(BackendDifferential, PooledGemmIsBitIdenticalPerTable) {
-  // The determinism contract: on a fixed table, pooled and serial runs
-  // produce bit-identical results (the tile partition never depends on
-  // the pool). Checked for both tables.
-  auto rng = rt::make_rng(707);
-  const CMat a = rt::random_cmat(130, 300, rng);
-  const CMat b = rt::random_cmat(300, 40, rng);
-  runtime::ThreadPool pool(3);
-  for (const Backend* be : {&scalar(), simd_}) {
-    const CMat serial = matmul_blocked(a, b, nullptr, be);
-    const CMat pooled = matmul_blocked(a, b, &pool, be);
-    EXPECT_EQ(0, std::memcmp(serial.data(), pooled.data(),
-                             static_cast<std::size_t>(serial.size()) *
-                                 sizeof(cxd)))
-        << be->name;
   }
 }
 
@@ -452,7 +433,7 @@ TEST_F(BackendDifferential, GemmColsMatchesFmaOracleBitwise) {
                        "gemm_cols m=" + std::to_string(m) +
                            " k=" + std::to_string(k) +
                            " n=" + std::to_string(n));
-        // A column sub-range (the pool's split) computes the same
+        // A column sub-range (the kernel's j0, j1 contract) computes the same
         // columns bit for bit and leaves the others untouched.
         if (n > 2) {
           std::vector<cxd> part(want.size(), cxd{7.0, 7.0});

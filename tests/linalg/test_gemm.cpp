@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/thread_pool.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::linalg {
@@ -82,36 +81,6 @@ TEST(GemmBlocked, ShapeMismatchThrows) {
   const CMat b(6, 3);
   EXPECT_THROW(matmul_blocked(a, b), std::invalid_argument);
   EXPECT_THROW(matmul_adj_left_blocked(a, b), std::invalid_argument);
-}
-
-TEST(GemmBlocked, PooledRunsBitIdenticalToSerial) {
-  // The output partition depends only on the output shape, so results
-  // must match serial execution bit for bit at any thread count.
-  auto rng = rt::make_rng(613);
-  runtime::ThreadPool pool(4);
-  for (const auto& s : kShapes) {
-    const CMat a = rt::random_cmat(s.m, s.k, rng);
-    const CMat b = rt::random_cmat(s.k, s.n, rng);
-    const CMat serial = matmul_blocked(a, b);
-    const CMat pooled = matmul_blocked(a, b, &pool);
-    ASSERT_EQ(serial.rows(), pooled.rows());
-    ASSERT_EQ(serial.cols(), pooled.cols());
-    for (index_t j = 0; j < serial.cols(); ++j) {
-      for (index_t i = 0; i < serial.rows(); ++i) {
-        EXPECT_EQ(serial(i, j), pooled(i, j))
-            << "m=" << s.m << " n=" << s.n << " k=" << s.k << " at (" << i
-            << "," << j << ")";
-      }
-    }
-    const CMat at = rt::random_cmat(s.k, s.m, rng);
-    const CMat serial_adj = matmul_adj_left_blocked(at, b);
-    const CMat pooled_adj = matmul_adj_left_blocked(at, b, &pool);
-    for (index_t j = 0; j < serial_adj.cols(); ++j) {
-      for (index_t i = 0; i < serial_adj.rows(); ++i) {
-        EXPECT_EQ(serial_adj(i, j), pooled_adj(i, j)) << "adj";
-      }
-    }
-  }
 }
 
 }  // namespace

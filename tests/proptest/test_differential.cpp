@@ -483,9 +483,8 @@ TEST(ProptestDifferential, SimdBackendMatchesScalar) {
           bsum = std::max(bsum, s);
         }
 
-        const CMat cs = roarray::linalg::matmul_blocked(a, b, nullptr,
-                                                        &be::scalar());
-        const CMat cv = roarray::linalg::matmul_blocked(a, b, nullptr, simd);
+        const CMat cs = roarray::linalg::matmul_blocked(a, b, &be::scalar());
+        const CMat cv = roarray::linalg::matmul_blocked(a, b, simd);
         // The backend.hpp gemm bound: gamma_k * max|A| * col-sum of |B|.
         const double gtol =
             8.0 * eps * static_cast<double>(c.k) * amax * bsum;

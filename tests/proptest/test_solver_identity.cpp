@@ -15,9 +15,9 @@
 // stale-reference drift bound, so the second property builds cases that
 // put a block's bound (the exact one at the first gradient, the drift
 // bound at the second) right at shrink^2, poison the data with NaN /
-// inf, take M k past the drift bound's limit, or run on a pool. The
-// oracle also runs a frozen model of the screen, and the ScreenStats
-// each production solve reports must equal the model's counts.
+// inf, or take M k past the drift bound's limit. The oracle also runs
+// a frozen model of the screen, and the ScreenStats each production
+// solve reports must equal the model's counts.
 //
 // The oracle keeps the direct path that applies S to every momentum
 // point afresh (three applications per iteration); the production
@@ -41,7 +41,6 @@
 #include "generators.hpp"
 #include "linalg/backend/backend.hpp"
 #include "proptest.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sparse/fista.hpp"
 #include "sparse/operator.hpp"
 #include "sparse/power.hpp"
@@ -52,7 +51,6 @@ using roarray::linalg::CMat;
 using roarray::linalg::CVec;
 using roarray::linalg::cxd;
 using roarray::linalg::index_t;
-using roarray::runtime::ThreadPool;
 using namespace roarray::sparse;
 
 namespace {
@@ -113,7 +111,7 @@ class ScreenModel {
     }
     KroneckerOperator::Workspace ws;
     CMat bp;
-    kron_->toa_correlate(r, k_, nullptr, bp, ws, nullptr);
+    kron_->toa_correlate(r, k_, nullptr, bp, ws);
     const auto block_sq = [&](index_t j) {
       const double* d = reinterpret_cast<const double*>(bp.data()) +
                         j * 2 * bp.rows();
@@ -286,7 +284,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   if (cfg.kappa > 0.0) {
     out.kappa = cfg.kappa;
   } else {
-    const CMat g = op.apply_adjoint_mat(y, nullptr);
+    const CMat g = op.apply_adjoint_mat(y);
     const auto& bk = be::active();
     std::vector<double> row_sq(static_cast<std::size_t>(n), 0.0);
     for (index_t j = 0; j < k; ++j) {
@@ -355,14 +353,14 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
     if (reuse) {
       residual = sz;
     } else {
-      op.apply_mat_into(z, residual, nullptr);
+      op.apply_mat_into(z, residual);
     }
     residual -= y;
     model.screen(residual.data(), live_z, cov);
-    op.apply_adjoint_mat_into(residual, grad, nullptr);
+    op.apply_adjoint_mat_into(residual, grad);
 
     double l21 = prox_gradient_step(z, grad);
-    op.apply_mat_into(x_new, sx_new, nullptr);
+    op.apply_mat_into(x_new, sx_new);
     double obj =
         half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
 
@@ -371,13 +369,13 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
       if (reuse) {
         residual = sx;
       } else {
-        op.apply_mat_into(x, residual, nullptr);
+        op.apply_mat_into(x, residual);
       }
       residual -= y;
       model.screen(residual.data(), live_x, cov);
-      op.apply_adjoint_mat_into(residual, grad, nullptr);
+      op.apply_adjoint_mat_into(residual, grad);
       l21 = prox_gradient_step(x, grad);
-      op.apply_mat_into(x_new, sx_new, nullptr);
+      op.apply_mat_into(x_new, sx_new);
       obj = half_residual_sq(sx_new.data(), y.data(), m * k) + out.kappa * l21;
       t = 1.0;
     }
@@ -607,13 +605,12 @@ std::optional<std::string> single_column_match(const LinearOperator& op,
                                                const CMat& y,
                                                const SolveConfig& cfg,
                                                const char* table,
-                                               bool nan_any,
-                                               const ThreadPool* pool) {
+                                               bool nan_any) {
   const CVec y0 = y.col_vec(0);
   CMat y1(y.rows(), 1);
   y1.set_col(0, y0);
   const SolveResult got = solve_l1(op, y0, cfg);
-  const GroupSolveResult want = solve_group_l1(op, y1, cfg, pool);
+  const GroupSolveResult want = solve_group_l1(op, y1, cfg);
   if (auto err = compare(got, want, "solve_l1 vs solve_group_l1 at k = 1",
                          table, nan_any)) {
     return err;
@@ -635,18 +632,16 @@ std::optional<std::string> single_column_match(const LinearOperator& op,
 /// the single-column entry points against it; nullopt when all match
 /// (nan_any: see same_doubles). direct also holds the solver to the
 /// oracle's direct path within rounding. Adds the oracle's coverage to
-/// `cov` and its converged runs to `converged`. A pool, when given, runs
-/// the production group solves.
+/// `cov` and its converged runs to `converged`.
 std::optional<std::string> solvers_match(const LinearOperator& op,
                                          const CMat& y, const SolveConfig& cfg,
                                          Coverage& cov, int& converged,
                                          bool nan_any = false,
-                                         const ThreadPool* pool = nullptr,
                                          bool direct = false) {
   for (const be::Backend* table : tables()) {
     be::force(table);
     const GroupSolveResult want = oracle::solve_group_l1(op, y, cfg, cov);
-    const GroupSolveResult got = solve_group_l1(op, y, cfg, pool);
+    const GroupSolveResult got = solve_group_l1(op, y, cfg);
     if (auto err =
             compare(got, want, "solve_group_l1", table->name, nan_any)) {
       return err;
@@ -658,7 +653,7 @@ std::optional<std::string> solvers_match(const LinearOperator& op,
       if (auto err = near_direct(got, want_direct, table->name)) return err;
     }
     if (auto err =
-            single_column_match(op, y, cfg, table->name, nan_any, pool)) {
+            single_column_match(op, y, cfg, table->name, nan_any)) {
       return err;
     }
     converged += want.converged ? 1 : 0;
@@ -707,7 +702,7 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
         CMat y = make_rhs(op, c.k, rng);
         if (c.variant == Variant::kZeroRhs) y = CMat(op.rows(), c.k);
         return solvers_match(op, y, make_config(c), cov, converged, false,
-                             nullptr, c.variant == Variant::kDirect);
+                             c.variant == Variant::kDirect);
       },
       {}, show_solver_case, cfg);
   // The generated cases must reach the paths the row-sparse passes and
@@ -747,15 +742,13 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
 /// With non_finite, one entry of y is NaN or +/-inf, so the drift is
 /// not finite and every gradient forms the full correlation; results
 /// compare NaN for NaN. wide makes M k > kSmallRowLimit, where the
-/// stale-reference bound is off; pool runs the production group solver
-/// on a two-thread pool.
+/// stale-reference bound is off.
 struct EdgeCase {
   SolverCase base;
   bool non_finite = false;
   bool at_row = false;
   bool moved = false;
   bool wide = false;
-  bool pool = false;
   double rel = 0.0;
   index_t block = 0;
 };
@@ -781,7 +774,6 @@ pt::Gen<EdgeCase> gen_edge_case() {
       e.base.m = std::max<index_t>(e.base.m, 3);
       e.base.k = std::max(e.base.k, be::kSmallRowLimit / e.base.m + 1);
     }
-    e.pool = std::uniform_int_distribution<int>(0, 3)(rng) == 0;
     return e;
   };
 }
@@ -790,7 +782,7 @@ std::string show_edge_case(const EdgeCase& e) {
   std::ostringstream os;
   os << show_solver_case(e.base) << " non_finite=" << e.non_finite
      << " at_row=" << e.at_row << " moved=" << e.moved << " wide=" << e.wide
-     << " pool=" << e.pool << " rel=" << e.rel << " block=" << e.block;
+     << " rel=" << e.rel << " block=" << e.block;
   return os.str();
 }
 
@@ -853,7 +845,6 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
   int converged = 0;
   int moved = 0;
   ForceGuard guard;
-  const ThreadPool pool(2);
   pt::CheckConfig cfg;
   cfg.cases = 240;  // cheap cases; the prox edge needs many draws
   pt::check<EdgeCase>(
@@ -916,7 +907,7 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
             r -= y;
             KroneckerOperator::Workspace ws;
             CMat bp;
-            kron.toa_correlate(r.data(), c.k, nullptr, bp, ws, nullptr);
+            kron.toa_correlate(r.data(), c.k, nullptr, bp, ws);
             double bj = 0.0;
             for (index_t i = 0; i < bp.rows(); ++i) bj += std::norm(bp(i, jb));
             const double inflate = e.at_row ? 1.0 : 1.0 + 1e-9;
@@ -926,8 +917,7 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
             scfg.kappa = std::sqrt(bound * (1.0 + e.rel)) / step;
           }
         }
-        return solvers_match(op, y, scfg, cov, converged, e.non_finite,
-                             e.pool ? &pool : nullptr);
+        return solvers_match(op, y, scfg, cov, converged, e.non_finite);
       },
       {}, show_edge_case, cfg);
   if (!pt::replaying()) {

@@ -175,24 +175,5 @@ TEST(ConcurrencyPool, DestructorDrainsJobInFlight) {
   }
 }
 
-TEST(ConcurrencyPool, RangeVariantUnderConcurrentSubmitters) {
-  ThreadPool pool(3);
-  std::vector<std::thread> submitters;
-  std::vector<std::atomic<long>> sums(4);
-  for (int s = 0; s < 4; ++s) {
-    submitters.emplace_back([&, s] {
-      for (int round = 0; round < 10; ++round) {
-        pool.parallel_for_range(101, 7, [&, s](index_t begin, index_t end) {
-          long acc = 0;
-          for (index_t i = begin; i < end; ++i) acc += i;
-          sums[static_cast<std::size_t>(s)].fetch_add(acc);
-        });
-      }
-    });
-  }
-  for (auto& th : submitters) th.join();
-  for (auto& s : sums) EXPECT_EQ(s.load(), 10L * (100 * 101 / 2));
-}
-
 }  // namespace
 }  // namespace roarray::runtime

@@ -81,47 +81,6 @@ TEST(ThreadPool, MapPreservesIndexOrder) {
   }
 }
 
-TEST(ThreadPool, RangeVariantCoversEveryIndexInDisjointRanges) {
-  for (int threads : {1, 3}) {
-    ThreadPool pool(threads);
-    for (index_t grain : {1, 7, 32, 1000}) {
-      constexpr index_t kN = 250;
-      std::vector<std::atomic<int>> hits(kN);
-      std::atomic<int> ranges{0};
-      pool.parallel_for_range(kN, grain, [&](index_t begin, index_t end) {
-        ASSERT_LT(begin, end);
-        ASSERT_LE(end, kN);
-        ASSERT_LE(end - begin, grain);
-        ranges.fetch_add(1);
-        for (index_t i = begin; i < end; ++i) {
-          hits[static_cast<std::size_t>(i)].fetch_add(1);
-        }
-      });
-      // The partition depends only on (n, grain): ceil(n / grain) ranges.
-      EXPECT_EQ(ranges.load(), (kN + grain - 1) / grain)
-          << "threads " << threads << " grain " << grain;
-      for (index_t i = 0; i < kN; ++i) {
-        EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
-            << "index " << i << " grain " << grain;
-      }
-    }
-  }
-}
-
-TEST(ThreadPool, RangeVariantHandlesEdgeArguments) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  pool.parallel_for_range(0, 8, [&](index_t, index_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-  // Non-positive grain degrades to single-index ranges instead of UB.
-  std::vector<std::atomic<int>> hits(5);
-  pool.parallel_for_range(5, 0, [&](index_t begin, index_t end) {
-    EXPECT_EQ(end, begin + 1);
-    hits[static_cast<std::size_t>(begin)].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, EnvKnobParsesPositiveIntegers) {
   // Only checks the constructor-side clamping here; the env var itself
   // is read once per call and exercised by CI with ROARRAY_THREADS set.
@@ -273,6 +232,28 @@ TEST(EstimateBatch, BitIdenticalAcrossThreadCountsAndVsPerCall) {
     expect_identical_results(reference[i], serial[i]);
   }
   EXPECT_EQ(cache.size(), 1u);  // one grid/array combination, shared.
+}
+
+TEST(EstimateBatch, OneBurstOnAFourLanePoolMatchesTheContextFreeCall) {
+  // A one-burst batch is not a parallel region (parallel_for runs a
+  // single index on the calling thread), so its estimate runs top-level
+  // with the pool in its context. The solve takes no pool, and the
+  // result is the context-free estimate bit for bit.
+  const dsp::ArrayConfig arr;
+  core::RoArrayConfig cfg;
+  cfg.solver.max_iterations = 150;
+  const auto bursts = test_bursts(1);
+  const core::RoArrayResult reference =
+      core::roarray_estimate(bursts[0], cfg, arr);
+
+  OperatorCache cache;
+  ThreadPool pool(4);
+  const auto batch =
+      core::roarray_estimate_batch(bursts, cfg, arr, {&cache, &pool});
+  ASSERT_EQ(batch.size(), 1u);
+  expect_identical_results(reference, batch[0]);
+  EXPECT_EQ(batch[0].solver_iterations, reference.solver_iterations);
+  EXPECT_EQ(batch[0].solver_converged, reference.solver_converged);
 }
 
 }  // namespace

@@ -105,6 +105,37 @@ TEST(ServeConfigValidation, RejectsNonsenseValues) {
   EXPECT_NO_THROW(small_config(0).validate());
 }
 
+// Estimator settings that core::roarray_estimate rejects on every call
+// must be refused up front: accepted, they would throw out of every
+// batch, into std::terminate on a dispatcher thread.
+TEST(ServeConfigValidation, RejectsMaxPathsBelowOne) {
+  serve::ServeConfig cfg = small_config(0);
+  cfg.estimator.max_paths = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(ServeConfigValidation, RejectsSolverMaxIterationsBelowOne) {
+  serve::ServeConfig cfg = small_config(0);
+  cfg.estimator.solver.max_iterations = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(ServeConfigValidation, RejectsAnInvalidEnabledCoarseFineConfig) {
+  serve::ServeConfig cfg = small_config(0);
+  cfg.estimator.coarse_fine.enabled = true;
+  cfg.estimator.coarse_fine.max_candidates = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // A disabled coarse-to-fine config is never read by the estimator.
+  cfg.estimator.coarse_fine.enabled = false;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(ServeConfigValidation, ServiceConstructorRejectsAlwaysThrowingEstimator) {
+  serve::ServeConfig cfg = small_config(1);
+  cfg.estimator.max_paths = 0;
+  EXPECT_THROW(serve::LocalizationService svc(cfg), std::invalid_argument);
+}
+
 TEST(ServeAdmission, RejectsMalformedRequests) {
   serve::LocalizationService svc(small_config(0));
   // No APs at all.

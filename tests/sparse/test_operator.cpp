@@ -11,7 +11,6 @@
 #include "dsp/steering.hpp"
 #include "linalg/backend/backend.hpp"
 #include "linalg/gemm.hpp"
-#include "runtime/thread_pool.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::sparse {
@@ -187,7 +186,7 @@ TEST_F(KroneckerNonSquare, BatchedMatApplyIdenticalToPerColumn) {
   const CMat x = rt::random_cmat(21, 5, rng);
   const CMat batched = op_->apply_mat(x);
   CMat percol;
-  op_->LinearOperator::apply_mat_into(x, percol, nullptr);
+  op_->LinearOperator::apply_mat_into(x, percol);
   ASSERT_EQ(batched.rows(), percol.rows());
   ASSERT_EQ(batched.cols(), percol.cols());
   for (index_t j = 0; j < batched.cols(); ++j) {
@@ -200,7 +199,7 @@ TEST_F(KroneckerNonSquare, BatchedMatApplyIdenticalToPerColumn) {
   const CMat y = rt::random_cmat(24, 5, rng);
   const CMat adj_batched = op_->apply_adjoint_mat(y);
   CMat adj_percol;
-  op_->LinearOperator::apply_adjoint_mat_into(y, adj_percol, nullptr);
+  op_->LinearOperator::apply_adjoint_mat_into(y, adj_percol);
   for (index_t j = 0; j < adj_batched.cols(); ++j) {
     for (index_t i = 0; i < adj_batched.rows(); ++i) {
       EXPECT_EQ(adj_batched(i, j), adj_percol(i, j)) << "adjoint";
@@ -208,27 +207,6 @@ TEST_F(KroneckerNonSquare, BatchedMatApplyIdenticalToPerColumn) {
   }
   rt::expect_mat_near(adj_batched, matmul_adj_left(full_, y), 1e-10,
                       "adjoint vs dense");
-}
-
-TEST_F(KroneckerNonSquare, PooledMatApplyIdenticalToSerial) {
-  auto rng = rt::make_rng(71);
-  runtime::ThreadPool pool(3);
-  const CMat x = rt::random_cmat(21, 4, rng);
-  const CMat serial = op_->apply_mat(x);
-  const CMat pooled = op_->apply_mat(x, &pool);
-  for (index_t j = 0; j < serial.cols(); ++j) {
-    for (index_t i = 0; i < serial.rows(); ++i) {
-      EXPECT_EQ(serial(i, j), pooled(i, j)) << "pooled forward";
-    }
-  }
-  const CMat y = rt::random_cmat(24, 4, rng);
-  const CMat adj_serial = op_->apply_adjoint_mat(y);
-  const CMat adj_pooled = op_->apply_adjoint_mat(y, &pool);
-  for (index_t j = 0; j < adj_serial.cols(); ++j) {
-    for (index_t i = 0; i < adj_serial.rows(); ++i) {
-      EXPECT_EQ(adj_serial(i, j), adj_pooled(i, j)) << "pooled adjoint";
-    }
-  }
 }
 
 TEST_F(KroneckerNonSquare, RowGramAndToDenseMatchExplicitProduct) {
@@ -240,11 +218,9 @@ TEST_F(KroneckerNonSquare, RowGramAndToDenseMatchExplicitProduct) {
 TEST_F(KroneckerNonSquare, MatShapeMismatchThrows) {
   CMat out;
   const CMat bad_x(20, 2);
-  EXPECT_THROW(op_->apply_mat_into(bad_x, out, nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(op_->apply_mat_into(bad_x, out), std::invalid_argument);
   const CMat bad_y(25, 2);
-  EXPECT_THROW(op_->apply_adjoint_mat_into(bad_y, out, nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(op_->apply_adjoint_mat_into(bad_y, out), std::invalid_argument);
 }
 
 // --- SupportOperator: Cartesian restriction of a Kronecker dictionary ---
@@ -491,7 +467,7 @@ TEST(KroneckerBlocks, MaskedForwardOnBlockSparseInputEqualsDenseForward) {
           if (trial == 3) live[0] = 1;
           const CMat want = op.apply_mat(x);
           CMat got(op.rows(), k);
-          op.apply_blocks(x.data(), k, live.data(), got.data(), ws, nullptr);
+          op.apply_blocks(x.data(), k, live.data(), got.data(), ws);
           EXPECT_TRUE(same_bytes(got.data(), want.data(), want.size()))
               << table->name << " m=" << s.m << " nl=" << s.nl << " k=" << k
               << " trial " << trial;
@@ -518,12 +494,12 @@ TEST(KroneckerBlocks, MaskedExpansionEqualsDenseAdjointOnKeptBlocks) {
         const CMat y = rt::random_cmat(op.rows(), k, rng);
         const CMat want = op.apply_adjoint_mat(y);
         const std::vector<std::uint8_t> keep = random_mask(s.nr, rng);
-        op.toa_correlate(y.data(), k, nullptr, bp, ws, nullptr);
+        op.toa_correlate(y.data(), k, nullptr, bp, ws);
         CMat got(op.cols(), k);
         for (index_t i = 0; i < got.size(); ++i) {
           got.data()[i] = cxd{sentinel, sentinel};
         }
-        op.aoa_expand(bp, k, keep.data(), got.data(), ws, nullptr);
+        op.aoa_expand(bp, k, keep.data(), got.data(), ws);
         for (index_t c = 0; c < k; ++c) {
           for (index_t j = 0; j < s.nr; ++j) {
             const cxd* g = got.data() + c * op.cols() + j * s.nl;
@@ -556,7 +532,7 @@ TEST(KroneckerBlocks, MaskedCorrelationEqualsTheFullProductOnMaskedColumns) {
         const bool masked = s.m * k <= linalg::backend::kSmallRowLimit;
         const CMat y = rt::random_cmat(op.rows(), k, rng);
         CMat want;
-        op.toa_correlate(y.data(), k, nullptr, want, ws, nullptr);
+        op.toa_correlate(y.data(), k, nullptr, want, ws);
         for (int trial = 0; trial < 3; ++trial) {
           std::vector<std::uint8_t> cols = random_mask(s.nr, rng);
           if (trial == 1) cols.assign(cols.size(), 0);  // no column
@@ -565,7 +541,7 @@ TEST(KroneckerBlocks, MaskedCorrelationEqualsTheFullProductOnMaskedColumns) {
           for (index_t i = 0; i < got.size(); ++i) {
             got.data()[i] = cxd{sentinel, sentinel};
           }
-          op.toa_correlate(y.data(), k, cols.data(), got, ws, nullptr);
+          op.toa_correlate(y.data(), k, cols.data(), got, ws);
           for (index_t j = 0; j < s.nr; ++j) {
             const cxd* g = got.data() + j * got.rows();
             const cxd* w = want.data() + j * want.rows();

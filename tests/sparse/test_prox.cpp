@@ -117,14 +117,6 @@ TEST(GroupSoftThreshold, ReducesToVectorProxForSingleColumn) {
   rt::expect_vec_near(x.col_vec(0), w, 1e-12, "single column");
 }
 
-TEST(NormL21, MatchesManualRowSum) {
-  CMat x(2, 2);
-  x(0, 0) = cxd{3.0, 0.0};
-  x(0, 1) = cxd{0.0, 4.0};  // row norm 5
-  x(1, 0) = cxd{1.0, 0.0};  // row norm 1
-  EXPECT_NEAR(norm_l21_rows(x), 6.0, 1e-12);
-}
-
 // ---------------------------------------------------------------------------
 // The shared row decision (row_shrink_factors) and its sqrt prefilter.
 

@@ -6,7 +6,6 @@
 #include "dsp/grid.hpp"
 #include "dsp/steering.hpp"
 #include "linalg/eig.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sparse/admm.hpp"
 #include "sparse/fista.hpp"
 #include "sparse/power.hpp"
@@ -122,7 +121,7 @@ TEST(Fista, CallbackSeesEveryIteration) {
   CMat ym(6, 1);
   ym.set_col(0, y);
   const GroupSolveResult r =
-      solve_group_l1(op, ym, cfg, nullptr, [&](int it, const CMat& x) {
+      solve_group_l1(op, ym, cfg, [&](int it, const CMat& x) {
         ++count;
         EXPECT_EQ(it, count);
         EXPECT_EQ(x.rows(), 20);
@@ -302,9 +301,9 @@ INSTANTIATE_TEST_SUITE_P(SnrSweep, SteeringRecovery,
                          ::testing::Values(30.0, 20.0, 10.0, 5.0));
 
 // The block screen's counters on the joint steering operator: the
-// stale-reference bound decides most blocks, a pool leaves the counts
-// (and x) unchanged, M k above kSmallRowLimit forms every correlation
-// in full, and an operator without Kronecker structure counts nothing.
+// stale-reference bound decides most blocks, M k above kSmallRowLimit
+// forms every correlation in full, and an operator without Kronecker
+// structure counts nothing.
 TEST(ScreenStats, CountTheScreenDecisionsOfASteeringSolve) {
   dsp::ArrayConfig cfg;
   const dsp::Grid aoa(0.0, 180.0, 46);
@@ -333,10 +332,6 @@ TEST(ScreenStats, CountTheScreenDecisionsOfASteeringSolve) {
   // iteration plus one per monotone restart.
   EXPECT_LE(r.screen.drift_cleared + r.screen.exact_tested,
             2 * r.iterations * nr);
-  const runtime::ThreadPool pool(2);
-  const GroupSolveResult pooled = solve_group_l1(op, y, scfg, &pool);
-  EXPECT_EQ(pooled.screen, r.screen);
-  EXPECT_EQ(pooled.objective, r.objective);
 
   const GroupSolveResult wide = solve_group_l1(op, snapshots(6), scfg);
   EXPECT_EQ(wide.screen.drift_cleared, 0);

@@ -97,23 +97,6 @@ TEST(Report, SummaryListsAllCurves) {
   EXPECT_NE(s.find("n=2"), std::string::npos);
 }
 
-TEST(Report, SeriesLengthMismatchThrows) {
-  std::ostringstream os;
-  EXPECT_THROW(
-      print_series(os, "t", "x", {1.0, 2.0}, {{"bad", {1.0}}}),
-      std::invalid_argument);
-}
-
-TEST(Report, SeriesPrintsAllColumns) {
-  std::ostringstream os;
-  print_series(os, "spectrum", "deg", {0.0, 90.0},
-               {{"p1", {0.1, 1.0}}, {"p2", {0.2, 0.4}}});
-  const std::string s = os.str();
-  EXPECT_NE(s.find("p1"), std::string::npos);
-  EXPECT_NE(s.find("p2"), std::string::npos);
-  EXPECT_NE(s.find("90.0"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // JsonWriter edge cases: escaping, non-finite doubles, structure checks.
 
@@ -192,17 +175,6 @@ TEST(JsonWriter, StructuralMisuseThrows) {
     w.begin_array();
     EXPECT_FALSE(w.complete());  // unbalanced: not complete.
   }
-}
-
-TEST(JsonWriter, CdfSummaryHandlesEmptyCdf) {
-  std::ostringstream os;
-  write_cdf_summary_json(os, {{"empty", Cdf{}}, {"one", Cdf({2.0})}});
-  const std::string s = os.str();
-  EXPECT_NE(s.find("\"empty\""), std::string::npos);
-  EXPECT_NE(s.find("\"n\": 0"), std::string::npos);
-  EXPECT_NE(s.find("null"), std::string::npos);  // null stats for empty curve.
-  EXPECT_NE(s.find("\"one\""), std::string::npos);
-  EXPECT_NE(s.find("\"n\": 1"), std::string::npos);
 }
 
 TEST(Report, SketchProducesRows) {
