@@ -31,6 +31,7 @@
 #include "music/music.hpp"
 #include "music/smoothing.hpp"
 #include "sparse/admm.hpp"
+#include "sparse/coarse_fine.hpp"
 #include "sparse/fista.hpp"
 #include "sparse/l1svd.hpp"
 #include "sparse/omp.hpp"
@@ -291,14 +292,21 @@ void BM_FusionVsPerPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_FusionVsPerPacket)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
+// The coarse pass of coarse-to-fine: the default decimations (4 on the
+// 91-point AoA grid, 2 on the 50-point ToA grid) give a 23 x 25
+// operator, and the default CoarseFineConfig budget and stop.
 void BM_SolverOmp(benchmark::State& state) {
-  const dsp::Grid aoa(0.0, 180.0, 91);
-  const dsp::Grid toa(0.0, 784e-9, 50);
+  const sparse::CoarseFineConfig cf;
+  const dsp::Grid aoa =
+      sparse::decimate_grid(dsp::Grid(0.0, 180.0, 91), cf.aoa_decimation);
+  const dsp::Grid toa =
+      sparse::decimate_grid(dsp::Grid(0.0, 784e-9, 50), cf.toa_decimation);
   const sparse::KroneckerOperator op(dsp::steering_matrix_aoa(aoa, kArray),
                                      dsp::steering_matrix_toa(toa, kArray));
   const CVec y = measurement_for(kArray, 2);
   sparse::OmpConfig cfg;
-  cfg.max_atoms = 5;
+  cfg.max_atoms = cf.max_candidates;
+  cfg.residual_tolerance = cf.coarse_residual_tolerance;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sparse::solve_omp(op, y, cfg));
   }

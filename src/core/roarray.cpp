@@ -40,29 +40,42 @@ dsp::Spectrum2d coefficients_to_spectrum(const CVec& coeffs,
   return coefficients_to_spectrum(column, aoa_grid, toa_grid);
 }
 
-dsp::Spectrum2d coefficients_to_spectrum(const CMat& coeffs,
-                                         const dsp::Grid& aoa_grid,
-                                         const dsp::Grid& toa_grid) {
+namespace {
+
+/// The one spectrum routine: cell `cell(r)` (AoA-fastest, j * Nth + i)
+/// gets the norm of coefficient row r, and a cell that no row maps to
+/// keeps the +0 of sqrt(+0), the value an all-zero row gives it.
+template <class CellOf>
+dsp::Spectrum2d rows_to_spectrum(const CMat& coeffs, const CellOf& cell,
+                                 const dsp::Grid& aoa_grid,
+                                 const dsp::Grid& toa_grid) {
   const index_t nth = aoa_grid.size();
-  const index_t ntau = toa_grid.size();
-  if (coeffs.rows() != nth * ntau) {
-    throw std::invalid_argument("coefficients_to_spectrum: size mismatch");
-  }
   dsp::Spectrum2d out;
   out.aoa_grid = aoa_grid;
   out.toa_grid = toa_grid;
-  out.values = RMat(nth, ntau);
-  for (index_t j = 0; j < ntau; ++j) {
-    for (index_t i = 0; i < nth; ++i) {
-      double row_sq = 0.0;
-      for (index_t k = 0; k < coeffs.cols(); ++k) {
-        row_sq += std::norm(coeffs(j * nth + i, k));
-      }
-      out.values(i, j) = std::sqrt(row_sq);
+  out.values = RMat(nth, toa_grid.size());
+  for (index_t r = 0; r < coeffs.rows(); ++r) {
+    double row_sq = 0.0;
+    for (index_t k = 0; k < coeffs.cols(); ++k) {
+      row_sq += std::norm(coeffs(r, k));
     }
+    const index_t c = cell(r);
+    out.values(c % nth, c / nth) = std::sqrt(row_sq);
   }
   out.normalize();
   return out;
+}
+
+}  // namespace
+
+dsp::Spectrum2d coefficients_to_spectrum(const CMat& coeffs,
+                                         const dsp::Grid& aoa_grid,
+                                         const dsp::Grid& toa_grid) {
+  if (coeffs.rows() != aoa_grid.size() * toa_grid.size()) {
+    throw std::invalid_argument("coefficients_to_spectrum: size mismatch");
+  }
+  return rows_to_spectrum(
+      coeffs, [](index_t r) { return r; }, aoa_grid, toa_grid);
 }
 
 namespace {
@@ -248,10 +261,10 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
   }
 
   RoArrayResult out;
-  CMat coefficients;
   if (cfg.coarse_fine.enabled && !sub) {
-    coefficients = CMat(op.cols(), y.cols());
     out.solver_converged = true;
+    out.spectrum = coefficients_to_spectrum(CMat(op.cols(), y.cols()),
+                                            cfg.aoa_grid, cfg.toa_grid);
   } else {
     const sparse::LinearOperator& solve_op =
         sub ? static_cast<const sparse::LinearOperator&>(*sub) : op;
@@ -266,10 +279,14 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
         sparse::solve_group_l1(solve_op, y, solver, cb);
     out.solver_iterations = sol.iterations;
     out.solver_converged = sol.converged;
-    coefficients = sub ? sub->scatter(sol.x) : std::move(sol.x);
+    // A restricted solve writes its support cells only: the other
+    // cells' rows would be all zero.
+    out.spectrum =
+        sub ? rows_to_spectrum(
+                  sol.x, [&sub](index_t r) { return sub->full_index(r); },
+                  cfg.aoa_grid, cfg.toa_grid)
+            : coefficients_to_spectrum(sol.x, cfg.aoa_grid, cfg.toa_grid);
   }
-  out.spectrum =
-      coefficients_to_spectrum(coefficients, cfg.aoa_grid, cfg.toa_grid);
   extract_paths(out, cfg, dsp::aoa_wrap_period(cfg.aoa_grid, array_cfg));
   return out;
 }

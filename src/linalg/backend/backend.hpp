@@ -64,16 +64,19 @@ struct Backend {
   void (*gemm_tile)(index_t i0, index_t i1, index_t j0, index_t j1,
                     index_t m, index_t k, const cxd* a, const cxd* b, cxd* c);
 
-  /// C(:, j0:j1) = A B(:, j0:j1) for m <= kSmallRowLimit (overwrites,
-  /// no prior memset needed). Same zero-skip and tolerance as gemm_tile.
-  void (*gemm_cols)(index_t m, index_t j0, index_t j1, index_t k,
-                    const cxd* a, const cxd* b, cxd* c);
+  /// C = A B for m <= kSmallRowLimit; A is m x k, B k x n, C m x n
+  /// (overwrites, no prior memset needed). Each column of C is computed
+  /// from its own column of B alone. Same zero-skip and tolerance as
+  /// gemm_tile.
+  void (*gemm_cols)(index_t m, index_t n, index_t k, const cxd* a,
+                    const cxd* b, cxd* c);
 
-  /// C(:, j0:j1) = A B(:, j0:j1) for k <= kSmallDepthLimit (overwrites).
-  /// Does NOT skip zero B entries (their terms are exact +/-0); the
-  /// simd kernel matches that so the two tables see the same terms.
-  void (*gemm_cols_depth)(index_t m, index_t j0, index_t j1, index_t k,
-                          const cxd* a, const cxd* b, cxd* c);
+  /// C = A B for k <= kSmallDepthLimit (overwrites; shapes as in
+  /// gemm_cols). Does NOT skip zero B entries (their terms are exact
+  /// +/-0); the simd kernel matches that so the two tables see the same
+  /// terms.
+  void (*gemm_cols_depth)(index_t m, index_t n, index_t k, const cxd* a,
+                          const cxd* b, cxd* c);
 
   /// C(i0:i1, j0:j1) = A(:, i0:i1)^H B(:, j0:j1); A is k x m', B k x n.
   /// simd may split the k reduction into a fixed number of lanes with a

@@ -37,7 +37,7 @@ void gemm_tile(index_t i0, index_t i1, index_t j0, index_t j1, index_t m,
   }
 }
 
-/// C(:, j0:j1) = A B(:, j0:j1) for an A with a compile-time row count.
+/// C = A B (n columns) for an A with a compile-time row count.
 /// The Kronecker fast path spends most of its time in GEMMs whose output
 /// has only a few rows (the antenna count M, or M times the snapshot
 /// count); the generic tile reloads and restores the C column on every
@@ -45,9 +45,9 @@ void gemm_tile(index_t i0, index_t i1, index_t j0, index_t j1, index_t m,
 /// fixed-size accumulator removes that traffic. Reduction order and the
 /// zero-skip match gemm_tile exactly, so results are bit-identical.
 template <int M>
-void gemm_cols_small(index_t j0, index_t j1, index_t k, const cxd* a,
-                     const cxd* b, cxd* c) {
-  for (index_t j = j0; j < j1; ++j) {
+void gemm_cols_small(index_t n, index_t k, const cxd* a, const cxd* b,
+                     cxd* c) {
+  for (index_t j = 0; j < n; ++j) {
     const cxd* bj = b + j * k;
     double acc[2 * M] = {};
     for (index_t kk = 0; kk < k; ++kk) {
@@ -64,8 +64,8 @@ void gemm_cols_small(index_t j0, index_t j1, index_t k, const cxd* a,
   }
 }
 
-using SmallKernel = void (*)(index_t, index_t, index_t, const cxd*,
-                             const cxd*, cxd*);
+using SmallKernel = void (*)(index_t, index_t, const cxd*, const cxd*,
+                             cxd*);
 
 template <int... Ms>
 constexpr std::array<SmallKernel, sizeof...(Ms)> small_kernel_table(
@@ -76,12 +76,12 @@ constexpr std::array<SmallKernel, sizeof...(Ms)> small_kernel_table(
 constexpr auto kSmallKernels =
     small_kernel_table(std::make_integer_sequence<int, kSmallRowLimit>{});
 
-void gemm_cols(index_t m, index_t j0, index_t j1, index_t k, const cxd* a,
-               const cxd* b, cxd* c) {
-  kSmallKernels[static_cast<std::size_t>(m - 1)](j0, j1, k, a, b, c);
+void gemm_cols(index_t m, index_t n, index_t k, const cxd* a, const cxd* b,
+               cxd* c) {
+  kSmallKernels[static_cast<std::size_t>(m - 1)](n, k, a, b, c);
 }
 
-/// C(:, j0:j1) = A B(:, j0:j1) for a compile-time reduction depth K.
+/// C = A B (n columns) for a compile-time reduction depth K.
 /// This is the Kronecker adjoint's final product (tall output, inner
 /// dimension = the antenna count). The loop structure is the generic
 /// tile's (vectorizable contiguous sweep over the C column per
@@ -92,10 +92,10 @@ void gemm_cols(index_t m, index_t j0, index_t j1, index_t k, const cxd* a,
 /// zero-skipping kernels (only the sign of an all-zero sum can
 /// differ).
 template <int K>
-void gemm_cols_small_depth(index_t m, index_t j0, index_t j1, const cxd* a,
-                           const cxd* b, cxd* c) {
+void gemm_cols_small_depth(index_t m, index_t n, const cxd* a, const cxd* b,
+                           cxd* c) {
   const double* ad = reinterpret_cast<const double*>(a);
-  for (index_t j = j0; j < j1; ++j) {
+  for (index_t j = 0; j < n; ++j) {
     const cxd* bj = b + j * K;
     double* cj = reinterpret_cast<double*>(c + j * m);
     {
@@ -122,8 +122,8 @@ void gemm_cols_small_depth(index_t m, index_t j0, index_t j1, const cxd* a,
   }
 }
 
-using SmallDepthKernel = void (*)(index_t, index_t, index_t, const cxd*,
-                                  const cxd*, cxd*);
+using SmallDepthKernel = void (*)(index_t, index_t, const cxd*, const cxd*,
+                                  cxd*);
 
 template <int... Ks>
 constexpr std::array<SmallDepthKernel, sizeof...(Ks)> small_depth_table(
@@ -134,9 +134,9 @@ constexpr std::array<SmallDepthKernel, sizeof...(Ks)> small_depth_table(
 constexpr auto kSmallDepthKernels =
     small_depth_table(std::make_integer_sequence<int, kSmallDepthLimit>{});
 
-void gemm_cols_depth(index_t m, index_t j0, index_t j1, index_t k,
-                     const cxd* a, const cxd* b, cxd* c) {
-  kSmallDepthKernels[static_cast<std::size_t>(k - 1)](m, j0, j1, a, b, c);
+void gemm_cols_depth(index_t m, index_t n, index_t k, const cxd* a,
+                     const cxd* b, cxd* c) {
+  kSmallDepthKernels[static_cast<std::size_t>(k - 1)](m, n, a, b, c);
 }
 
 /// C(i0:i1, j0:j1) = A(:, i0:i1)^H B(:, j0:j1): contiguous dot products

@@ -297,20 +297,20 @@ void gemm_tile(index_t i0, index_t i1, index_t j0, index_t j1, index_t m,
 // complex multiply-accumulate on interleaved lanes.
 #define ROARRAY_SIGN_EVEN() _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0)
 
-/// C(:, j0:j1) = A B(:, j0:j1) for a compile-time row count M <= 16,
+/// C = A B (n columns) for a compile-time row count M <= 16,
 /// one column at a time. Whole C column lives in registers (ceil(M/2)
 /// vectors); per reduction step: one contiguous A-column load, one
 /// in-lane permute, two FMAs per vector. Zero-skip matches the scalar
 /// kernel per entry. Used as is for M > 7, and for the leftover columns
 /// of cols_blocked below.
 template <int M>
-void cols_kernel(index_t j0, index_t j1, index_t k, const cxd* a,
-                 const cxd* b, cxd* c) {
+void cols_kernel(index_t n, index_t k, const cxd* a, const cxd* b,
+                 cxd* c) {
   constexpr int NV = M / 2;           // full 2-complex vectors
   constexpr bool kTail = (M % 2) != 0;  // odd row count: one xmm lane
   const __m256d sign = ROARRAY_SIGN_EVEN();
   const double* ad = reinterpret_cast<const double*>(a);
-  for (index_t j = j0; j < j1; ++j) {
+  for (index_t j = 0; j < n; ++j) {
     const cxd* bj = b + j * k;
     __m256d acc[NV > 0 ? NV : 1];
     for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
@@ -362,8 +362,8 @@ inline constexpr int kColsBlock = M <= 4 ? 4 : 2;
 /// locals, not an array (see the tile_panel note on gcc spilling
 /// __m256d arrays).
 template <int M>
-void cols_blocked(index_t j0, index_t j1, index_t k, const cxd* a,
-                  const cxd* b, cxd* c) {
+void cols_blocked(index_t n, index_t k, const cxd* a, const cxd* b,
+                  cxd* c) {
   constexpr int NB = kColsBlock<M>;
   constexpr int NV = M / 2;
   constexpr bool kTail = (M % 2) != 0;
@@ -426,8 +426,8 @@ void cols_blocked(index_t j0, index_t j1, index_t k, const cxd* a,
     if constexpr (NV > 2) _mm256_storeu_pd(cj + 8, acc##C##2);             \
     if constexpr (kTail) _mm_storeu_pd(cj + 4 * NV, tail##C);              \
   } while (0)
-  index_t j = j0;
-  for (; j + NB <= j1; j += NB) {
+  index_t j = 0;
+  for (; j + NB <= n; j += NB) {
     const double* bd = reinterpret_cast<const double*>(b + j * k);
     [[maybe_unused]] __m256d acc00 = zero, acc01 = zero, acc02 = zero;
     [[maybe_unused]] __m256d acc10 = zero, acc11 = zero, acc12 = zero;
@@ -482,11 +482,10 @@ void cols_blocked(index_t j0, index_t j1, index_t k, const cxd* a,
 #undef ROARRAY_CB_MAC
 #undef ROARRAY_CB_STEP
 #undef ROARRAY_CB_STORE
-  if (j < j1) cols_kernel<M>(j, j1, k, a, b, c);
+  if (j < n) cols_kernel<M>(n - j, k, a, b + j * k, c + j * M);
 }
 
-using ColsKernel = void (*)(index_t, index_t, index_t, const cxd*,
-                            const cxd*, cxd*);
+using ColsKernel = void (*)(index_t, index_t, const cxd*, const cxd*, cxd*);
 
 /// Fixed-height kernel for row count M: column-blocked up to M = 7,
 /// one column at a time above (where one column already carries four or
@@ -509,12 +508,12 @@ constexpr std::array<ColsKernel, sizeof...(Ms)> cols_table(
 constexpr auto kColsKernels =
     cols_table(std::make_integer_sequence<int, kSmallRowLimit>{});
 
-void gemm_cols(index_t m, index_t j0, index_t j1, index_t k, const cxd* a,
-               const cxd* b, cxd* c) {
-  kColsKernels[static_cast<std::size_t>(m - 1)](j0, j1, k, a, b, c);
+void gemm_cols(index_t m, index_t n, index_t k, const cxd* a, const cxd* b,
+               cxd* c) {
+  kColsKernels[static_cast<std::size_t>(m - 1)](n, k, a, b, c);
 }
 
-/// C(:, j0:j1) = A B(:, j0:j1) for a compile-time depth K <= 8: the B
+/// C = A B (n columns) for a compile-time depth K <= 8: the B
 /// factors are hoisted into per-depth broadcast registers once per
 /// column, then each C vector is produced in one pass over the K
 /// contiguous A columns. K is a template parameter so the fully
@@ -522,11 +521,11 @@ void gemm_cols(index_t m, index_t j0, index_t j1, index_t k, const cxd* a,
 /// in a loop-indexed stack array, reloaded every step). No zero-skip,
 /// matching the scalar fixed-depth kernel (exact +/-0 terms).
 template <int K>
-void cols_depth_kernel(index_t m, index_t j0, index_t j1, const cxd* a,
-                       const cxd* b, cxd* c) {
+void cols_depth_kernel(index_t m, index_t n, const cxd* a, const cxd* b,
+                       cxd* c) {
   const __m256d sign = ROARRAY_SIGN_EVEN();
   const double* ad = reinterpret_cast<const double*>(a);
-  for (index_t j = j0; j < j1; ++j) {
+  for (index_t j = 0; j < n; ++j) {
     const double* bj = reinterpret_cast<const double*>(b + j * K);
     __m256d vbr[K];
     __m256d vbi[K];
@@ -561,8 +560,8 @@ void cols_depth_kernel(index_t m, index_t j0, index_t j1, const cxd* a,
   }
 }
 
-using ColsDepthKernel = void (*)(index_t, index_t, index_t, const cxd*,
-                                 const cxd*, cxd*);
+using ColsDepthKernel = void (*)(index_t, index_t, const cxd*, const cxd*,
+                                 cxd*);
 
 template <int... Ks>
 constexpr std::array<ColsDepthKernel, sizeof...(Ks)> cols_depth_table(
@@ -573,9 +572,9 @@ constexpr std::array<ColsDepthKernel, sizeof...(Ks)> cols_depth_table(
 constexpr auto kColsDepthKernels =
     cols_depth_table(std::make_integer_sequence<int, kSmallDepthLimit>{});
 
-void gemm_cols_depth(index_t m, index_t j0, index_t j1, index_t k,
-                     const cxd* a, const cxd* b, cxd* c) {
-  kColsDepthKernels[static_cast<std::size_t>(k - 1)](m, j0, j1, a, b, c);
+void gemm_cols_depth(index_t m, index_t n, index_t k, const cxd* a,
+                     const cxd* b, cxd* c) {
+  kColsDepthKernels[static_cast<std::size_t>(k - 1)](m, n, a, b, c);
 }
 
 /// C(i0:i1, j0:j1) = A(:, i0:i1)^H B(:, j0:j1). Each dot product keeps

@@ -57,12 +57,12 @@ void gemm_tile(index_t i0, index_t i1, index_t j0, index_t j1, index_t m,
   }
 }
 
-void gemm_cols(index_t m, index_t j0, index_t j1, index_t k, const cxd* a,
-               const cxd* b, cxd* c) {
+void gemm_cols(index_t m, index_t n, index_t k, const cxd* a, const cxd* b,
+               cxd* c) {
   // Whole C column accumulates in an L1-resident stack buffer (m <= 16).
   alignas(16) double acc[2 * kSmallRowLimit];
   const std::size_t bytes = static_cast<std::size_t>(2 * m) * sizeof(double);
-  for (index_t j = j0; j < j1; ++j) {
+  for (index_t j = 0; j < n; ++j) {
     const cxd* bj = b + j * k;
     std::memset(acc, 0, bytes);
     for (index_t kk = 0; kk < k; ++kk) {
@@ -81,12 +81,12 @@ void gemm_cols(index_t m, index_t j0, index_t j1, index_t k, const cxd* a,
   }
 }
 
-void gemm_cols_depth(index_t m, index_t j0, index_t j1, index_t k,
-                     const cxd* a, const cxd* b, cxd* c) {
+void gemm_cols_depth(index_t m, index_t n, index_t k, const cxd* a,
+                     const cxd* b, cxd* c) {
   const double* ad = reinterpret_cast<const double*>(a);
   double br[kSmallDepthLimit] = {};
   float64x2_t vbi[kSmallDepthLimit] = {};
-  for (index_t j = j0; j < j1; ++j) {
+  for (index_t j = 0; j < n; ++j) {
     const cxd* bj = b + j * k;
     for (index_t kk = 0; kk < k; ++kk) {
       br[kk] = bj[kk].real();

@@ -43,11 +43,11 @@ void gemm(index_t m, index_t n, index_t k, const cxd* a, const cxd* b,
   if (m <= backend::kSmallRowLimit) {
     // Fixed-height kernel: every column is written exactly once (no
     // memset needed).
-    bk.gemm_cols(m, 0, n, k, a, b, c);
+    bk.gemm_cols(m, n, k, a, b, c);
     return;
   }
   if (k <= backend::kSmallDepthLimit) {
-    bk.gemm_cols_depth(m, 0, n, k, a, b, c);
+    bk.gemm_cols_depth(m, n, k, a, b, c);
     return;
   }
   std::memset(static_cast<void*>(c), 0, static_cast<std::size_t>(m * n) * sizeof(cxd));

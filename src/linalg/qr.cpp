@@ -1,124 +1,107 @@
 #include "linalg/qr.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace roarray::linalg {
 
-namespace {
+HouseholderQr::HouseholderQr(index_t rows, index_t max_cols)
+    : m_(rows),
+      work_(rows, std::clamp<index_t>(max_cols, 0, rows)),
+      v_(rows, work_.cols()),
+      reflects_(static_cast<std::size_t>(work_.cols()), 0) {}
 
-/// Householder reflectors computed in-place on a working copy of A.
-/// After factorize(), work holds R in its upper triangle and the
-/// reflector vectors (below-diagonal part plus vs[k] head) elsewhere.
-struct HouseholderQr {
-  CMat work;                     // m x n, upper triangle = R
-  std::vector<CVec> reflectors;  // reflector k has length m - k, unit 2-norm scaling baked in
-  index_t m = 0;
-  index_t n = 0;
+HouseholderQr::HouseholderQr(const CMat& a)
+    : HouseholderQr(a.rows(), a.cols()) {
+  if (a.rows() < a.cols()) throw std::invalid_argument("qr: requires rows >= cols");
+  for (index_t j = 0; j < a.cols(); ++j) add_column(a.data() + j * m_);
+}
 
-  explicit HouseholderQr(const CMat& a) : work(a), m(a.rows()), n(a.cols()) {
-    if (m < n) throw std::invalid_argument("qr: requires rows >= cols");
-    reflectors.reserve(static_cast<std::size_t>(n));
-    factorize();
+// (I - 2 v v^H) b over rows k .. m - 1, v the k-th stored reflector.
+void HouseholderQr::apply_reflector(index_t k, cxd* b) const noexcept {
+  const cxd* v = v_.data() + k * m_;
+  cxd dot_vb{};
+  for (index_t i = k; i < m_; ++i) dot_vb += std::conj(v[i]) * b[i];
+  const cxd scale = 2.0 * dot_vb;
+  for (index_t i = k; i < m_; ++i) b[i] -= scale * v[i];
+}
+
+void HouseholderQr::add_column(const cxd* col) {
+  if (n_ == m_) throw std::invalid_argument("qr: requires rows >= cols");
+  if (n_ == work_.cols()) throw std::length_error("qr: column budget exhausted");
+  const index_t k = n_;
+  cxd* w = work_.data() + k * m_;
+  std::copy(col, col + m_, w);
+  for (index_t j = 0; j < k; ++j) {
+    if (reflects_[static_cast<std::size_t>(j)] != 0) apply_reflector(j, w);
   }
 
-  void factorize() {
-    for (index_t k = 0; k < n; ++k) {
-      // Build the reflector for column k from work[k:m, k].
-      CVec v(m - k);
-      double xnorm_sq = 0.0;
-      for (index_t i = k; i < m; ++i) {
-        v[i - k] = work(i, k);
-        xnorm_sq += std::norm(work(i, k));
-      }
-      const double xnorm = std::sqrt(xnorm_sq);
-      if (xnorm > 0.0) {
-        // alpha = -phase(x0) * ||x|| so that v = x - alpha e1 avoids cancellation.
-        const cxd x0 = v[0];
-        const cxd phase = std::abs(x0) > 0.0 ? x0 / std::abs(x0) : cxd{1.0, 0.0};
-        const cxd alpha = -phase * xnorm;
-        v[0] -= alpha;
-        const double vnorm = norm2(v);
-        if (vnorm > 0.0) {
-          v *= cxd{1.0 / vnorm, 0.0};
-          apply_reflector_to_trailing(v, k);
-        }
-        work(k, k) = alpha;
-        for (index_t i = k + 1; i < m; ++i) work(i, k) = cxd{};
-      }
-      reflectors.push_back(std::move(v));
+  // The reflector of column k, from w[k:m].
+  cxd* v = v_.data() + k * m_;
+  double xnorm_sq = 0.0;
+  for (index_t i = k; i < m_; ++i) {
+    v[i] = w[i];
+    xnorm_sq += std::norm(w[i]);
+  }
+  const double xnorm = std::sqrt(xnorm_sq);
+  if (xnorm > 0.0) {
+    // alpha = -phase(x0) * ||x|| so that v = x - alpha e1 avoids cancellation.
+    const cxd x0 = v[k];
+    const cxd phase = std::abs(x0) > 0.0 ? x0 / std::abs(x0) : cxd{1.0, 0.0};
+    const cxd alpha = -phase * xnorm;
+    v[k] -= alpha;
+    double vnorm_sq = 0.0;
+    for (index_t i = k; i < m_; ++i) vnorm_sq += std::norm(v[i]);
+    const double vnorm = std::sqrt(vnorm_sq);
+    if (vnorm > 0.0) {
+      const cxd inv{1.0 / vnorm, 0.0};
+      for (index_t i = k; i < m_; ++i) v[i] *= inv;
+      reflects_[static_cast<std::size_t>(k)] = 1;
     }
+    w[k] = alpha;
+    for (index_t i = k + 1; i < m_; ++i) w[i] = cxd{};
   }
+  // Column k is final: later reflectors only touch later columns.
+  for (index_t i = 0; i < m_; ++i) work_max_ = std::max(work_max_, std::abs(w[i]));
+  ++n_;
+}
 
-  /// Applies (I - 2 v v^H) to work[k:m, k+1:n].
-  void apply_reflector_to_trailing(const CVec& v, index_t k) {
-    for (index_t j = k + 1; j < n; ++j) {
-      cxd dot_vx{};
-      for (index_t i = k; i < m; ++i) dot_vx += std::conj(v[i - k]) * work(i, j);
-      const cxd scale = 2.0 * dot_vx;
-      for (index_t i = k; i < m; ++i) work(i, j) -= scale * v[i - k];
+void HouseholderQr::apply_qh(cxd* b) const noexcept {
+  for (index_t k = 0; k < n_; ++k) apply_reflector(k, b);
+}
+
+void HouseholderQr::apply_q(cxd* b) const noexcept {
+  for (index_t k = n_ - 1; k >= 0; --k) apply_reflector(k, b);
+}
+
+void HouseholderQr::back_substitute(const cxd* c, cxd* x) const {
+  const double pivot_tol = kRankTol * std::max(1.0, work_max_);
+  for (index_t i = n_ - 1; i >= 0; --i) {
+    cxd acc = c[i];
+    for (index_t j = i + 1; j < n_; ++j) acc -= work_(i, j) * x[j];
+    const cxd rii = work_(i, i);
+    if (std::abs(rii) <= pivot_tol) {
+      throw std::domain_error("qr solve: matrix is numerically rank deficient");
     }
+    x[i] = acc / rii;
   }
-
-  /// Applies Q^H to a vector (in place), i.e. the reflectors in order.
-  void apply_qh(CVec& b) const {
-    for (index_t k = 0; k < n; ++k) {
-      const CVec& v = reflectors[static_cast<std::size_t>(k)];
-      if (v.size() == 0) continue;
-      cxd dot_vb{};
-      for (index_t i = k; i < m; ++i) dot_vb += std::conj(v[i - k]) * b[i];
-      const cxd scale = 2.0 * dot_vb;
-      for (index_t i = k; i < m; ++i) b[i] -= scale * v[i - k];
-    }
-  }
-
-  /// Applies Q to a vector (in place), i.e. the reflectors in reverse.
-  void apply_q(CVec& b) const {
-    for (index_t k = n - 1; k >= 0; --k) {
-      const CVec& v = reflectors[static_cast<std::size_t>(k)];
-      if (v.size() == 0) continue;
-      cxd dot_vb{};
-      for (index_t i = k; i < m; ++i) dot_vb += std::conj(v[i - k]) * b[i];
-      const cxd scale = 2.0 * dot_vb;
-      for (index_t i = k; i < m; ++i) b[i] -= scale * v[i - k];
-    }
-  }
-
-  /// Back-substitution on the n x n upper triangle of work.
-  /// Solves R x = c[0:n]; throws if R has a (numerically) zero pivot.
-  [[nodiscard]] CVec back_substitute(const CVec& c) const {
-    const double pivot_tol = kRankTol * std::max(1.0, norm_max(work));
-    CVec x(n);
-    for (index_t i = n - 1; i >= 0; --i) {
-      cxd acc = c[i];
-      for (index_t j = i + 1; j < n; ++j) acc -= work(i, j) * x[j];
-      const cxd rii = work(i, i);
-      if (std::abs(rii) <= pivot_tol) {
-        throw std::domain_error("qr solve: matrix is numerically rank deficient");
-      }
-      x[i] = acc / rii;
-    }
-    return x;
-  }
-};
-
-}  // namespace
+}
 
 QrResult qr(const CMat& a) {
-  HouseholderQr h(a);
+  const HouseholderQr h(a);
   const index_t m = a.rows();
   const index_t n = a.cols();
   QrResult out;
   out.r = CMat(n, n);
   for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i <= j; ++i) out.r(i, j) = h.work(i, j);
+    for (index_t i = 0; i <= j; ++i) out.r(i, j) = h.r(i, j);
   // Thin Q: apply Q to the first n identity columns.
   out.q = CMat(m, n);
   for (index_t j = 0; j < n; ++j) {
     CVec e(m);
     e[j] = cxd{1.0, 0.0};
-    h.apply_q(e);
+    h.apply_q(e.data());
     out.q.set_col(j, e);
   }
   return out;
@@ -126,10 +109,12 @@ QrResult qr(const CMat& a) {
 
 CVec lstsq(const CMat& a, const CVec& b) {
   if (b.size() != a.rows()) throw std::invalid_argument("lstsq: size mismatch");
-  HouseholderQr h(a);
+  const HouseholderQr h(a);
   CVec c = b;
-  h.apply_qh(c);
-  return h.back_substitute(c);
+  h.apply_qh(c.data());
+  CVec x(a.cols());
+  h.back_substitute(c.data(), x.data());
+  return x;
 }
 
 CVec solve(const CMat& a, const CVec& b) {
@@ -140,12 +125,12 @@ CVec solve(const CMat& a, const CVec& b) {
 CMat solve(const CMat& a, const CMat& b) {
   if (a.rows() != a.cols()) throw std::invalid_argument("solve: matrix must be square");
   if (b.rows() != a.rows()) throw std::invalid_argument("solve: shape mismatch");
-  HouseholderQr h(a);
+  const HouseholderQr h(a);
   CMat x(a.cols(), b.cols());
   for (index_t j = 0; j < b.cols(); ++j) {
     CVec c = b.col_vec(j);
-    h.apply_qh(c);
-    x.set_col(j, h.back_substitute(c));
+    h.apply_qh(c.data());
+    h.back_substitute(c.data(), x.data() + j * x.rows());
   }
   return x;
 }

@@ -14,7 +14,14 @@ CMat noise_subspace(const CMat& covariance, index_t k) {
   if (k < 1 || k >= d) {
     throw std::invalid_argument("noise_subspace: need 0 < k < dim");
   }
-  const linalg::EigResult eg = linalg::eig_hermitian(covariance);
+  return noise_subspace(linalg::eig_hermitian(covariance), k);
+}
+
+CMat noise_subspace(const linalg::EigResult& eg, index_t k) {
+  const index_t d = eg.eigenvectors.rows();
+  if (k < 1 || k >= d) {
+    throw std::invalid_argument("noise_subspace: need 0 < k < dim");
+  }
   // Eigenvalues ascending: the first d - k eigenvectors span the noise space.
   CMat en(d, d - k);
   for (index_t j = 0; j < d - k; ++j) {
@@ -66,7 +73,21 @@ dsp::Spectrum2d music_spectrum_joint(const CMat& covariance, index_t k,
   if (covariance.rows() != sub_antennas * sub_carriers) {
     throw std::invalid_argument("music_spectrum_joint: covariance dim mismatch");
   }
-  const CMat en = noise_subspace(covariance, k);
+  return music_spectrum_joint(linalg::eig_hermitian(covariance), k,
+                              aoa_grid_deg, toa_grid_s, cfg, sub_antennas,
+                              sub_carriers);
+}
+
+dsp::Spectrum2d music_spectrum_joint(const linalg::EigResult& eig, index_t k,
+                                     const dsp::Grid& aoa_grid_deg,
+                                     const dsp::Grid& toa_grid_s,
+                                     const dsp::ArrayConfig& cfg,
+                                     index_t sub_antennas,
+                                     index_t sub_carriers) {
+  if (eig.eigenvectors.rows() != sub_antennas * sub_carriers) {
+    throw std::invalid_argument("music_spectrum_joint: covariance dim mismatch");
+  }
+  const CMat en = noise_subspace(eig, k);
   dsp::Spectrum2d out;
   out.aoa_grid = aoa_grid_deg;
   out.toa_grid = toa_grid_s;

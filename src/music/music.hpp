@@ -19,6 +19,10 @@ using linalg::index_t;
 /// std::invalid_argument unless 0 < k < d.
 [[nodiscard]] CMat noise_subspace(const CMat& covariance, index_t k);
 
+/// Same, from the covariance's eigendecomposition (eig_hermitian, so
+/// eigenvalues ascending) when the caller already holds it.
+[[nodiscard]] CMat noise_subspace(const linalg::EigResult& eig, index_t k);
+
 /// 1-D spatial MUSIC: P(theta) = 1 / ||E_n^H s(theta)||^2 over the grid.
 /// `covariance` is M x M, k the assumed source count. The returned
 /// spectrum is normalized to peak 1.
@@ -32,6 +36,13 @@ using linalg::index_t;
 /// `covariance` must be (ms*ls) x (ms*ls). Normalized to peak 1.
 [[nodiscard]] dsp::Spectrum2d music_spectrum_joint(
     const CMat& covariance, index_t k, const dsp::Grid& aoa_grid_deg,
+    const dsp::Grid& toa_grid_s, const dsp::ArrayConfig& cfg,
+    index_t sub_antennas, index_t sub_carriers);
+
+/// Same, from the covariance's eigendecomposition, so a caller that also
+/// needs the eigenvalues (SpotFi's MDL order pick) decomposes once.
+[[nodiscard]] dsp::Spectrum2d music_spectrum_joint(
+    const linalg::EigResult& eig, index_t k, const dsp::Grid& aoa_grid_deg,
     const dsp::Grid& toa_grid_s, const dsp::ArrayConfig& cfg,
     index_t sub_antennas, index_t sub_carriers);
 

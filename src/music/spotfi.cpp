@@ -30,13 +30,15 @@ SpotfiResult spotfi_estimate(std::span<const CMat> packets,
 
     const index_t dim = r.rows();
     index_t k = std::clamp<index_t>(cfg.num_paths, 1, dim - 1);
+    // One decomposition per packet serves the MDL pick and the noise
+    // subspace.
+    const linalg::EigResult eg = linalg::eig_hermitian(r);
     if (cfg.adaptive_order) {
-      const auto eg = linalg::eig_hermitian(r);
       const index_t mdl = estimate_model_order(eg.eigenvalues, snapshots.cols());
       k = std::clamp<index_t>(mdl, 1, k);
     }
     const dsp::Spectrum2d spec = music_spectrum_joint(
-        r, k, cfg.aoa_grid, cfg.toa_grid, array_cfg,
+        eg, k, cfg.aoa_grid, cfg.toa_grid, array_cfg,
         cfg.smoothing.sub_antennas, cfg.smoothing.sub_carriers);
     if (keep_spectrum && p == 0) out.first_packet_spectrum = spec;
 

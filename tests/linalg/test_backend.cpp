@@ -427,27 +427,21 @@ TEST_F(BackendDifferential, GemmColsMatchesFmaOracleBitwise) {
         const CMat b = oracle_b(k, n, rng);
         std::vector<cxd> want(static_cast<std::size_t>(m * n));
         fma_oracle(m, n, k, a.data(), b.data(), true, want.data());
-        std::vector<cxd> got(want.size(), cxd{7.0, 7.0});
-        simd_->gemm_cols(m, 0, n, k, a.data(), b.data(), got.data());
-        expect_bitwise(got, want,
-                       "gemm_cols m=" + std::to_string(m) +
-                           " k=" + std::to_string(k) +
-                           " n=" + std::to_string(n));
-        // A column sub-range (the kernel's j0, j1 contract) computes the same
-        // columns bit for bit and leaves the others untouched.
-        if (n > 2) {
-          std::vector<cxd> part(want.size(), cxd{7.0, 7.0});
-          simd_->gemm_cols(m, 1, n - 1, k, a.data(), b.data(), part.data());
-          for (index_t j = 0; j < n; ++j) {
-            for (index_t i = 0; i < m; ++i) {
-              const auto e = static_cast<std::size_t>(j * m + i);
-              const cxd expect =
-                  (j == 0 || j == n - 1) ? cxd{7.0, 7.0} : want[e];
-              ASSERT_TRUE(same_double(part[e].real(), expect.real()) &&
-                          same_double(part[e].imag(), expect.imag()))
-                  << "gemm_cols sub-range m=" << m << " n=" << n;
-            }
-          }
+        // The whole-matrix call writes exactly C: a guard column on either
+        // side of it stays untouched.
+        std::vector<cxd> out(want.size() + static_cast<std::size_t>(2 * m),
+                             cxd{7.0, 7.0});
+        simd_->gemm_cols(m, n, k, a.data(), b.data(), out.data() + m);
+        const std::string what = "gemm_cols m=" + std::to_string(m) +
+                                 " k=" + std::to_string(k) +
+                                 " n=" + std::to_string(n);
+        expect_bitwise(std::vector<cxd>(out.begin() + m, out.end() - m), want,
+                       what);
+        for (index_t i = 0; i < m; ++i) {
+          const cxd lo = out[static_cast<std::size_t>(i)];
+          const cxd hi = out[out.size() - 1 - static_cast<std::size_t>(i)];
+          ASSERT_TRUE(lo == cxd(7.0, 7.0) && hi == cxd(7.0, 7.0))
+              << what << ": wrote outside C";
         }
       }
     }
@@ -465,7 +459,7 @@ TEST_F(BackendDifferential, GemmColsDepthMatchesFmaOracleBitwise) {
         std::vector<cxd> want(static_cast<std::size_t>(m * n));
         fma_oracle(m, n, k, a.data(), b.data(), false, want.data());
         std::vector<cxd> got(want.size(), cxd{7.0, 7.0});
-        simd_->gemm_cols_depth(m, 0, n, k, a.data(), b.data(), got.data());
+        simd_->gemm_cols_depth(m, n, k, a.data(), b.data(), got.data());
         expect_bitwise(got, want,
                        "gemm_cols_depth k=" + std::to_string(k) +
                            " m=" + std::to_string(m) +

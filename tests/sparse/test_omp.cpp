@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "dsp/steering.hpp"
+#include "linalg/backend/backend.hpp"
 #include "sparse/fista.hpp"
+#include "../linalg/frozen_qr.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::sparse {
@@ -182,6 +191,308 @@ TEST(Omp, L1IsMoreRobustAtLowSnr) {
   }
   EXPECT_GE(l1_hits, omp_hits);
   EXPECT_GE(l1_hits, trials - 2);  // l1 succeeds on most trials
+}
+
+// ---------------------------------------------------------------------------
+// Differential gate: a frozen copy of solve_omp as it ran before the
+// incremental QR (a fresh lstsq over the whole support at every atom, a
+// std::find over the support, a full forward apply of a one-hot vector
+// per picked column, a std::abs of every correlation). The library must
+// reproduce it bit for bit: support order, x, residual_norm, iterations,
+// and the exception when the frozen copy throws.
+
+OmpResult frozen_solve_omp(const LinearOperator& op, const CVec& y,
+                           const OmpConfig& cfg) {
+  if (y.size() != op.rows()) throw std::invalid_argument("solve_omp: rhs size");
+  if (cfg.max_atoms < 1) throw std::invalid_argument("solve_omp: max_atoms < 1");
+  const index_t m = op.rows();
+  const index_t n = op.cols();
+  const double y_norm = norm2(y);
+  OmpResult out;
+  out.x = CVec(n);
+  if (y_norm <= 0.0) return out;
+  CVec residual = y;
+  CMat selected_cols(m, 0);
+  for (index_t it = 0; it < cfg.max_atoms; ++it) {
+    const CVec corr = op.apply_adjoint(residual);
+    index_t best = -1;
+    double best_mag = 0.0;
+    for (index_t j = 0; j < n; ++j) {
+      const bool used = std::find(out.support.begin(), out.support.end(), j) !=
+                        out.support.end();
+      if (used) continue;
+      const double mag = std::abs(corr[j]);
+      if (mag > best_mag) {
+        best_mag = mag;
+        best = j;
+      }
+    }
+    if (best < 0 || best_mag <= 1e-14 * y_norm) break;
+    out.support.push_back(best);
+    CVec e(n);
+    e[best] = cxd{1.0, 0.0};
+    const CVec col = op.apply(e);
+    CMat grown(m, selected_cols.cols() + 1);
+    for (index_t j = 0; j < selected_cols.cols(); ++j) {
+      grown.set_col(j, selected_cols.col_vec(j));
+    }
+    grown.set_col(selected_cols.cols(), col);
+    selected_cols = std::move(grown);
+    const CVec coeffs = rt::frozen::lstsq(selected_cols, y);
+    residual = y;
+    for (index_t j = 0; j < selected_cols.cols(); ++j) {
+      CVec scaled = selected_cols.col_vec(j);
+      scaled *= -coeffs[j];
+      residual += scaled;
+    }
+    out.iterations = it + 1;
+    if (norm2(residual) <= cfg.residual_tolerance * y_norm) {
+      out.x.fill(cxd{});
+      for (std::size_t k = 0; k < out.support.size(); ++k) {
+        out.x[out.support[k]] = coeffs[static_cast<index_t>(k)];
+      }
+      out.residual_norm = norm2(residual);
+      return out;
+    }
+    out.x.fill(cxd{});
+    for (std::size_t k = 0; k < out.support.size(); ++k) {
+      out.x[out.support[k]] = coeffs[static_cast<index_t>(k)];
+    }
+  }
+  out.residual_norm = norm2(residual);
+  return out;
+}
+
+/// Which exception a solve threw ("" for none), and its result.
+struct Outcome {
+  std::string thrown;
+  OmpResult result;
+};
+
+template <class Solve>
+Outcome run_outcome(const Solve& solve) {
+  Outcome o;
+  try {
+    o.result = solve();
+  } catch (const std::domain_error&) {
+    o.thrown = "domain_error";
+  } catch (const std::invalid_argument&) {
+    o.thrown = "invalid_argument";
+  }
+  return o;
+}
+
+/// Returns what the frozen copy threw ("" when it returned), so a test
+/// can check it exercised the comparison it claims to.
+std::string expect_matches_frozen(const LinearOperator& op, const CVec& y,
+                          const OmpConfig& cfg, const std::string& what) {
+  const Outcome want = run_outcome([&] { return frozen_solve_omp(op, y, cfg); });
+  const Outcome got = run_outcome([&] { return solve_omp(op, y, cfg); });
+  EXPECT_EQ(got.thrown, want.thrown) << what;
+  if (!want.thrown.empty() || !got.thrown.empty()) return want.thrown;
+  EXPECT_EQ(got.result.support, want.result.support) << what;
+  EXPECT_TRUE(rt::same_bits(got.result.x, want.result.x)) << what;
+  EXPECT_EQ(std::memcmp(&got.result.residual_norm, &want.result.residual_norm,
+                        sizeof(double)),
+            0)
+      << what << ": " << got.result.residual_norm << " vs "
+      << want.result.residual_norm;
+  EXPECT_EQ(got.result.iterations, want.result.iterations) << what;
+  return want.thrown;
+}
+
+std::vector<const linalg::backend::Backend*> backend_tables() {
+  std::vector<const linalg::backend::Backend*> out = {
+      &linalg::backend::scalar()};
+  if (linalg::backend::simd() != nullptr) {
+    out.push_back(linalg::backend::simd());
+  }
+  return out;
+}
+
+struct ForceGuard {
+  ~ForceGuard() { linalg::backend::force(nullptr); }
+};
+
+TEST(OmpFrozen, DenseOperatorsMatchBitForBit) {
+  const ForceGuard guard;
+  for (const auto* table : backend_tables()) {
+    linalg::backend::force(table);
+    auto rng = rt::make_rng(4100);
+    int returned = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+      const index_t m = 4 + trial % 9;
+      const index_t n = 10 + 7 * (trial % 5);
+      CMat s = rt::random_cmat(m, n, rng);
+      if (trial % 4 == 1) {
+        for (index_t i = 0; i < m; ++i) s(i, trial % n) = cxd{};  // zero column
+      }
+      const DenseOperator op(s);
+      const CVec y = trial % 3 == 0 ? op.apply(rt::random_cvec(n, rng))
+                                    : rt::random_cvec(m, rng);
+      OmpConfig cfg;
+      cfg.max_atoms = 1 + trial % 8;
+      cfg.residual_tolerance = trial % 2 == 0 ? 0.0 : 0.05;
+      returned += expect_matches_frozen(op, y, cfg,
+                                        std::string(table->name) + " trial " +
+                                            std::to_string(trial))
+                      .empty();
+    }
+    EXPECT_GE(returned, 20) << table->name;
+  }
+}
+
+TEST(OmpFrozen, MoreAtomsThanRowsMatchesIncludingTheThrow) {
+  const ForceGuard guard;
+  for (const auto* table : backend_tables()) {
+    linalg::backend::force(table);
+    auto rng = rt::make_rng(4200);
+    int past_rows = 0;
+    for (int trial = 0; trial < 6; ++trial) {
+      // Long columns keep the correlations of the exact-fit residual
+      // above the 1e-14 ||y|| stop, so the sixth pick reaches the QR.
+      CMat s = rt::random_cmat(5, 30, rng);
+      for (index_t j = 0; j < 30; ++j)
+        for (index_t i = 0; i < 5; ++i) s(i, j) *= 1e6;
+      const DenseOperator op(s);
+      const CVec y = rt::random_cvec(5, rng);
+      OmpConfig cfg;
+      cfg.max_atoms = 5 + trial;  // > rows once past the first trial
+      cfg.residual_tolerance = 0.0;
+      past_rows += expect_matches_frozen(op, y, cfg,
+                                         std::string(table->name) + " trial " +
+                                             std::to_string(trial)) ==
+                   "invalid_argument";
+    }
+    EXPECT_GE(past_rows, 1) << table->name;
+  }
+}
+
+TEST(OmpFrozen, ExactTiesPickTheFirstIndex) {
+  // Columns 3 and 17 are copies of column 9 (17 negated): their
+  // correlations have bit-identical magnitudes, and the first index of
+  // the tie must win, as in the frozen strict-> scan.
+  const ForceGuard guard;
+  for (const auto* table : backend_tables()) {
+    linalg::backend::force(table);
+    auto rng = rt::make_rng(4300);
+    for (int trial = 0; trial < 8; ++trial) {
+      CMat s = rt::random_cmat(10, 24, rng);
+      for (index_t i = 0; i < 10; ++i) {
+        s(i, 3) = s(i, 9);
+        s(i, 17) = -s(i, 9);
+      }
+      const DenseOperator op(s);
+      CVec x(24);
+      x[9] = cxd{3.0, 1.0};
+      x[20] = cxd{0.5, -0.2};
+      const CVec y = op.apply(x);
+      OmpConfig cfg;
+      cfg.max_atoms = 4;
+      cfg.residual_tolerance = 0.0;
+      expect_matches_frozen(op, y, cfg,
+                            std::string(table->name) + " trial " +
+                                std::to_string(trial));
+      const OmpResult r = solve_omp(op, y, cfg);
+      ASSERT_FALSE(r.support.empty());
+      EXPECT_EQ(r.support.front(), 3);
+    }
+  }
+}
+
+TEST(OmpFrozen, HypotTieWithUnequalNormsPicksTheFirstIndex) {
+  // Two atoms whose correlations have equal std::abs but different
+  // std::norm (the squared magnitude rounds differently): the pick must
+  // follow the hypot scan (first index), not the larger norm, so the
+  // prefilter's band has to keep both. With y = e_0 the correlations
+  // are exactly conj(S(0, j)).
+  auto rng = rt::make_rng(4400);
+  std::uniform_real_distribution<double> u(0.5, 1.0);
+  cxd lo{}, hi{};
+  bool found = false;
+  for (int attempt = 0; attempt < 200000 && !found; ++attempt) {
+    const cxd a{u(rng), u(rng)};
+    const double turn = u(rng);
+    const cxd b0 = a * cxd{std::cos(turn), std::sin(turn)};
+    for (int ulps = -3; ulps <= 3 && !found; ++ulps) {
+      double re = b0.real();
+      for (int k = 0; k < std::abs(ulps); ++k) {
+        re = std::nextafter(re, ulps > 0 ? 2.0 : 0.0);
+      }
+      const cxd b{re, b0.imag()};
+      if (std::abs(b) == std::abs(a) && std::norm(b) > std::norm(a)) {
+        lo = a;
+        hi = b;
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  const ForceGuard guard;
+  for (const auto* table : backend_tables()) {
+    linalg::backend::force(table);
+    CMat s = rt::random_cmat(6, 12, rng);
+    for (index_t j = 0; j < 12; ++j) s(0, j) *= 0.01;
+    s(0, 4) = std::conj(lo);
+    s(0, 7) = std::conj(hi);
+    const DenseOperator op(s);
+    CVec y(6);
+    y[0] = cxd{1.0, 0.0};
+    OmpConfig cfg;
+    cfg.max_atoms = 1;
+    expect_matches_frozen(op, y, cfg, table->name);
+    EXPECT_EQ(solve_omp(op, y, cfg).support, std::vector<index_t>{4})
+        << table->name;
+  }
+}
+
+TEST(OmpFrozen, KroneckerOperatorsMatchBitForBit) {
+  const ForceGuard guard;
+  dsp::ArrayConfig arr;
+  // The coarse-to-fine shape (every 4th of 91 AoA and every 2nd of 50
+  // ToA cells), a smaller steering grid, and random factors.
+  const KroneckerOperator coarse(
+      dsp::steering_matrix_aoa(dsp::Grid(0.0, 176.0, 23), arr),
+      dsp::steering_matrix_toa(dsp::Grid(0.0, 768e-9, 25), arr));
+  const KroneckerOperator steer(
+      dsp::steering_matrix_aoa(dsp::Grid(0.0, 180.0, 46), arr),
+      dsp::steering_matrix_toa(dsp::Grid(0.0, 700e-9, 15), arr));
+  auto rng = rt::make_rng(4500);
+  const KroneckerOperator random_op(rt::random_cmat(3, 9, rng),
+                                    rt::random_cmat(5, 6, rng));
+  const SupportOperator restricted(steer, {2, 3, 4, 10, 30}, {0, 5, 6, 7});
+  const std::vector<const LinearOperator*> ops = {&coarse, &steer, &random_op,
+                                                  &restricted};
+  for (const auto* table : backend_tables()) {
+    linalg::backend::force(table);
+    int returned = 0;
+    for (std::size_t o = 0; o < ops.size(); ++o) {
+      const LinearOperator& op = *ops[o];
+      for (int trial = 0; trial < 6; ++trial) {
+        CVec x(op.cols());
+        for (int p = 0; p < 1 + trial % 4; ++p) {
+          x[static_cast<index_t>(rng() % static_cast<std::uint64_t>(op.cols()))] =
+              rt::random_cvec(1, rng)[0];
+        }
+        CVec y = op.apply(x);
+        if (trial % 3 != 0) {  // trial % 3 == 0 stays noiseless
+          std::normal_distribution<double> noise(0.0, 0.02 * (trial % 3));
+          for (index_t i = 0; i < y.size(); ++i) {
+            y[i] += cxd{noise(rng), noise(rng)};
+          }
+        }
+        OmpConfig cfg;
+        cfg.max_atoms = trial % 2 == 0 ? 8 : 3;
+        cfg.residual_tolerance = trial % 3 == 0 ? 0.0 : 0.02;
+        returned += expect_matches_frozen(
+                        op, y, cfg,
+                        std::string(table->name) + " op " + std::to_string(o) +
+                            " trial " + std::to_string(trial))
+                        .empty();
+      }
+    }
+    EXPECT_GE(returned, 20) << table->name;
+  }
 }
 
 }  // namespace
