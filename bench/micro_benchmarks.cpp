@@ -12,6 +12,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "channel/csi.hpp"
 #include "common.hpp"
@@ -24,6 +26,7 @@
 #include "dsp/sanitize.hpp"
 #include "dsp/steering.hpp"
 #include "linalg/backend/backend.hpp"
+#include "linalg/backend/crc32.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
@@ -372,18 +375,21 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
 struct TraceIoReport {
   std::size_t records = 0;
   std::size_t bytes = 0;
-  double crc32_mb_s = 0.0;
+  /// CRC-32 throughput of each backend table on this machine, by name.
+  std::vector<std::pair<std::string, double>> crc32_mb_s;
   double encode_mb_s = 0.0;
   double decode_mb_s = 0.0;
   bool crc32_matches_bytewise = false;
+  bool crc32_tables_agree = false;
   bool decode_identical_to_recorded = false;
 };
 
-/// The plain byte-at-a-time CRC-32 the sliced io::crc32 must equal.
+/// The plain byte-at-a-time CRC-32 every table must equal.
 std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n) {
   std::uint32_t state = io::crc32_init();
   for (std::size_t i = 0; i < n; ++i) {
-    state = io::detail::kCrc32Table[(state ^ p[i]) & 0xFFU] ^ (state >> 8);
+    state = linalg::backend::crc32_detail::kTable[(state ^ p[i]) & 0xFFU] ^
+            (state >> 8);
   }
   return io::crc32_final(state);
 }
@@ -417,7 +423,7 @@ TraceIoReport measure_trace_io() {
   TraceIoReport r;
   r.records = recorded.size();
   std::string trace;
-  double encode_ms = 1e300, crc_ms = 1e300, decode_ms = 1e300;
+  double encode_ms = 1e300, decode_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     std::ostringstream os(std::ios::binary);
     auto t = clock::now();
@@ -429,19 +435,40 @@ TraceIoReport measure_trace_io() {
   }
   r.bytes = trace.size();
   const auto* bytes = reinterpret_cast<const unsigned char*>(trace.data());
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t = clock::now();
-    benchmark::DoNotOptimize(io::crc32(bytes, trace.size()));
-    crc_ms = std::min(crc_ms, elapsed_ms(t));
-  }
-  // Every start offset modulo the 8-byte step, so the sliced loop meets
-  // every tail length.
+  const double mb = static_cast<double>(r.bytes) / 1e6;
+  // Every start offset modulo the 16-byte fold block, so the vector
+  // kernel and the sliced loop meet every tail length.
   r.crc32_matches_bytewise = true;
-  for (std::size_t off = 0; off < 8; ++off) {
+  for (std::size_t off = 0; off < 16; ++off) {
     r.crc32_matches_bytewise =
         r.crc32_matches_bytewise &&
         io::crc32(bytes + off, trace.size() - off) ==
             crc32_bytewise(bytes + off, trace.size() - off);
+  }
+  // Each table over the whole trace, and over one record-sized window
+  // at every offset (the reader's per-record call), against scalar.
+  const linalg::backend::Backend& scalar = linalg::backend::scalar();
+  const std::size_t window = trace.size() / r.records;
+  r.crc32_tables_agree = true;
+  for (const linalg::backend::Backend* be :
+       {&scalar, linalg::backend::simd()}) {
+    if (be == nullptr) continue;
+    double crc_ms = 1e300;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto t = clock::now();
+      benchmark::DoNotOptimize(
+          be->crc32_update(io::crc32_init(), bytes, trace.size()));
+      crc_ms = std::min(crc_ms, elapsed_ms(t));
+    }
+    r.crc32_mb_s.emplace_back(be->name, mb / (crc_ms / 1e3));
+    for (std::size_t off = 0; off < 16; ++off) {
+      for (const std::size_t n : {trace.size() - off, window}) {
+        r.crc32_tables_agree =
+            r.crc32_tables_agree &&
+            be->crc32_update(io::crc32_init(), bytes + off, n) ==
+                scalar.crc32_update(io::crc32_init(), bytes + off, n);
+      }
+    }
   }
 
   std::vector<io::ClientRound> rounds;
@@ -475,9 +502,7 @@ TraceIoReport measure_trace_io() {
   }
   r.decode_identical_to_recorded = same && next == recorded.size();
 
-  const double mb = static_cast<double>(r.bytes) / 1e6;
   r.encode_mb_s = mb / (encode_ms / 1e3);
-  r.crc32_mb_s = mb / (crc_ms / 1e3);
   r.decode_mb_s = mb / (decode_ms / 1e3);
   return r;
 }
@@ -490,7 +515,7 @@ TraceIoReport measure_trace_io() {
   const dsp::Grid aoa = dsp::default_aoa_grid();
   const dsp::Grid toa = dsp::default_toa_grid();
 
-  // (1) Setup: fresh build (steering factors + power iteration)
+  // (1) Setup: fresh build (steering factors + factored Lipschitz)
   // vs a warm cache hit.
   auto t = clock::now();
   const auto fresh = runtime::build_cached_operator(aoa, toa, kArray);
@@ -935,10 +960,15 @@ TraceIoReport measure_trace_io() {
     w.key("io").begin_object();
     w.key("records").value(static_cast<std::int64_t>(trace_io.records));
     w.key("bytes").value(static_cast<std::int64_t>(trace_io.bytes));
-    w.key("crc32_mb_s").value(trace_io.crc32_mb_s);
+    w.key("crc32_mb_s").begin_object();
+    for (const auto& [table, mb_s] : trace_io.crc32_mb_s) {
+      w.key(table).value(mb_s);
+    }
+    w.end_object();
     w.key("encode_mb_s").value(trace_io.encode_mb_s);
     w.key("decode_mb_s").value(trace_io.decode_mb_s);
     w.key("crc32_matches_bytewise").value(trace_io.crc32_matches_bytewise);
+    w.key("crc32_tables_agree").value(trace_io.crc32_tables_agree);
     w.key("decode_identical_to_recorded")
         .value(trace_io.decode_identical_to_recorded);
     w.end_object();

@@ -324,6 +324,9 @@ if [[ "$MODE" == tidy ]]; then
 fi
 
 if [[ "$MODE" == backends ]]; then
+  # Each pass runs the whole suite under one table, so the scalar pass
+  # also checks the trace CRC-32 (tests/io) on slicing-by-8 and the simd
+  # pass on the vector kernel.
   echo "== Forced-backend leg (ROARRAY_BACKEND=scalar, =simd) =="
   cmake --preset default >/dev/null
   cmake --build --preset default -j "${JOBS}"
@@ -340,7 +343,7 @@ if [[ "$MODE" == backends ]]; then
     ROARRAY_BACKEND="$be" ./build/bench/micro_benchmarks --coarse-fine \
       --json "build/BENCH_micro_${be}.json"
     test -s "build/BENCH_micro_${be}.json"
-    if grep -nE '"[a-z0-9_]*(identical|matches)[a-z0-9_]*": *false' \
+    if grep -nE '"[a-z0-9_]*(identical|matches|agree)[a-z0-9_]*": *false' \
         "build/BENCH_micro_${be}.json"; then
       echo "backends leg FAILED: identity flag false under ROARRAY_BACKEND=${be}" >&2
       exit 1
@@ -379,11 +382,11 @@ echo "== Bench smoke (BENCH_micro.json identity flags) =="
 # FISTA apply-reuse vs direct, cached vs per-call, parallel vs serial,
 # and — with --coarse-fine — the coarse-to-fine factored solve vs the
 # full-grid reference) and records the verdicts as *_identical_* /
-# *_matches_* flags. Any false flag is a correctness regression, not a
-# perf number — fail hard.
+# *_matches_* / *_agree flags. Any false flag is a correctness
+# regression, not a perf number — fail hard.
 ./build/bench/micro_benchmarks --coarse-fine --json build/BENCH_micro.json
 test -s build/BENCH_micro.json  # the binary exits non-zero on write failure
-if grep -nE '"[a-z0-9_]*(identical|matches)[a-z0-9_]*": *false' \
+if grep -nE '"[a-z0-9_]*(identical|matches|agree)[a-z0-9_]*": *false' \
     build/BENCH_micro.json; then
   echo "bench smoke FAILED: an identity flag in BENCH_micro.json is false" >&2
   exit 1

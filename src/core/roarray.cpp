@@ -181,13 +181,10 @@ void select_support_operator(const sparse::KroneckerOperator& op,
   sub.emplace(op, support.aoa, support.toa);
   // Cached / caller Lipschitz hints describe the FULL operator; the
   // restricted one needs its own (tighter) constant. The restriction is
-  // itself a Kronecker product of the gathered factors, so lambda_max
-  // factorizes: ||L (x) R||^2 = ||L||^2 ||R||^2 — two deterministic
-  // power iterations on the tiny factor matrices instead of one on the
-  // joint operator, identical cached vs uncached.
-  solver.lipschitz_hint =
-      sparse::operator_norm_sq(sparse::DenseOperator(sub->sub().left())) *
-      sparse::operator_norm_sq(sparse::DenseOperator(sub->sub().right()));
+  // itself a Kronecker product of the gathered factors, so
+  // operator_norm_sq takes it from the two gathered factor matrices,
+  // identical cached vs uncached.
+  solver.lipschitz_hint = sparse::operator_norm_sq(*sub);
   if (cf.max_refine_iterations > 0) {
     solver.max_iterations =
         std::min(solver.max_iterations, cf.max_refine_iterations);
@@ -218,10 +215,11 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
   }
   array_cfg.validate();
 
-  // The steering factors and the power-iteration Lipschitz estimate
-  // depend only on (grids, array); reuse them through the cache when
-  // one is supplied. The cached Lipschitz equals the per-call power
-  // iteration exactly, so the solve is bit-identical either way.
+  // The steering factors and the Lipschitz constant (factored, see
+  // sparse/power.hpp) depend only on (grids, array); reuse them through
+  // the cache when one is supplied. The cached constant equals the
+  // per-call operator_norm_sq exactly, so the solve is bit-identical
+  // either way.
   std::shared_ptr<const runtime::CachedOperator> cached;
   std::optional<sparse::KroneckerOperator> local_op;
   sparse::SolveConfig solver = cfg.solver;

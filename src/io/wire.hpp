@@ -8,8 +8,8 @@
 // and emit one load (store) per field on little-endian hosts, a load
 // plus a byte swap on big-endian ones. Doubles travel as their
 // IEEE-754 bit patterns, so they round-trip bit-exactly, non-finite
-// values included. Everything is constexpr so the CRC-32 (crc32.hpp)
-// can assemble its words with the same helpers at compile time.
+// values included. Every helper is constexpr. (The CRC-32 assembles
+// its own little-endian words: linalg/backend/crc32.hpp sits below io.)
 #pragma once
 
 #include <bit>

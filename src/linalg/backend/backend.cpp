@@ -31,10 +31,11 @@ bool simd_compiled() {
 
 const Backend* simd() {
 #if defined(ROARRAY_HAVE_SIMD_AVX2)
-  // The TU is compiled with -mavx2 -mfma; the runtime check keeps the
-  // binary usable on CPUs without those units.
+  // The TU is compiled with -mavx2 -mfma -mpclmul; the runtime check
+  // keeps the binary usable on CPUs without those units.
   static const Backend* const kSimd =
-      (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+      (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+       __builtin_cpu_supports("pclmul"))
           ? simd_avx2_table()
           : nullptr;
   return kSimd;

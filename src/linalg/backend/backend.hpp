@@ -1,13 +1,15 @@
 // Pluggable compute backends for the complex kernel hot path.
 //
 // A Backend is a table of raw-buffer kernels (GEMM microkernels, the
-// soft-threshold / group-prox element passes, and the steering-vector
-// phase recurrences). The `scalar` table holds today's hand-separated
-// real-arithmetic loops, extracted verbatim from gemm.cpp / prox.hpp /
-// steering.cpp; the `simd` table hand-vectorizes the same kernels
-// (AVX2+FMA on x86-64, NEON on aarch64) behind compile-time feature
-// macros with a runtime CPU check, so a binary built with the SIMD
-// translation units still runs on machines without the vector units.
+// soft-threshold / group-prox element passes, the steering-vector
+// phase recurrences, and the trace format's CRC-32). The `scalar`
+// table holds today's hand-separated real-arithmetic loops, extracted
+// verbatim from gemm.cpp / prox.hpp / steering.cpp, and the
+// slicing-by-8 CRC-32 of crc32.hpp; the `simd` table hand-vectorizes
+// the same kernels (AVX2+FMA on x86-64, NEON on aarch64) behind
+// compile-time feature macros with a runtime CPU check, so a binary
+// built with the SIMD translation units still runs on machines without
+// the vector units.
 //
 // Selection is process-global and resolved once: callers reach the
 // active table through active(), or pass an explicit table to the
@@ -26,13 +28,17 @@
 //     for the scalar AND the simd table alike.
 //   * The scalar table reproduces the pre-backend kernels bit-for-bit
 //     (the loops moved, the arithmetic did not).
-//   * scalar vs simd may differ only to rounding: the simd kernels keep
+//   * scalar vs simd may differ only to rounding, and the integer
+//     crc32_update not at all: the simd floating-point kernels keep
 //     ascending-k traversal but may round differently (FMA contraction,
 //     lane-split partial sums in gemm_adj_tile, squared-magnitude
 //     threshold compare in soft_threshold). Per-kernel tolerances are
 //     documented next to each pointer and enforced by
 //     tests/linalg/test_backend.cpp.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
 
 #include "linalg/types.hpp"
 
@@ -121,6 +127,17 @@ struct Backend {
 
   /// out[i] += scale * step^i (the CSI synthesis accumulation).
   void (*phase_ramp_accum)(cxd scale, cxd step, index_t n, cxd* out);
+
+  /// Folds n bytes into a running CRC-32 state (IEEE 802.3, reflected
+  /// polynomial 0xEDB88320; no pre- or post-inversion), the trace
+  /// format's checksum (io/crc32.hpp). Integer arithmetic, so unlike
+  /// the floating-point entries it has no tolerance: every table
+  /// returns the slicing-by-8 reference (crc32.hpp) bit for bit, at
+  /// every length and alignment. The scalar and NEON tables point at
+  /// that reference; AVX2 folds runs of >= 64 bytes with carry-less
+  /// multiplies (PCLMULQDQ) and hands the < 16-byte tail to it.
+  std::uint32_t (*crc32_update)(std::uint32_t state, const unsigned char* data,
+                                std::size_t n);
 };
 
 /// The portable table (always available; arithmetic of the pre-backend
@@ -129,7 +146,7 @@ struct Backend {
 
 /// The vectorized table compiled into this binary, or nullptr when the
 /// build has no SIMD translation unit for this architecture OR the
-/// running CPU lacks the required features (AVX2+FMA / NEON).
+/// running CPU lacks the required features (AVX2+FMA+PCLMUL / NEON).
 [[nodiscard]] const Backend* simd();
 
 /// True when a SIMD translation unit was compiled into this binary,

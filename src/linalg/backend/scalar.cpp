@@ -1,11 +1,13 @@
 // The portable backend: today's hand-separated real-arithmetic kernels,
 // moved here verbatim from linalg/gemm.cpp, sparse/prox.hpp,
-// sparse/fista.cpp and dsp/steering.cpp. The loops moved but the arithmetic (expression
-// trees, traversal order, zero-skips) did not, so this table reproduces
-// the pre-backend results bit-for-bit. Keep it that way: the golden
-// corpus and the cross-backend differential tests both anchor on this
-// table.
+// sparse/fista.cpp and dsp/steering.cpp (its CRC-32 entry is the
+// slicing-by-8 of crc32.hpp). The loops moved but the arithmetic
+// (expression trees, traversal order, zero-skips) did not, so this
+// table reproduces the pre-backend results bit-for-bit. Keep it that
+// way: the golden corpus and the cross-backend differential tests both
+// anchor on this table.
 #include "linalg/backend/backend.hpp"
+#include "linalg/backend/crc32.hpp"
 
 #include <array>
 #include <cstring>
@@ -246,6 +248,7 @@ constexpr Backend kScalar = {
     "scalar",        &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
     &gradient_row_sq_scalar,          &phase_ramp,       &phase_ramp_accum,
+    &crc32_sliced,
 };
 
 }  // namespace

@@ -1,7 +1,7 @@
-// AVX2+FMA backend. Compiled only on x86-64 with -mavx2 -mfma (the
-// CMake list adds this TU per-source); backend.cpp gates table
-// publication behind a runtime CPU check so the binary still runs on
-// machines without the units.
+// AVX2+FMA backend, with a PCLMULQDQ CRC-32. Compiled only on x86-64
+// with -mavx2 -mfma -mpclmul (the CMake list adds this TU per-source);
+// backend.cpp gates table publication behind a runtime CPU check so the
+// binary still runs on machines without the units.
 //
 // Layout notes. All buffers are interleaved (re, im) column-major, so
 // one 256-bit lane holds two complex numbers. Two access schemes are
@@ -26,9 +26,11 @@
 // which skips only all-zero B row groups so a zero B entry next to a
 // nonzero one contributes exact +/-0 terms).
 #include "linalg/backend/backend.hpp"
+#include "linalg/backend/crc32.hpp"
 
-#if !defined(__x86_64__) || !defined(__AVX2__) || !defined(__FMA__)
-#error "simd_avx2.cpp must be compiled on x86-64 with -mavx2 -mfma"
+#if !defined(__x86_64__) || !defined(__AVX2__) || !defined(__FMA__) || \
+    !defined(__PCLMUL__)
+#error "simd_avx2.cpp must be compiled on x86-64 with -mavx2 -mfma -mpclmul"
 #endif
 
 #include <immintrin.h>
@@ -819,10 +821,117 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
 
 #undef ROARRAY_SIGN_EVEN
 
+// CRC-32 by carry-less multiplication (V. Gopal, E. Ozturk et al.,
+// "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+// Instruction", Intel, 2009), in the bit-reflected domain of the
+// 0xEDB88320 polynomial P. Four 128-bit lanes each carry a running
+// remainder; one fold multiplies a lane's two 64-bit halves by
+// x^(e + 32) and x^(e - 32) mod P, which moves the lane e bits further
+// along the message, and xors in the next 16 bytes. Four-lane folds
+// stride 64 bytes (e = 512), the lane merge and single-lane folds 16
+// (e = 128). Two more folds bring the remainder to 64 bits, and a
+// Barrett reduction to the 32-bit state. Integer arithmetic
+// throughout: the state equals the slicing-by-8 one bit for bit.
+
+/// The 33-bit fold multiplier (x^e mod P), bit-reflected and shifted
+/// left by one so the carry-less product lines up with the reflected
+/// data. Stepping x^i -> x^(i+1) is a right shift in the reflected
+/// domain, reduced by P whenever a bit falls off.
+constexpr std::uint64_t crc32_fold_constant(int e) {
+  std::uint32_t r = 0x80000000U;  // x^0, reflected
+  for (int i = 0; i < e; ++i) {
+    r = (r & 1U) != 0 ? (r >> 1) ^ 0xEDB88320U : r >> 1;
+  }
+  return static_cast<std::uint64_t>(r) << 1;
+}
+
+constexpr std::uint64_t kCrcK1 = crc32_fold_constant(4 * 128 + 32);
+constexpr std::uint64_t kCrcK2 = crc32_fold_constant(4 * 128 - 32);
+constexpr std::uint64_t kCrcK3 = crc32_fold_constant(128 + 32);
+constexpr std::uint64_t kCrcK4 = crc32_fold_constant(128 - 32);
+constexpr std::uint64_t kCrcK5 = crc32_fold_constant(64);
+// The paper's published values for the CRC-32 polynomial.
+static_assert(kCrcK1 == 0x154442BD4ULL && kCrcK2 == 0x1C6E41596ULL &&
+              kCrcK3 == 0x1751997D0ULL && kCrcK4 == 0x0CCAA009EULL &&
+              kCrcK5 == 0x163CD6124ULL);
+/// Barrett reduction: P itself (33 bits, reflected) and
+/// mu = floor(x^64 / P), reflected.
+constexpr std::uint64_t kCrcPoly = 0x1DB710641ULL;
+constexpr std::uint64_t kCrcMu = 0x1F7011641ULL;
+
+/// Folds lane x by 128-bit multiplier pair k and xors in `next`.
+inline __m128i crc32_fold_lane(__m128i x, __m128i k, __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(x, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+
+inline __m128i crc32_load(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Folds n bytes into the state; n >= 64 and a multiple of 16.
+std::uint32_t crc32_fold(std::uint32_t state, const unsigned char* p,
+                         std::size_t n) {
+  __m128i x0 = _mm_xor_si128(crc32_load(p),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x1 = crc32_load(p + 16);
+  __m128i x2 = crc32_load(p + 32);
+  __m128i x3 = crc32_load(p + 48);
+  p += 64;
+  n -= 64;
+
+  const __m128i k12 = _mm_set_epi64x(static_cast<long long>(kCrcK2),
+                                     static_cast<long long>(kCrcK1));
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = crc32_fold_lane(x0, k12, crc32_load(p));
+    x1 = crc32_fold_lane(x1, k12, crc32_load(p + 16));
+    x2 = crc32_fold_lane(x2, k12, crc32_load(p + 32));
+    x3 = crc32_fold_lane(x3, k12, crc32_load(p + 48));
+  }
+
+  // Merge the four lanes into one, then fold the remaining 16-byte
+  // blocks into it.
+  const __m128i k34 = _mm_set_epi64x(static_cast<long long>(kCrcK4),
+                                     static_cast<long long>(kCrcK3));
+  __m128i x = crc32_fold_lane(x0, k34, x1);
+  x = crc32_fold_lane(x, k34, x2);
+  x = crc32_fold_lane(x, k34, x3);
+  for (; n >= 16; p += 16, n -= 16) x = crc32_fold_lane(x, k34, crc32_load(p));
+
+  // 128 -> 96 bits: the low half times x^96 mod P, plus the high half.
+  const __m128i mask32 = _mm_setr_epi32(-1, 0, -1, 0);
+  x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k34, 0x10));
+  // 96 -> 64 bits: the low 32 bits times x^64 mod P, plus the rest.
+  const __m128i k5 = _mm_set_epi64x(0, static_cast<long long>(kCrcK5));
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, mask32), k5, 0x00));
+  // Barrett: q = floor(low32 * mu / x^32), remainder = x ^ q * P.
+  const __m128i pmu = _mm_set_epi64x(static_cast<long long>(kCrcMu),
+                                     static_cast<long long>(kCrcPoly));
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, mask32), pmu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, mask32), pmu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, q), 1));
+}
+
+/// Runs of >= 64 bytes fold with carry-less multiplies down to a
+/// < 16-byte tail, which (like shorter inputs) goes to slicing-by-8.
+std::uint32_t crc32_update(std::uint32_t state, const unsigned char* data,
+                           std::size_t n) {
+  if (n >= 64) {
+    const std::size_t folded = n & ~static_cast<std::size_t>(15);
+    state = crc32_fold(state, data, folded);
+    data += folded;
+    n -= folded;
+  }
+  return crc32_sliced(state, data, n);
+}
+
 constexpr Backend kAvx2 = {
     "simd-avx2",     &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
     &gradient_row_sq, &phase_ramp,     &phase_ramp_accum,
+    &crc32_update,
 };
 
 }  // namespace

@@ -11,6 +11,7 @@
 // squared-magnitude compare — well inside the per-kernel tolerances in
 // backend.hpp.
 #include "linalg/backend/backend.hpp"
+#include "linalg/backend/crc32.hpp"
 
 #if !defined(__aarch64__)
 #error "simd_neon.cpp must be compiled on aarch64"
@@ -204,12 +205,14 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
   phase_ramp_impl<true>(scale, step, n, out);
 }
 
-// The group-prox gradient pass reuses the scalar loop (scalar.cpp), so
-// the two tables agree bit for bit on it.
+// The group-prox gradient pass reuses the scalar loop (scalar.cpp) and
+// the CRC-32 the slicing-by-8 reference, so the two tables agree bit
+// for bit on them.
 constexpr Backend kNeon = {
     "simd-neon",     &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
     &gradient_row_sq_scalar,          &phase_ramp,       &phase_ramp_accum,
+    &crc32_sliced,
 };
 
 }  // namespace

@@ -2,12 +2,13 @@
 //
 // Every roarray_estimate call needs (1) the Kronecker steering factors
 // A_theta / A_tau of the joint operator (paper Eq. 16) and (2) the
-// power-iteration Lipschitz estimate lambda_max(S^H S) the proximal
-// solvers step against. Neither depends on the measurements — only on
-// the sampling grids and the array front end — so across packets, APs,
-// and Monte Carlo trials they are identical. The cache builds each
-// entry once and hands out a shared const pointer that is safe to use
-// concurrently from any number of threads.
+// Lipschitz constant lambda_max(S^H S) the proximal solvers step
+// against, which sparse::operator_norm_sq takes from the factors as
+// ||A_theta||^2 ||A_tau||^2. Neither depends on the measurements —
+// only on the sampling grids and the array front end — so across
+// packets, APs, and Monte Carlo trials they are identical. The cache
+// builds each entry once and hands out a shared const pointer that is
+// safe to use concurrently from any number of threads.
 #pragma once
 
 #include <map>
@@ -27,7 +28,7 @@ using linalg::index_t;
 /// One fully-initialized, immutable estimation setup.
 struct CachedOperator {
   sparse::KroneckerOperator op;  ///< shared joint steering operator.
-  double norm_sq = 0.0;    ///< lambda_max(S^H S) from power iteration.
+  double norm_sq = 0.0;    ///< lambda_max(S^H S), sparse::operator_norm_sq(op).
 };
 
 /// Cache key: everything the steering factors depend on. Grids compare
@@ -79,8 +80,7 @@ class OperatorCache {
   /// used by the coarse-to-fine solve path. Just a convenience over
   /// get() on sparse::decimate_grid'ed grids — coarse entries share
   /// the same memo, so repeated estimates with the same
-  /// CoarseFineConfig reuse one coarse operator and its power
-  /// iteration.
+  /// CoarseFineConfig reuse one coarse operator.
   [[nodiscard]] std::shared_ptr<const CachedOperator> get_coarse(
       const dsp::Grid& fine_aoa_grid, const dsp::Grid& fine_toa_grid,
       const dsp::ArrayConfig& array_cfg,

@@ -35,12 +35,12 @@ struct SolveConfig {
   /// exactly ||S^H y||_inf, so the ratio directly sets sparsity).
   double kappa = -1.0;
   double kappa_ratio = 0.15;
-  /// Safety factor applied to the power-iteration Lipschitz estimate.
+  /// Safety factor applied to the Lipschitz estimate.
   double lipschitz_safety = 1.05;
   /// Precomputed lambda_max(S^H S) (e.g. from runtime::OperatorCache).
-  /// <= 0 means "estimate per call by power iteration". Because the
-  /// power iteration is deterministic, a cached value equals the
-  /// per-call one exactly — solutions are bit-identical either way.
+  /// <= 0 means "estimate per call" (sparse::operator_norm_sq). Because
+  /// that estimate is deterministic, a cached value equals the per-call
+  /// one exactly — solutions are bit-identical either way.
   double lipschitz_hint = -1.0;
 };
 

@@ -12,14 +12,17 @@ double operator_norm_sq(const LinearOperator& op, int iterations) {
     // "solve_l1: zero operator" from resolve_step.
     throw std::invalid_argument("operator_norm_sq: iterations must be positive");
   }
+  if (const KroneckerOperator* kron = op.kronecker()) {
+    return operator_norm_sq(DenseOperator(kron->left()), iterations) *
+           operator_norm_sq(DenseOperator(kron->right()), iterations);
+  }
   const index_t n = op.cols();
   if (n == 0 || op.rows() == 0) return 0.0;
   // Deterministic pseudo-random start vector: avoids pathological
   // alignment with an eigen-null direction without seeding a real RNG.
   // The iteration runs on single-column matrices through the _into
-  // interface so the round trips recycle their buffers (resolve_step
-  // calls this once per solve when no Lipschitz hint is cached); the
-  // values match the vector-interface formulation bit for bit.
+  // interface so the round trips recycle their buffers; the values
+  // match the vector-interface formulation bit for bit.
   CMat v(n, 1);
   double seed = 0.5;
   for (index_t i = 0; i < n; ++i) {

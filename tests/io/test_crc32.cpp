@@ -1,7 +1,8 @@
-// CRC-32 and wire-codec known answers: the sliced CRC must produce the
-// plain byte-at-a-time values (every trace ever written has to keep
-// verifying), stay usable at compile time, and compose incrementally;
-// the wire helpers must put bytes on disk little-endian on any host.
+// CRC-32 and wire-codec known answers: every backend table's CRC must
+// produce the plain byte-at-a-time values (every trace ever written has
+// to keep verifying), the sliced reference must stay usable at compile
+// time, and updates must compose incrementally; the wire helpers must
+// put bytes on disk little-endian on any host.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +13,7 @@
 #include "../test_util.hpp"
 #include "io/crc32.hpp"
 #include "io/wire.hpp"
+#include "linalg/backend/backend.hpp"
 
 namespace roarray {
 namespace {
@@ -27,15 +29,18 @@ constexpr std::uint32_t kCheckValue = 0xCBF43926U;  // CRC-32/ISO-HDLC check.
 static_assert(io::crc32(kCheckInput.data(), kCheckInput.size()) == kCheckValue);
 static_assert(io::crc32(nullptr, 0) == 0U);
 
-/// Bit-at-a-time CRC-32 over each byte, independent of the tables.
+/// One byte of the bit-at-a-time CRC-32, independent of the tables.
+std::uint32_t crc32_reference_step(std::uint32_t c, unsigned char byte) {
+  c ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c;
+}
+
 std::uint32_t crc32_reference(const unsigned char* p, std::size_t n) {
   std::uint32_t c = 0xFFFFFFFFU;
-  for (std::size_t i = 0; i < n; ++i) {
-    c ^= p[i];
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) c = crc32_reference_step(c, p[i]);
   return c ^ 0xFFFFFFFFU;
 }
 
@@ -58,25 +63,56 @@ TEST(Crc32, EmptyInputIsZero) {
   EXPECT_EQ(io::crc32_update(io::crc32_init(), &byte, 0), io::crc32_init());
 }
 
+// The two sweeps run io::crc32 under every backend table: the scalar
+// slicing-by-8 and, where present, the vector kernel, whose 64-byte
+// four-lane fold, 16-byte single-lane fold and < 16-byte sliced tail
+// are all entered by lengths up to 2048 at every offset modulo 16.
 TEST(Crc32, SlicedEqualsBytewiseAtEveryLengthAndOffset) {
-  const std::vector<unsigned char> buf = random_bytes(48, 7);
-  for (std::size_t off = 0; off < 8; ++off) {
-    for (std::size_t len = 0; len <= 40; ++len) {
-      EXPECT_EQ(io::crc32(buf.data() + off, len),
-                crc32_reference(buf.data() + off, len))
-          << "offset " << off << " length " << len;
+  constexpr std::size_t kMaxLen = 2048;
+  constexpr std::size_t kOffsets = 16;
+  const std::vector<unsigned char> buf = random_bytes(kMaxLen + kOffsets, 7);
+  // want[off][len]: the bit-at-a-time CRC of buf[off, off + len), built
+  // incrementally so the reference costs one pass per offset.
+  std::vector<std::vector<std::uint32_t>> want(kOffsets);
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    std::uint32_t c = 0xFFFFFFFFU;
+    want[off].push_back(c ^ 0xFFFFFFFFU);
+    for (std::size_t len = 1; len <= kMaxLen; ++len) {
+      c = crc32_reference_step(c, buf[off + len - 1]);
+      want[off].push_back(c ^ 0xFFFFFFFFU);
     }
+  }
+  const testing::BackendForceGuard guard;
+  for (const auto* table : testing::backend_tables()) {
+    linalg::backend::force(table);
+    int mismatches = 0;
+    for (std::size_t off = 0; off < kOffsets; ++off) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        if (io::crc32(buf.data() + off, len) != want[off][len] &&
+            ++mismatches <= 5) {
+          ADD_FAILURE() << table->name << ": offset " << off << " length "
+                        << len;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << table->name;
   }
 }
 
 TEST(Crc32, UpdateSplitAtEveryPointEqualsOneShot) {
-  const std::vector<unsigned char> buf = random_bytes(77, 11);
-  const std::uint32_t one_shot = io::crc32(buf.data(), buf.size());
-  for (std::size_t split = 0; split <= buf.size(); ++split) {
-    std::uint32_t s = io::crc32_init();
-    s = io::crc32_update(s, buf.data(), split);
-    s = io::crc32_update(s, buf.data() + split, buf.size() - split);
-    EXPECT_EQ(io::crc32_final(s), one_shot) << "split " << split;
+  const std::vector<unsigned char> buf = random_bytes(333, 11);
+  const std::uint32_t one_shot = crc32_reference(buf.data(), buf.size());
+  const testing::BackendForceGuard guard;
+  for (const auto* table : testing::backend_tables()) {
+    linalg::backend::force(table);
+    EXPECT_EQ(io::crc32(buf.data(), buf.size()), one_shot) << table->name;
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+      std::uint32_t s = io::crc32_init();
+      s = io::crc32_update(s, buf.data(), split);
+      s = io::crc32_update(s, buf.data() + split, buf.size() - split);
+      EXPECT_EQ(io::crc32_final(s), one_shot)
+          << table->name << ": split " << split;
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "linalg/backend/crc32.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -71,6 +72,9 @@ TEST(BackendDispatch, ScalarTableIsAlwaysPublished) {
   EXPECT_STREQ(scalar().name, "scalar");
   EXPECT_NE(scalar().gemm_tile, nullptr);
   EXPECT_NE(scalar().phase_ramp_accum, nullptr);
+  // The trace CRC's reference: slicing-by-8 (tests/io/test_crc32.cpp
+  // checks every table against a bit-at-a-time CRC).
+  EXPECT_EQ(scalar().crc32_update, &crc32_sliced);
 }
 
 TEST(BackendDispatch, DispatchInfoIsConsistent) {

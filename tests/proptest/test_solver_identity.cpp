@@ -44,6 +44,7 @@
 #include "sparse/fista.hpp"
 #include "sparse/operator.hpp"
 #include "sparse/power.hpp"
+#include "../test_util.hpp"
 
 namespace pt = roarray::proptest;
 namespace be = roarray::linalg::backend;
@@ -556,18 +557,6 @@ std::optional<std::string> compare(const R& got, const W& want,
   return std::nullopt;
 }
 
-/// The tables a case runs under: scalar always, simd when present.
-std::vector<const be::Backend*> tables() {
-  std::vector<const be::Backend*> out = {&be::scalar()};
-  if (be::simd() != nullptr) out.push_back(be::simd());
-  return out;
-}
-
-/// Restores the env/auto backend selection however the test exits.
-struct ForceGuard {
-  ~ForceGuard() { be::force(nullptr); }
-};
-
 /// The momentum identity against the direct path: the same iteration
 /// count and kappa, x within 1e-6 and each objective within
 /// 1e-6 (1 + |objective|); nullopt when they match.
@@ -638,7 +627,7 @@ std::optional<std::string> solvers_match(const LinearOperator& op,
                                          Coverage& cov, int& converged,
                                          bool nan_any = false,
                                          bool direct = false) {
-  for (const be::Backend* table : tables()) {
+  for (const be::Backend* table : roarray::testing::backend_tables()) {
     be::force(table);
     const GroupSolveResult want = oracle::solve_group_l1(op, y, cfg, cov);
     const GroupSolveResult got = solve_group_l1(op, y, cfg);
@@ -687,7 +676,7 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
   Coverage cov;
   int converged = 0;
   int support_cases = 0;
-  ForceGuard guard;
+  const roarray::testing::BackendForceGuard guard;
   pt::CheckConfig cfg;
   cfg.cases = 40;
   pt::check<SolverCase>(
@@ -844,7 +833,7 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
   Coverage cov;
   int converged = 0;
   int moved = 0;
-  ForceGuard guard;
+  const roarray::testing::BackendForceGuard guard;
   pt::CheckConfig cfg;
   cfg.cases = 240;  // cheap cases; the prox edge needs many draws
   pt::check<EdgeCase>(

@@ -21,7 +21,7 @@ namespace {
 
 using linalg::index_t;
 
-// Small grids so entry construction (power iteration + row gram) is
+// Small grids so entry construction (steering factors + Lipschitz) is
 // cheap enough to hammer, but not trivial — a first-touch build still
 // takes long enough for other threads to pile onto the lock.
 dsp::Grid aoa_grid_for(int which) { return {0.0, 180.0, 9 + which}; }

@@ -301,22 +301,9 @@ std::string expect_matches_frozen(const LinearOperator& op, const CVec& y,
   return want.thrown;
 }
 
-std::vector<const linalg::backend::Backend*> backend_tables() {
-  std::vector<const linalg::backend::Backend*> out = {
-      &linalg::backend::scalar()};
-  if (linalg::backend::simd() != nullptr) {
-    out.push_back(linalg::backend::simd());
-  }
-  return out;
-}
-
-struct ForceGuard {
-  ~ForceGuard() { linalg::backend::force(nullptr); }
-};
-
 TEST(OmpFrozen, DenseOperatorsMatchBitForBit) {
-  const ForceGuard guard;
-  for (const auto* table : backend_tables()) {
+  const rt::BackendForceGuard guard;
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     auto rng = rt::make_rng(4100);
     int returned = 0;
@@ -343,8 +330,8 @@ TEST(OmpFrozen, DenseOperatorsMatchBitForBit) {
 }
 
 TEST(OmpFrozen, MoreAtomsThanRowsMatchesIncludingTheThrow) {
-  const ForceGuard guard;
-  for (const auto* table : backend_tables()) {
+  const rt::BackendForceGuard guard;
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     auto rng = rt::make_rng(4200);
     int past_rows = 0;
@@ -372,8 +359,8 @@ TEST(OmpFrozen, ExactTiesPickTheFirstIndex) {
   // Columns 3 and 17 are copies of column 9 (17 negated): their
   // correlations have bit-identical magnitudes, and the first index of
   // the tie must win, as in the frozen strict-> scan.
-  const ForceGuard guard;
-  for (const auto* table : backend_tables()) {
+  const rt::BackendForceGuard guard;
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     auto rng = rt::make_rng(4300);
     for (int trial = 0; trial < 8; ++trial) {
@@ -428,8 +415,8 @@ TEST(OmpFrozen, HypotTieWithUnequalNormsPicksTheFirstIndex) {
     }
   }
   ASSERT_TRUE(found);
-  const ForceGuard guard;
-  for (const auto* table : backend_tables()) {
+  const rt::BackendForceGuard guard;
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     CMat s = rt::random_cmat(6, 12, rng);
     for (index_t j = 0; j < 12; ++j) s(0, j) *= 0.01;
@@ -447,7 +434,7 @@ TEST(OmpFrozen, HypotTieWithUnequalNormsPicksTheFirstIndex) {
 }
 
 TEST(OmpFrozen, KroneckerOperatorsMatchBitForBit) {
-  const ForceGuard guard;
+  const rt::BackendForceGuard guard;
   dsp::ArrayConfig arr;
   // The coarse-to-fine shape (every 4th of 91 AoA and every 2nd of 50
   // ToA cells), a smaller steering grid, and random factors.
@@ -463,7 +450,7 @@ TEST(OmpFrozen, KroneckerOperatorsMatchBitForBit) {
   const SupportOperator restricted(steer, {2, 3, 4, 10, 30}, {0, 5, 6, 7});
   const std::vector<const LinearOperator*> ops = {&coarse, &steer, &random_op,
                                                   &restricted};
-  for (const auto* table : backend_tables()) {
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     int returned = 0;
     for (std::size_t o = 0; o < ops.size(); ++o) {

@@ -382,19 +382,6 @@ struct Shape {
 constexpr Shape kShapes[] = {{1, 5, 2, 4},  {3, 7, 4, 6},  {2, 17, 3, 5},
                              {4, 9, 5, 3},  {9, 18, 3, 4}, {3, 91, 6, 9}};
 
-std::vector<const linalg::backend::Backend*> tables() {
-  std::vector<const linalg::backend::Backend*> out = {
-      &linalg::backend::scalar()};
-  if (linalg::backend::simd() != nullptr) {
-    out.push_back(linalg::backend::simd());
-  }
-  return out;
-}
-
-struct ForceGuard {
-  ~ForceGuard() { linalg::backend::force(nullptr); }
-};
-
 /// x (N_l N_r x k) with random entries in the blocks `live` marks and
 /// zeros elsewhere (alternating +0 and -0, both of which the masked
 /// forward must treat as zero).
@@ -417,9 +404,9 @@ std::vector<std::uint8_t> random_mask(index_t nr, std::mt19937_64& rng) {
 }
 
 TEST(KroneckerBlocks, AllBlocksCaseMatchesTheFrozenThreeGemmApplies) {
-  ForceGuard guard;
+  const rt::BackendForceGuard guard;
   auto rng = rt::make_rng(81);
-  for (const auto* table : tables()) {
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     for (const Shape& s : kShapes) {
       const CMat left = rt::random_cmat(s.m, s.nl, rng);
@@ -450,9 +437,9 @@ TEST(KroneckerBlocks, AllBlocksCaseMatchesTheFrozenThreeGemmApplies) {
 }
 
 TEST(KroneckerBlocks, MaskedForwardOnBlockSparseInputEqualsDenseForward) {
-  ForceGuard guard;
+  const rt::BackendForceGuard guard;
   auto rng = rt::make_rng(82);
-  for (const auto* table : tables()) {
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     for (const Shape& s : kShapes) {
       const KroneckerOperator op(rt::random_cmat(s.m, s.nl, rng),
@@ -478,10 +465,10 @@ TEST(KroneckerBlocks, MaskedForwardOnBlockSparseInputEqualsDenseForward) {
 }
 
 TEST(KroneckerBlocks, MaskedExpansionEqualsDenseAdjointOnKeptBlocks) {
-  ForceGuard guard;
+  const rt::BackendForceGuard guard;
   const double sentinel = std::numeric_limits<double>::quiet_NaN();
   auto rng = rt::make_rng(83);
-  for (const auto* table : tables()) {
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     for (const Shape& s : kShapes) {
       const KroneckerOperator op(rt::random_cmat(s.m, s.nl, rng),
@@ -519,10 +506,10 @@ TEST(KroneckerBlocks, MaskedExpansionEqualsDenseAdjointOnKeptBlocks) {
 }
 
 TEST(KroneckerBlocks, MaskedCorrelationEqualsTheFullProductOnMaskedColumns) {
-  ForceGuard guard;
+  const rt::BackendForceGuard guard;
   const double sentinel = std::numeric_limits<double>::quiet_NaN();
   auto rng = rt::make_rng(86);
-  for (const auto* table : tables()) {
+  for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     for (const Shape& s : kShapes) {
       const KroneckerOperator op(rt::random_cmat(s.m, s.nl, rng),

@@ -56,6 +56,26 @@ TEST(PowerMethod, DefaultEstimateTightForKroneckerSteeringOperator) {
   EXPECT_NEAR(lam, ref, 0.03 * ref);
 }
 
+TEST(PowerMethod, KroneckerNormIsTheFactorProductAndExactAtThePaperGrid) {
+  // ||R (x) L||^2 = ||L||^2 ||R||^2: a Kronecker operator's constant is
+  // the product of its factors' power iterations, bit for bit, and at
+  // the paper's grids (Eq. 16) it matches the eigendecomposition of the
+  // joint S S^H to rounding.
+  const dsp::ArrayConfig arr;
+  const dsp::Grid aoa = dsp::default_aoa_grid();
+  const dsp::Grid toa = dsp::default_toa_grid();
+  const KroneckerOperator op(dsp::steering_matrix_aoa(aoa, arr),
+                             dsp::steering_matrix_toa(toa, arr));
+  const double lam = operator_norm_sq(op);
+  EXPECT_EQ(lam, operator_norm_sq(DenseOperator(op.left())) *
+                     operator_norm_sq(DenseOperator(op.right())));
+  const CMat s = dsp::steering_matrix_joint(aoa, toa, arr);
+  const auto eg = linalg::eig_hermitian(matmul(s, adjoint(s)));
+  const double ref = eg.eigenvalues[s.rows() - 1];
+  ASSERT_GT(ref, 0.0);
+  EXPECT_NEAR(lam, ref, 1e-12 * ref);
+}
+
 TEST(KappaMax, GivesZeroSolution) {
   auto rng = rt::make_rng(82);
   const CMat s = rt::random_cmat(8, 30, rng);

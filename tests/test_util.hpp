@@ -5,7 +5,9 @@
 
 #include <complex>
 #include <random>
+#include <vector>
 
+#include "linalg/backend/backend.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -15,6 +17,26 @@ using linalg::CMat;
 using linalg::CVec;
 using linalg::cxd;
 using linalg::index_t;
+
+/// The backend tables a case runs under: scalar always, simd when the
+/// binary and the CPU have it.
+inline std::vector<const linalg::backend::Backend*> backend_tables() {
+  std::vector<const linalg::backend::Backend*> out = {
+      &linalg::backend::scalar()};
+  if (linalg::backend::simd() != nullptr) {
+    out.push_back(linalg::backend::simd());
+  }
+  return out;
+}
+
+/// Restores the env/auto backend selection however a test that calls
+/// linalg::backend::force exits.
+struct BackendForceGuard {
+  BackendForceGuard() = default;
+  BackendForceGuard(const BackendForceGuard&) = delete;
+  BackendForceGuard& operator=(const BackendForceGuard&) = delete;
+  ~BackendForceGuard() { linalg::backend::force(nullptr); }
+};
 
 /// Deterministic RNG for reproducible tests.
 inline std::mt19937_64 make_rng(std::uint64_t seed = 42) {
