@@ -100,8 +100,8 @@ bool estimate_direct_aoa(System system, const sim::ApMeasurement& m,
       return true;
     }
     case System::kArrayTrack: {
-      const music::ArrayTrackResult r = music::arraytrack_estimate(
-          m.burst.csi, music::ArrayTrackConfig{}, array_cfg);
+      const music::ArrayTrackResult r =
+          music::arraytrack_estimate(m.burst.csi, array_cfg);
       if (!r.valid) return false;
       aoa_deg = r.direct_aoa_deg;
       return true;

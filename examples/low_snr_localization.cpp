@@ -67,8 +67,7 @@ int main() {
   {
     std::vector<loc::ApObservation> obs;
     for (const auto& m : measurements) {
-      const auto r = music::arraytrack_estimate(
-          m.burst.csi, music::ArrayTrackConfig{}, scenario.array);
+      const auto r = music::arraytrack_estimate(m.burst.csi, scenario.array);
       if (r.valid) obs.push_back({m.pose, r.direct_aoa_deg, m.rssi_weight});
     }
     const auto fix = loc::localize(obs, loc_cfg);

@@ -1,7 +1,6 @@
 #include "dsp/steering.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "linalg/backend/backend.hpp"
 
@@ -30,24 +29,17 @@ CVec steering_aoa(double theta_deg, const ArrayConfig& cfg) {
 }
 
 CVec steering_joint(double theta_deg, double tau_s, const ArrayConfig& cfg) {
-  return steering_joint_sub(theta_deg, tau_s, cfg, cfg.num_antennas,
-                            cfg.num_subcarriers);
-}
-
-CVec steering_joint_sub(double theta_deg, double tau_s, const ArrayConfig& cfg,
-                        index_t ms, index_t ls) {
-  if (ms < 1 || ms > cfg.num_antennas || ls < 1 || ls > cfg.num_subcarriers) {
-    throw std::invalid_argument("steering_joint_sub: sub-array out of range");
-  }
+  const index_t m = cfg.num_antennas;
+  const index_t l = cfg.num_subcarriers;
   const cxd lam = lambda_aoa(theta_deg, cfg.spacing_over_wavelength());
   const cxd gam = gamma_toa(tau_s, cfg.subcarrier_spacing_hz);
-  CVec s(ms * ls);
+  CVec s(m * l);
   const auto& bk = linalg::backend::active();
   cxd gl{1.0, 0.0};
-  for (index_t l = 0; l < ls; ++l) {
-    // s[l*ms + m] = gl * lam^m: one backend phase recurrence per
+  for (index_t sc = 0; sc < l; ++sc) {
+    // s[sc*m + a] = gl * lam^a: one backend phase recurrence per
     // subcarrier block, scaled by the running ToA factor.
-    bk.phase_ramp(gl, lam, ms, s.data() + l * ms);
+    bk.phase_ramp(gl, lam, m, s.data() + sc * m);
     gl *= gam;
   }
   return s;

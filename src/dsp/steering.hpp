@@ -49,10 +49,4 @@ using linalg::cxd;
                                          const Grid& toa_grid_s,
                                          const ArrayConfig& cfg);
 
-/// Truncated joint steering vector / matrices for a sub-array of
-/// ms antennas and ls subcarriers (used by SpotFi-style smoothing).
-[[nodiscard]] CVec steering_joint_sub(double theta_deg, double tau_s,
-                                      const ArrayConfig& cfg,
-                                      linalg::index_t ms, linalg::index_t ls);
-
 }  // namespace roarray::dsp

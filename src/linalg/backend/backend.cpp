@@ -17,12 +17,9 @@ namespace roarray::linalg::backend {
 #if defined(ROARRAY_HAVE_SIMD_AVX2)
 const Backend* simd_avx2_table();
 #endif
-#if defined(ROARRAY_HAVE_SIMD_NEON)
-const Backend* simd_neon_table();
-#endif
 
 bool simd_compiled() {
-#if defined(ROARRAY_HAVE_SIMD_AVX2) || defined(ROARRAY_HAVE_SIMD_NEON)
+#if defined(ROARRAY_HAVE_SIMD_AVX2)
   return true;
 #else
   return false;
@@ -39,8 +36,6 @@ const Backend* simd() {
           ? simd_avx2_table()
           : nullptr;
   return kSimd;
-#elif defined(ROARRAY_HAVE_SIMD_NEON)
-  return simd_neon_table();  // Advanced SIMD is aarch64 baseline.
 #else
   return nullptr;
 #endif

@@ -6,8 +6,8 @@
 // table holds today's hand-separated real-arithmetic loops, extracted
 // verbatim from gemm.cpp / prox.hpp / steering.cpp, and the
 // slicing-by-8 CRC-32 of crc32.hpp; the `simd` table hand-vectorizes
-// the same kernels (AVX2+FMA on x86-64, NEON on aarch64) behind
-// compile-time feature macros with a runtime CPU check, so a binary
+// the same kernels (AVX2+FMA on x86-64; other architectures run the
+// scalar table) behind compile-time feature macros with a runtime CPU check, so a binary
 // built with the SIMD translation units still runs on machines without
 // the vector units.
 //
@@ -57,7 +57,7 @@ inline constexpr index_t kSmallDepthLimit = 8;
 /// column-major interleaved (re, im) buffers; every pointer is non-null
 /// in a published table.
 struct Backend {
-  /// Short stable identifier ("scalar", "simd-avx2", "simd-neon") —
+  /// Short stable identifier ("scalar", "simd-avx2") —
   /// recorded in bench provenance.
   const char* name;
 
@@ -133,8 +133,8 @@ struct Backend {
   /// format's checksum (io/crc32.hpp). Integer arithmetic, so unlike
   /// the floating-point entries it has no tolerance: every table
   /// returns the slicing-by-8 reference (crc32.hpp) bit for bit, at
-  /// every length and alignment. The scalar and NEON tables point at
-  /// that reference; AVX2 folds runs of >= 64 bytes with carry-less
+  /// every length and alignment. The scalar table points at that
+  /// reference; AVX2 folds runs of >= 64 bytes with carry-less
   /// multiplies (PCLMULQDQ) and hands the < 16-byte tail to it.
   std::uint32_t (*crc32_update)(std::uint32_t state, const unsigned char* data,
                                 std::size_t n);
@@ -146,7 +146,7 @@ struct Backend {
 
 /// The vectorized table compiled into this binary, or nullptr when the
 /// build has no SIMD translation unit for this architecture OR the
-/// running CPU lacks the required features (AVX2+FMA+PCLMUL / NEON).
+/// running CPU lacks the required features (AVX2+FMA+PCLMUL).
 [[nodiscard]] const Backend* simd();
 
 /// True when a SIMD translation unit was compiled into this binary,

@@ -204,13 +204,10 @@ void row_scale(cxd* col, index_t n, const double* scale) {
   }
 }
 
-}  // namespace
-
 /// Squared row norms of one column of the group-prox gradient step: the
 /// arithmetic of sparse::solve_group_l1's former fused pass, moved here
-/// verbatim minus its store of the step. Outside the anonymous namespace
-/// because the NEON table publishes this loop as its entry.
-void gradient_row_sq_scalar(const cxd* from, const cxd* grad, double step,
+/// verbatim minus its store of the step.
+void gradient_row_sq(const cxd* from, const cxd* grad, double step,
                             index_t n, double* row_sq) {
   const double* fd = reinterpret_cast<const double*>(from);
   const double* gd = reinterpret_cast<const double*>(grad);
@@ -221,10 +218,8 @@ void gradient_row_sq_scalar(const cxd* from, const cxd* grad, double step,
   }
 }
 
-namespace {
-
 /// out[i] = scale * step^i via the running-product recurrence — the
-/// exact expression steering_joint_sub evaluates (scale enters each
+/// exact expression steering_joint evaluates (scale enters each
 /// element as one multiply; the recurrence itself is never scaled, so
 /// error does not compound through scale).
 void phase_ramp(cxd scale, cxd step, index_t n, cxd* out) {
@@ -247,7 +242,7 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
 constexpr Backend kScalar = {
     "scalar",        &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &gradient_row_sq_scalar,          &phase_ramp,       &phase_ramp_accum,
+    &gradient_row_sq,          &phase_ramp,       &phase_ramp_accum,
     &crc32_sliced,
 };
 

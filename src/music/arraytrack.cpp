@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "dsp/steering.hpp"
 #include "music/covariance.hpp"
 #include "music/model_order.hpp"
 
@@ -11,14 +10,31 @@ namespace roarray::music {
 
 using linalg::cxd;
 
+namespace {
+
+/// Maximum source count, clamped to M - 1: ArrayTrack's tiny aperture
+/// resolves at most M - 1 = 2 paths. The per-packet count is estimated
+/// by MDL and capped here — forcing K too high on an effectively rank-1
+/// channel yields spurious dominant peaks.
+constexpr index_t kNumPaths = 2;
+
+/// ArrayTrack predates per-subcarrier CSI processing: it works on a
+/// short run of preamble time samples, not on 30 independent subcarrier
+/// snapshots (exploiting those is SpotFi's contribution). This is
+/// modelled by coherently averaging consecutive subcarriers into this
+/// many snapshots per packet.
+constexpr index_t kSnapshotsPerPacket = 5;
+
+}  // namespace
+
 ArrayTrackResult arraytrack_estimate(std::span<const CMat> packets,
-                                     const ArrayTrackConfig& cfg,
                                      const dsp::ArrayConfig& array_cfg) {
   if (packets.empty()) {
     throw std::invalid_argument("arraytrack_estimate: no packets");
   }
   const index_t m = array_cfg.num_antennas;
   const index_t l = array_cfg.num_subcarriers;
+  const dsp::Grid aoa_grid(0.0, 180.0, 181);
 
   // ArrayTrack is a per-packet pipeline: each packet's subcarriers form
   // the snapshots of one M x M covariance, one MUSIC pseudo-spectrum is
@@ -27,16 +43,16 @@ ArrayTrackResult arraytrack_estimate(std::span<const CMat> packets,
   // the behavior the paper measures — unlike a single covariance pooled
   // over the whole burst, which would average the noise away.)
   ArrayTrackResult out;
-  out.spectrum.grid = cfg.aoa_grid;
-  out.spectrum.values = linalg::RVec(cfg.aoa_grid.size());
-  CMat r_pooled(m, m);  // pooled covariance for the Bartlett anchor
-  const index_t groups = std::clamp<index_t>(cfg.snapshots_per_packet, 1, l);
+  out.spectrum.grid = aoa_grid;
+  out.spectrum.values = linalg::RVec(aoa_grid.size());
+  const index_t groups = std::clamp<index_t>(kSnapshotsPerPacket, 1, l);
+  const index_t k_max = std::clamp<index_t>(kNumPaths, 1, m - 1);
   for (const CMat& csi : packets) {
     if (csi.rows() != m || csi.cols() != l) {
       throw std::invalid_argument("arraytrack_estimate: CSI shape mismatch");
     }
     // Coherently average consecutive subcarriers into `groups` snapshots
-    // (preamble time-sample model; see ArrayTrackConfig).
+    // (preamble time-sample model; see kSnapshotsPerPacket).
     CMat snapshots(m, groups);
     for (index_t g = 0; g < groups; ++g) {
       const index_t lo = g * l / groups;
@@ -48,61 +64,23 @@ ArrayTrackResult arraytrack_estimate(std::span<const CMat> packets,
             acc / static_cast<double>(std::max<index_t>(1, hi - lo));
       }
     }
-    CMat r = sample_covariance(snapshots);
-    r_pooled += r;
-    if (cfg.forward_backward) r = forward_backward_average(r);
+    const CMat r = forward_backward_average(sample_covariance(snapshots));
 
-    index_t k = std::clamp<index_t>(cfg.num_paths, 1, m - 1);
-    if (cfg.adaptive_order) {
-      const auto eg = linalg::eig_hermitian(r);
-      const index_t mdl = estimate_model_order(eg.eigenvalues, groups);
-      k = std::clamp<index_t>(mdl, 1, k);
-    }
-    const dsp::Spectrum1d spec = music_spectrum_aoa(r, k, cfg.aoa_grid, array_cfg);
-    for (index_t i = 0; i < cfg.aoa_grid.size(); ++i) {
+    const auto eg = linalg::eig_hermitian(r);
+    const index_t mdl = estimate_model_order(eg.eigenvalues, groups);
+    const index_t k = std::clamp<index_t>(mdl, 1, k_max);
+    const dsp::Spectrum1d spec = music_spectrum_aoa(r, k, aoa_grid, array_cfg);
+    for (index_t i = 0; i < aoa_grid.size(); ++i) {
       out.spectrum.values[i] += spec.values[i];
     }
   }
   out.spectrum.normalize();
-  const CMat r = r_pooled * cxd{1.0 / static_cast<double>(packets.size()), 0.0};
-  out.peaks = out.spectrum.find_peaks(/*max_peaks=*/cfg.num_paths + 1,
+  out.peaks = out.spectrum.find_peaks(/*max_peaks=*/kNumPaths + 1,
                                       /*min_rel_height=*/0.05,
                                       /*min_separation=*/2);
-  if (!out.peaks.empty() && !cfg.bartlett_anchor) {
-    // Historical behavior: strongest peak = direct path.
+  if (!out.peaks.empty()) {
+    // Strongest peak = direct path.
     out.direct_aoa_deg = out.peaks.front().aoa_deg;
-    out.valid = true;
-  } else if (!out.peaks.empty()) {
-    // With M = 3 and K = 2 the 1-dimensional noise space has two
-    // spectral roots; when the true paths nearly coincide the second
-    // root is spurious and can outshine the real one. Anchor the pick
-    // on the dominant-energy (Bartlett) direction: the direct path is
-    // the MUSIC peak closest to where the signal power actually points.
-    double bartlett_best = -1.0;
-    double bartlett_dir = out.peaks.front().aoa_deg;
-    for (index_t i = 0; i < cfg.aoa_grid.size(); ++i) {
-      const auto s = dsp::steering_aoa(cfg.aoa_grid[i], array_cfg);
-      const linalg::CVec rs = matvec(r, s);
-      const double power = std::abs(dot(s, rs));
-      if (power > bartlett_best) {
-        bartlett_best = power;
-        bartlett_dir = cfg.aoa_grid[i];
-      }
-    }
-    const dsp::Peak* pick = &out.peaks.front();
-    for (const dsp::Peak& p : out.peaks) {
-      if (std::abs(p.aoa_deg - bartlett_dir) <
-          std::abs(pick->aoa_deg - bartlett_dir)) {
-        pick = &p;
-      }
-    }
-    // If every MUSIC peak is far from the energy direction, they are
-    // all spurious roots — fall back to plain beamforming.
-    if (std::abs(pick->aoa_deg - bartlett_dir) > 15.0) {
-      out.direct_aoa_deg = bartlett_dir;
-    } else {
-      out.direct_aoa_deg = pick->aoa_deg;
-    }
     out.valid = true;
   }
   return out;

@@ -14,30 +14,6 @@
 
 namespace roarray::music {
 
-struct ArrayTrackConfig {
-  dsp::Grid aoa_grid = dsp::Grid(0.0, 180.0, 181);
-  /// Maximum source count; clamped to M - 1. ArrayTrack's tiny aperture
-  /// resolves at most M - 1 = 2 paths.
-  index_t num_paths = 2;
-  /// Estimate the per-burst source count by MDL (capped at num_paths)
-  /// instead of forcing it — forcing K too high on an effectively
-  /// rank-1 channel yields spurious dominant peaks.
-  bool adaptive_order = true;
-  bool forward_backward = true;  ///< apply FB averaging to the covariance.
-  /// ArrayTrack predates per-subcarrier CSI processing: it works on a
-  /// short run of preamble time samples, not on 30 independent
-  /// subcarrier snapshots (exploiting those is SpotFi's contribution).
-  /// Model this by coherently averaging consecutive subcarriers into
-  /// this many snapshots per packet.
-  index_t snapshots_per_packet = 5;
-  /// Without client/AP motion ArrayTrack has no principled direct-path
-  /// test and takes the strongest spectrum peak (the behavior the paper
-  /// compares against; default). Enabling the Bartlett anchor picks the
-  /// MUSIC peak nearest the dominant-energy direction instead — a
-  /// non-historical enhancement kept for ablation.
-  bool bartlett_anchor = false;
-};
-
 struct ArrayTrackResult {
   dsp::Spectrum1d spectrum;       ///< packet-averaged AoA pseudo-spectrum.
   std::vector<dsp::Peak> peaks;   ///< detected AoA peaks, strongest first.
@@ -45,10 +21,11 @@ struct ArrayTrackResult {
   bool valid = false;             ///< false if no peak was found.
 };
 
-/// Runs ArrayTrack on a burst of CSI packets (each M x L): subcarriers
-/// and packets all serve as snapshots for one M x M covariance.
+/// Runs ArrayTrack on a burst of CSI packets (each M x L): one MUSIC
+/// pseudo-spectrum per packet on the 1-degree AoA grid, averaged over
+/// the burst. The model (subcarrier-averaged snapshots, MDL-capped
+/// source count, forward-backward averaging) is fixed in arraytrack.cpp.
 [[nodiscard]] ArrayTrackResult arraytrack_estimate(std::span<const CMat> packets,
-                                                   const ArrayTrackConfig& cfg,
                                                    const dsp::ArrayConfig& array_cfg);
 
 }  // namespace roarray::music

@@ -1,12 +1,13 @@
 #include "music/music.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+
+#include "linalg/gemm.hpp"
 
 namespace roarray::music {
 
-using linalg::CVec;
-using linalg::cxd;
 using linalg::RVec;
 
 CMat noise_subspace(const CMat& covariance, index_t k) {
@@ -32,16 +33,18 @@ CMat noise_subspace(const linalg::EigResult& eg, index_t k) {
 
 namespace {
 
-/// 1 / ||E_n^H s||^2 with a floor to avoid dividing by zero at exact
-/// signal directions (noise-free covariance corner case).
-double music_power(const CMat& en, const CVec& s) {
-  double acc = 0.0;
-  for (index_t j = 0; j < en.cols(); ++j) {
-    cxd proj{};
-    for (index_t i = 0; i < en.rows(); ++i) proj += std::conj(en(i, j)) * s[i];
-    acc += std::norm(proj);
+/// Floor on ||E_n^H s||^2 before the reciprocal, so an exact signal
+/// direction (noise-free covariance corner case) does not divide by zero.
+constexpr double kProjectionFloor = 1e-12;
+
+/// The leading `rows` rows of `a` as a contiguous matrix (the GEMM
+/// entry points take no leading dimension).
+CMat leading_rows(const CMat& a, index_t rows) {
+  CMat out(rows, a.cols());
+  for (index_t j = 0; j < a.cols(); ++j) {
+    for (index_t i = 0; i < rows; ++i) out(i, j) = a(i, j);
   }
-  return 1.0 / std::max(acc, 1e-12);
+  return out;
 }
 
 }  // namespace
@@ -53,12 +56,16 @@ dsp::Spectrum1d music_spectrum_aoa(const CMat& covariance, index_t k,
     throw std::invalid_argument("music_spectrum_aoa: covariance dim != antennas");
   }
   const CMat en = noise_subspace(covariance, k);
+  // Row i of A_theta^H E_n holds the projections of steering_aoa(grid[i]).
+  const CMat proj = linalg::matmul_blocked(
+      linalg::adjoint(dsp::steering_matrix_aoa(aoa_grid_deg, cfg)), en);
   dsp::Spectrum1d out;
   out.grid = aoa_grid_deg;
   out.values = RVec(aoa_grid_deg.size());
-  for (index_t i = 0; i < aoa_grid_deg.size(); ++i) {
-    const CVec s = dsp::steering_aoa(aoa_grid_deg[i], cfg);
-    out.values[i] = music_power(en, s);
+  for (index_t i = 0; i < proj.rows(); ++i) {
+    double energy = 0.0;
+    for (index_t c = 0; c < proj.cols(); ++c) energy += std::norm(proj(i, c));
+    out.values[i] = 1.0 / std::max(energy, kProjectionFloor);
   }
   out.normalize();
   return out;
@@ -84,21 +91,51 @@ dsp::Spectrum2d music_spectrum_joint(const linalg::EigResult& eig, index_t k,
                                      const dsp::ArrayConfig& cfg,
                                      index_t sub_antennas,
                                      index_t sub_carriers) {
-  if (eig.eigenvectors.rows() != sub_antennas * sub_carriers) {
+  const index_t ms = sub_antennas;
+  const index_t ls = sub_carriers;
+  if (ms < 1 || ms > cfg.num_antennas || ls < 1 || ls > cfg.num_subcarriers) {
+    throw std::invalid_argument("music_spectrum_joint: sub-array out of range");
+  }
+  if (eig.eigenvectors.rows() != ms * ls) {
     throw std::invalid_argument("music_spectrum_joint: covariance dim mismatch");
   }
   const CMat en = noise_subspace(eig, k);
+  const index_t nth = aoa_grid_deg.size();
+  const index_t ntau = toa_grid_s.size();
+
+  // The sub-array steering vector is s[l*ms + m] = A_tau(l, j) A_theta(m, i):
+  // b(tau) (x) a(theta) over the leading ms rows of A_theta and ls rows
+  // of A_tau (the smooth_csi layout). With noise column c read as the
+  // ms x ls matrix E_c, E_c^H s = conj([A_theta^H E_c conj(A_tau)](i, j)),
+  // so each column takes two GEMMs over the whole grid: the ToA side
+  // (ms * ls * ntau MACs), then the AoA side (nth * ms * ntau). A_theta^H
+  // is formed once so the AoA side runs on the shallow-depth kernel.
+  const CMat a_theta_h = linalg::adjoint(
+      leading_rows(dsp::steering_matrix_aoa(aoa_grid_deg, cfg), ms));
+  const CMat a_tau_conj = linalg::conjugate(
+      leading_rows(dsp::steering_matrix_toa(toa_grid_s, cfg), ls));
+  CMat toa_side(ms, ntau);
+  CMat proj(nth, ntau);
+  linalg::RMat energy(nth, ntau);
+  double* e = energy.data();
+  const linalg::cxd* p = proj.data();
+  for (index_t c = 0; c < en.cols(); ++c) {
+    // E_c is column c of en read as ms x ls column-major: entry (m, l)
+    // sits at row l*ms + m.
+    linalg::gemm(ms, ntau, ls, en.data() + c * en.rows(), a_tau_conj.data(),
+                 toa_side.data());
+    linalg::gemm(nth, ntau, ms, a_theta_h.data(), toa_side.data(),
+                 proj.data());
+    for (index_t t = 0; t < nth * ntau; ++t) e[t] += std::norm(p[t]);
+  }
+
+  for (index_t t = 0; t < nth * ntau; ++t) {
+    e[t] = 1.0 / std::max(e[t], kProjectionFloor);
+  }
   dsp::Spectrum2d out;
   out.aoa_grid = aoa_grid_deg;
   out.toa_grid = toa_grid_s;
-  out.values = linalg::RMat(aoa_grid_deg.size(), toa_grid_s.size());
-  for (index_t j = 0; j < toa_grid_s.size(); ++j) {
-    for (index_t i = 0; i < aoa_grid_deg.size(); ++i) {
-      const CVec s = dsp::steering_joint_sub(aoa_grid_deg[i], toa_grid_s[j],
-                                             cfg, sub_antennas, sub_carriers);
-      out.values(i, j) = music_power(en, s);
-    }
-  }
+  out.values = std::move(energy);
   out.normalize();
   return out;
 }

@@ -23,17 +23,23 @@ using linalg::index_t;
 /// eigenvalues ascending) when the caller already holds it.
 [[nodiscard]] CMat noise_subspace(const linalg::EigResult& eig, index_t k);
 
-/// 1-D spatial MUSIC: P(theta) = 1 / ||E_n^H s(theta)||^2 over the grid.
-/// `covariance` is M x M, k the assumed source count. The returned
-/// spectrum is normalized to peak 1.
+/// 1-D spatial MUSIC: P(theta) = 1 / ||E_n^H s(theta)||^2 over the grid,
+/// the squared row norms of one A_theta^H E_n product (A_theta =
+/// dsp::steering_matrix_aoa). `covariance` is M x M, k the assumed
+/// source count. The returned spectrum is normalized to peak 1.
 [[nodiscard]] dsp::Spectrum1d music_spectrum_aoa(const CMat& covariance,
                                                  index_t k,
                                                  const dsp::Grid& aoa_grid_deg,
                                                  const dsp::ArrayConfig& cfg);
 
 /// Joint 2-D MUSIC over (AoA, ToA) on smoothed (ms*ls)-dimensional
-/// snapshots: the steering vectors are steering_joint_sub(..., ms, ls).
-/// `covariance` must be (ms*ls) x (ms*ls). Normalized to peak 1.
+/// snapshots. The sub-array steering vector is b(tau) (x) a(theta) over
+/// the leading ms rows of A_theta and ls rows of A_tau, so the joint
+/// dictionary is never formed: each noise eigenvector, read as an
+/// ms x ls matrix E_c, contributes |A_theta^H E_c conj(A_tau)|^2 to the
+/// whole grid through two GEMMs. `covariance` must be (ms*ls) x (ms*ls);
+/// throws std::invalid_argument unless 1 <= ms <= M and 1 <= ls <= L.
+/// Normalized to peak 1.
 [[nodiscard]] dsp::Spectrum2d music_spectrum_joint(
     const CMat& covariance, index_t k, const dsp::Grid& aoa_grid_deg,
     const dsp::Grid& toa_grid_s, const dsp::ArrayConfig& cfg,

@@ -4,7 +4,9 @@
 // for a (M*L)-dimensional covariance. SpotFi slides a sub-array window
 // of `ms` antennas x `ls` subcarriers over the CSI matrix; each window
 // position contributes one (ms*ls)-dimensional snapshot whose steering
-// structure matches steering_joint_sub(theta, tau, cfg, ms, ls).
+// vector is b(tau) (x) a(theta): entry l*ms + m holds A_tau(l, tau) *
+// A_theta(m, theta), the leading ms rows of dsp::steering_matrix_aoa
+// and ls rows of dsp::steering_matrix_toa.
 #pragma once
 
 #include <span>
@@ -27,7 +29,7 @@ struct SmoothingConfig {
 
 /// Builds the smoothed snapshot matrix for one packet:
 /// (ms*ls) x ((M-ms+1)*(L-ls+1)), element ordering antenna-fastest to
-/// match steering_joint_sub. Throws std::invalid_argument if the window
+/// match that steering vector. Throws std::invalid_argument if the window
 /// does not fit.
 [[nodiscard]] CMat smooth_csi(const CMat& csi, const SmoothingConfig& cfg);
 

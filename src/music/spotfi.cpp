@@ -10,23 +10,45 @@
 
 namespace roarray::music {
 
+namespace {
+
+constexpr index_t kMaxPeaksPerPacket = 5;
+/// Delay sanitize_csi adds back after detrending (as in roarray_estimate).
+constexpr double kRebiasDelayS = 100e-9;
+
+/// Direct-path likelihood weights over normalized cluster features
+/// (AoA normalized by 180 deg, ToA by the grid span):
+/// l = kWWeight*log(1+weight) - kWAoaVar*var_aoa - kWToaVar*var_toa
+///     - kWToaMean*mean_toa.
+constexpr double kWWeight = 0.2;
+constexpr double kWAoaVar = 10.0;
+constexpr double kWToaVar = 10.0;
+constexpr double kWToaMean = 12.0;
+
+}  // namespace
+
 SpotfiResult spotfi_estimate(std::span<const CMat> packets,
                              const SpotfiConfig& cfg,
                              const dsp::ArrayConfig& array_cfg,
                              bool keep_spectrum) {
   if (packets.empty()) throw std::invalid_argument("spotfi_estimate: no packets");
 
+  const dsp::Grid aoa_grid(0.0, 180.0, 91);
+  const dsp::Grid toa_grid(0.0, 784e-9, 50);
+  // SpotFi's window for the Intel 5300: 2 of 3 antennas, 15 of 30
+  // subcarriers (the SmoothingConfig defaults).
+  const SmoothingConfig smoothing;
+
   SpotfiResult out;
-  const double toa_span = std::max(cfg.toa_grid.hi() - cfg.toa_grid.lo(), 1e-12);
+  const double toa_span = std::max(toa_grid.hi() - toa_grid.lo(), 1e-12);
 
   for (std::size_t p = 0; p < packets.size(); ++p) {
     CMat csi = packets[p];
     if (cfg.sanitize) {
-      csi = dsp::sanitize_csi(csi, array_cfg, cfg.rebias_delay_s).csi;
+      csi = dsp::sanitize_csi(csi, array_cfg, kRebiasDelayS).csi;
     }
-    const CMat snapshots = smooth_csi(csi, cfg.smoothing);
-    CMat r = sample_covariance(snapshots);
-    if (cfg.forward_backward) r = forward_backward_average(r);
+    const CMat snapshots = smooth_csi(csi, smoothing);
+    const CMat r = forward_backward_average(sample_covariance(snapshots));
 
     const index_t dim = r.rows();
     index_t k = std::clamp<index_t>(cfg.num_paths, 1, dim - 1);
@@ -38,11 +60,11 @@ SpotfiResult spotfi_estimate(std::span<const CMat> packets,
       k = std::clamp<index_t>(mdl, 1, k);
     }
     const dsp::Spectrum2d spec = music_spectrum_joint(
-        eg, k, cfg.aoa_grid, cfg.toa_grid, array_cfg,
-        cfg.smoothing.sub_antennas, cfg.smoothing.sub_carriers);
+        eg, k, aoa_grid, toa_grid, array_cfg, smoothing.sub_antennas,
+        smoothing.sub_carriers);
     if (keep_spectrum && p == 0) out.first_packet_spectrum = spec;
 
-    const auto peaks = spec.find_peaks(cfg.max_peaks_per_packet,
+    const auto peaks = spec.find_peaks(kMaxPeaksPerPacket,
                                        /*min_rel_height=*/0.1,
                                        /*min_sep_aoa=*/2, /*min_sep_toa=*/2);
     for (const dsp::Peak& pk : peaks) {
@@ -66,7 +88,7 @@ SpotfiResult spotfi_estimate(std::span<const CMat> packets,
   for (const PathCandidate& c : out.candidates) {
     FeaturePoint f;
     f.x = c.aoa_deg / 180.0;
-    f.y = (c.toa_s - cfg.toa_grid.lo()) / toa_span;
+    f.y = (c.toa_s - toa_grid.lo()) / toa_span;
     f.weight = c.power;
     pts.push_back(f);
   }
@@ -83,10 +105,9 @@ SpotfiResult spotfi_estimate(std::span<const CMat> packets,
   for (std::size_t c = 0; c < out.clusters.size(); ++c) {
     const Cluster& cl = out.clusters[c];
     if (cl.total_weight < cfg.min_cluster_weight_ratio * max_weight) continue;
-    const double score = cfg.w_weight * std::log1p(cl.total_weight) -
-                         cfg.w_aoa_var * cl.var_x -
-                         cfg.w_toa_var * cl.var_y -
-                         cfg.w_toa_mean * cl.cy;
+    const double score = kWWeight * std::log1p(cl.total_weight) -
+                         kWAoaVar * cl.var_x - kWToaVar * cl.var_y -
+                         kWToaMean * cl.cy;
     if (best < 0 || score > best_score) {
       best_score = score;
       best = static_cast<index_t>(c);
@@ -95,7 +116,7 @@ SpotfiResult spotfi_estimate(std::span<const CMat> packets,
   const Cluster& win = out.clusters[static_cast<std::size_t>(best)];
   out.direct_cluster = best;
   out.direct_aoa_deg = win.cx * 180.0;
-  out.direct_toa_s = cfg.toa_grid.lo() + win.cy * toa_span;
+  out.direct_toa_s = toa_grid.lo() + win.cy * toa_span;
   out.valid = true;
   return out;
 }

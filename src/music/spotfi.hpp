@@ -23,10 +23,11 @@ struct PathCandidate {
   index_t packet = 0;   ///< which packet produced it.
 };
 
+/// The options a caller sets. The grids (91 AoA x 50 ToA points), the
+/// 2 x 15 smoothing window, forward-backward averaging, the 100 ns
+/// sanitize rebias, five peaks per packet and the direct-path
+/// likelihood weights are fixed in spotfi.cpp.
 struct SpotfiConfig {
-  dsp::Grid aoa_grid = dsp::Grid(0.0, 180.0, 91);
-  dsp::Grid toa_grid = dsp::Grid(0.0, 784e-9, 50);
-  SmoothingConfig smoothing;
   /// Maximum source count, clamped internally to the snapshot dimension
   /// minus one. SpotFi hardwires K = 5 (paper footnote 8); the default
   /// here is a little higher because under-modeling a rich channel
@@ -39,24 +40,12 @@ struct SpotfiConfig {
   /// fixed-K behavior the paper criticizes (footnote 8) — with too-large
   /// K the spectrum grows spurious peaks.
   bool adaptive_order = true;
-  index_t max_peaks_per_packet = 5;
   /// Peaks within this many degrees of endfire (0 / 180) are discarded:
   /// the ULA manifold degenerates there and MUSIC piles spurious energy
   /// onto the grid edges.
   double edge_exclusion_deg = 4.0;
-  bool forward_backward = true;
   /// Sanitize (detrend detection delay) before smoothing, as SpotFi does.
   bool sanitize = true;
-  double rebias_delay_s = 100e-9;
-
-  /// Direct-path likelihood weights over normalized cluster features
-  /// (AoA normalized by 180 deg, ToA by the grid span):
-  /// l = w_weight*log(1+weight) - w_aoa_var*var_aoa - w_toa_var*var_toa
-  ///     - w_toa_mean*mean_toa.
-  double w_weight = 0.2;
-  double w_aoa_var = 10.0;
-  double w_toa_var = 10.0;
-  double w_toa_mean = 12.0;
   /// Clusters lighter than this fraction of the heaviest cluster cannot
   /// be the direct path: spectrum sidelobes can form consistent (and
   /// hence low-variance, early-ToA) clusters, but they stay weak.

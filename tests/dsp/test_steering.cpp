@@ -111,13 +111,6 @@ TEST(Steering, JointAtZeroToaReplicatesSpatialVector) {
   }
 }
 
-TEST(Steering, SubArrayBoundsChecked) {
-  const ArrayConfig cfg;
-  EXPECT_THROW(steering_joint_sub(10.0, 0.0, cfg, 4, 10), std::invalid_argument);
-  EXPECT_THROW(steering_joint_sub(10.0, 0.0, cfg, 2, 31), std::invalid_argument);
-  EXPECT_THROW(steering_joint_sub(10.0, 0.0, cfg, 0, 10), std::invalid_argument);
-}
-
 TEST(Steering, MatrixColumnsMatchVectors) {
   const ArrayConfig cfg;
   const Grid aoa(0.0, 180.0, 19);

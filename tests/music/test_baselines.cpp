@@ -40,28 +40,24 @@ channel::PacketBurst make_burst(const std::vector<Path>& paths, double snr_db,
 TEST(ArrayTrack, FindsDominantAoaAtHighSnr) {
   const auto paths = los_dominant_paths(120.0, 40e-9);
   const auto burst = make_burst(paths, 25.0, 15, 201);
-  const ArrayTrackResult r =
-      arraytrack_estimate(burst.csi, ArrayTrackConfig{}, kArray);
+  const ArrayTrackResult r = arraytrack_estimate(burst.csi, kArray);
   ASSERT_TRUE(r.valid);
   EXPECT_NEAR(r.direct_aoa_deg, 120.0, 6.0);
 }
 
 TEST(ArrayTrack, NoPacketsThrows) {
-  EXPECT_THROW(arraytrack_estimate({}, ArrayTrackConfig{}, kArray),
-               std::invalid_argument);
+  EXPECT_THROW(arraytrack_estimate({}, kArray), std::invalid_argument);
 }
 
 TEST(ArrayTrack, ShapeMismatchThrows) {
   const std::vector<linalg::CMat> bad = {linalg::CMat(2, 30)};
-  EXPECT_THROW(arraytrack_estimate(bad, ArrayTrackConfig{}, kArray),
-               std::invalid_argument);
+  EXPECT_THROW(arraytrack_estimate(bad, kArray), std::invalid_argument);
 }
 
 TEST(ArrayTrack, SpectrumNormalized) {
   const auto paths = los_dominant_paths(90.0, 50e-9);
   const auto burst = make_burst(paths, 20.0, 5, 202);
-  const ArrayTrackResult r =
-      arraytrack_estimate(burst.csi, ArrayTrackConfig{}, kArray);
+  const ArrayTrackResult r = arraytrack_estimate(burst.csi, kArray);
   double mx = 0.0;
   for (linalg::index_t i = 0; i < r.spectrum.values.size(); ++i) {
     mx = std::max(mx, r.spectrum.values[i]);
@@ -73,8 +69,7 @@ TEST(ArrayTrack, DegradesGracefullyAtLowSnr) {
   // Must still return a valid (if inaccurate) estimate at 0 dB.
   const auto paths = los_dominant_paths(60.0, 45e-9);
   const auto burst = make_burst(paths, 0.0, 15, 203);
-  const ArrayTrackResult r =
-      arraytrack_estimate(burst.csi, ArrayTrackConfig{}, kArray);
+  const ArrayTrackResult r = arraytrack_estimate(burst.csi, kArray);
   EXPECT_TRUE(r.valid);
   EXPECT_GE(r.direct_aoa_deg, 0.0);
   EXPECT_LE(r.direct_aoa_deg, 180.0);

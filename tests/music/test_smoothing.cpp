@@ -55,8 +55,18 @@ TEST(Smoothing, SnapshotsFollowSubSteeringModel) {
   const CMat csi = channel::synthesize_csi({p}, cfg);
   const SmoothingConfig sc;
   const CMat snaps = smooth_csi(csi, sc);
-  const auto steer = dsp::steering_joint_sub(p.aoa_deg, p.toa_s, cfg,
-                                             sc.sub_antennas, sc.sub_carriers);
+  // The sub-array steering vector b(tau) (x) a(theta) over the leading
+  // rows of the factor matrices' columns, the layout music_spectrum_joint
+  // contracts against.
+  const CMat a_theta =
+      dsp::steering_matrix_aoa(dsp::Grid(p.aoa_deg, p.aoa_deg, 1), cfg);
+  const CMat a_tau = dsp::steering_matrix_toa(dsp::Grid(p.toa_s, p.toa_s, 1), cfg);
+  linalg::CVec steer(sc.sub_antennas * sc.sub_carriers);
+  for (linalg::index_t l = 0; l < sc.sub_carriers; ++l) {
+    for (linalg::index_t m = 0; m < sc.sub_antennas; ++m) {
+      steer[l * sc.sub_antennas + m] = a_tau(l, 0) * a_theta(m, 0);
+    }
+  }
   for (linalg::index_t j = 0; j < snaps.cols(); ++j) {
     // Correlation |<snap, steer>| / (||snap|| ||steer||) == 1.
     const auto snap = snaps.col_vec(j);

@@ -122,8 +122,8 @@ TEST(EndToEnd, ArrayTrackLocalizesCoarselyAtHighSnr) {
   const auto ms = sim::generate_measurements(tb, client, cfg, rng);
   std::vector<loc::ApObservation> obs;
   for (const auto& m : ms) {
-    const music::ArrayTrackResult r = music::arraytrack_estimate(
-        m.burst.csi, music::ArrayTrackConfig{}, cfg.array);
+    const music::ArrayTrackResult r =
+        music::arraytrack_estimate(m.burst.csi, cfg.array);
     if (!r.valid) continue;
     obs.push_back({m.pose, r.direct_aoa_deg, m.rssi_weight});
   }

@@ -58,8 +58,7 @@ TEST(FailureInjection, ExtremeLowSnrDoesNotCrashAnySystem) {
     (void)r;
   });
   EXPECT_NO_THROW({
-    const auto r = music::arraytrack_estimate(burst.csi,
-                                              music::ArrayTrackConfig{}, arr);
+    const auto r = music::arraytrack_estimate(burst.csi, arr);
     (void)r;
   });
 }
