@@ -295,21 +295,20 @@ void BM_FusionVsPerPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_FusionVsPerPacket)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-// The coarse pass of coarse-to-fine: the default decimations (4 on the
-// 91-point AoA grid, 2 on the 50-point ToA grid) give a 23 x 25
-// operator, and the default CoarseFineConfig budget and stop.
+// The coarse pass of coarse-to-fine: its decimations (4 on the 91-point
+// AoA grid, 2 on the 50-point ToA grid) give a 23 x 25 operator, with
+// the coarse pass's atom budget and stop.
 void BM_SolverOmp(benchmark::State& state) {
-  const sparse::CoarseFineConfig cf;
-  const dsp::Grid aoa =
-      sparse::decimate_grid(dsp::Grid(0.0, 180.0, 91), cf.aoa_decimation);
-  const dsp::Grid toa =
-      sparse::decimate_grid(dsp::Grid(0.0, 784e-9, 50), cf.toa_decimation);
+  const dsp::Grid aoa = sparse::decimate_grid(dsp::Grid(0.0, 180.0, 91),
+                                              sparse::kCoarseAoaDecimation);
+  const dsp::Grid toa = sparse::decimate_grid(dsp::Grid(0.0, 784e-9, 50),
+                                              sparse::kCoarseToaDecimation);
   const sparse::KroneckerOperator op(dsp::steering_matrix_aoa(aoa, kArray),
                                      dsp::steering_matrix_toa(toa, kArray));
   const CVec y = measurement_for(kArray, 2);
   sparse::OmpConfig cfg;
-  cfg.max_atoms = cf.max_candidates;
-  cfg.residual_tolerance = cf.coarse_residual_tolerance;
+  cfg.max_atoms = sparse::kCoarseMaxCandidates;
+  cfg.residual_tolerance = sparse::kCoarseResidualTolerance;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sparse::solve_omp(op, y, cfg));
   }

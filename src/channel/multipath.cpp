@@ -31,8 +31,7 @@ Path make_path(const ApPose& ap, const Vec2& image, int bounces,
   p.length_m = std::max(p.length_m, 1e-3);
   p.toa_s = p.length_m / dsp::kSpeedOfLight;
   p.aoa_deg = ap.aoa_of_direction(image - ap.position);
-  const double amp = cfg.amplitude_at_1m / p.length_m *
-                     std::pow(cfg.reflection_loss, bounces);
+  const double amp = 1.0 / p.length_m * std::pow(cfg.reflection_loss, bounces);
   const double phase = -2.0 * dsp::kPi * p.length_m / array_cfg.wavelength_m;
   p.gain = std::polar(amp, phase);
   return p;
@@ -72,7 +71,7 @@ std::vector<Path> trace_paths(const Room& room, const ApPose& ap,
     p.length_m = d1 + d2;
     p.toa_s = p.length_m / dsp::kSpeedOfLight;
     p.aoa_deg = ap.aoa_of_direction(sc - ap.position);
-    const double amp = cfg.amplitude_at_1m * cfg.scatter_coeff / (d1 * d2);
+    const double amp = cfg.scatter_coeff / (d1 * d2);
     const double phase = -2.0 * dsp::kPi * p.length_m / array_cfg.wavelength_m;
     p.gain = std::polar(amp, phase);
     paths.push_back(p);

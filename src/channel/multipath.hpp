@@ -26,13 +26,12 @@ struct Path {
 struct MultipathConfig {
   int max_reflections = 1;        ///< 1 => direct + 4 wall bounces.
   double reflection_loss = 0.45;  ///< amplitude kept per wall bounce.
-  double amplitude_at_1m = 1.0;   ///< free-space amplitude reference.
   /// Paths weaker than this fraction of the strongest path are dropped,
   /// keeping the dominant-path count sparse as the paper assumes.
   double min_rel_amplitude = 0.02;
   /// Effective scattering amplitude of point scatterers (furniture,
   /// people): a scatterer at distances (d1, d2) from client and AP
-  /// contributes amplitude amplitude_at_1m * scatter_coeff / (d1 * d2).
+  /// contributes amplitude scatter_coeff / (d1 * d2).
   double scatter_coeff = 0.5;
 
   void validate() const {
@@ -42,18 +41,15 @@ struct MultipathConfig {
     if (reflection_loss < 0.0 || reflection_loss > 1.0) {
       throw std::invalid_argument("MultipathConfig: reflection_loss must be in [0,1]");
     }
-    if (amplitude_at_1m <= 0.0) {
-      throw std::invalid_argument("MultipathConfig: non-positive amplitude");
-    }
   }
 };
 
 /// Traces the direct path and up-to-second-order wall reflections from
 /// `client` to the array at `ap` inside `room` using the image method.
 ///
-/// Path amplitude follows free-space spreading amplitude_at_1m / length
-/// times reflection_loss per bounce; path phase is the carrier phase
-/// -2*pi*length/lambda. Optional point scatterers add single-bounce
+/// Path amplitude follows free-space spreading 1 / length (unit
+/// amplitude at 1 m) times reflection_loss per bounce; path phase is
+/// the carrier phase -2*pi*length/lambda. Optional point scatterers add single-bounce
 /// diffuse paths (client -> scatterer -> AP). Paths are returned sorted
 /// by ascending ToA, so paths.front() is always the direct path. Both
 /// endpoints must lie inside the room.

@@ -5,8 +5,10 @@
 #include <stdexcept>
 
 #include "core/roarray.hpp"
+#include "dsp/grid.hpp"
 #include "music/covariance.hpp"
 #include "music/music.hpp"
+#include "sparse/fista.hpp"
 
 namespace roarray::core {
 
@@ -27,6 +29,18 @@ CMat apply_phase_correction(const CMat& csi, std::span<const double> offsets_rad
 }
 
 namespace {
+
+/// Coarse search steps per offset dimension over [0, 2 pi).
+constexpr int kCoarseSteps = 12;
+/// Refinement levels; each shrinks the step 3x around the incumbent.
+constexpr int kRefineLevels = 3;
+/// Cheap solver settings for the many candidate evaluations.
+constexpr sparse::SolveConfig kSolver{.max_iterations = 60, .tolerance = 1e-4};
+/// How many packets the sharpness objective averages over.
+constexpr index_t kMaxPackets = 3;
+
+/// AoA grid of the calibration spectra.
+dsp::Grid calibration_aoa_grid() { return dsp::Grid(0.0, 180.0, 91); }
 
 /// Spectrum concentration at the known calibration direction: the value
 /// of the (peak-normalized) spectrum near known_aoa divided by the
@@ -56,20 +70,21 @@ class Objective {
   Objective(std::span<const CMat> packets, double known_aoa_deg,
             const dsp::ArrayConfig& array_cfg, const CalibrationConfig& cfg)
       : packets_(packets),
-        target_idx_(cfg.aoa_grid.nearest_index(known_aoa_deg)),
+        aoa_grid_(calibration_aoa_grid()),
+        target_idx_(aoa_grid_.nearest_index(known_aoa_deg)),
         array_cfg_(array_cfg),
-        cfg_(cfg) {}
+        method_(cfg.method) {}
 
   [[nodiscard]] double evaluate(const std::vector<double>& offsets) const {
-    const index_t n = std::min<index_t>(cfg_.max_packets,
-                                        static_cast<index_t>(packets_.size()));
+    const index_t n =
+        std::min<index_t>(kMaxPackets, static_cast<index_t>(packets_.size()));
     double acc = 0.0;
     for (index_t p = 0; p < n; ++p) {
       const CMat corrected = apply_phase_correction(
           packets_[static_cast<std::size_t>(p)], offsets);
-      if (cfg_.method == CalibrationMethod::kRoArray) {
-        const dsp::Spectrum1d spec = roarray_aoa_spectrum(
-            corrected, cfg_.aoa_grid, array_cfg_, cfg_.solver);
+      if (method_ == CalibrationMethod::kRoArray) {
+        const dsp::Spectrum1d spec =
+            roarray_aoa_spectrum(corrected, aoa_grid_, array_cfg_, kSolver);
         acc += concentration_at(spec, target_idx_);
       } else {
         // No forward-backward averaging here: FB assumes a
@@ -79,7 +94,7 @@ class Objective {
         const index_t k =
             std::min<index_t>(2, array_cfg_.num_antennas - 1);
         const dsp::Spectrum1d spec =
-            music::music_spectrum_aoa(r, k, cfg_.aoa_grid, array_cfg_);
+            music::music_spectrum_aoa(r, k, aoa_grid_, array_cfg_);
         acc += concentration_at(spec, target_idx_);
       }
     }
@@ -88,9 +103,10 @@ class Objective {
 
  private:
   std::span<const CMat> packets_;
+  dsp::Grid aoa_grid_;
   index_t target_idx_;
   const dsp::ArrayConfig& array_cfg_;
-  const CalibrationConfig& cfg_;
+  CalibrationMethod method_;
 };
 
 /// A scored offset hypothesis.
@@ -144,9 +160,6 @@ CalibrationResult estimate_phase_offsets(std::span<const CMat> packets,
     throw std::invalid_argument(
         "estimate_phase_offsets: search is exponential; supports <= 4 antennas");
   }
-  if (cfg.coarse_steps < 2 || cfg.refine_levels < 0) {
-    throw std::invalid_argument("estimate_phase_offsets: bad search parameters");
-  }
   if (known_aoa_deg < 0.0 || known_aoa_deg > 180.0) {
     throw std::invalid_argument(
         "estimate_phase_offsets: known AoA must be in [0, 180]");
@@ -161,15 +174,15 @@ CalibrationResult estimate_phase_offsets(std::span<const CMat> packets,
   // hypotheses (the objective can have near-tied local basins).
   std::vector<Candidate> coarse;
   sweep(obj, offsets, 0, std::vector<double>(m, 0.0), 0.0,
-        2.0 * dsp::kPi * (1.0 - 1.0 / cfg.coarse_steps), cfg.coarse_steps,
+        2.0 * dsp::kPi * (1.0 - 1.0 / kCoarseSteps), kCoarseSteps,
         /*keep=*/3, coarse);
 
   // Refine each coarse candidate: shrink a +/- window 3x per level.
   Candidate winner;
   for (const Candidate& start : coarse) {
     std::vector<Candidate> local = {start};
-    double window = 2.0 * dsp::kPi / cfg.coarse_steps;
-    for (int level = 0; level < cfg.refine_levels; ++level) {
+    double window = 2.0 * dsp::kPi / kCoarseSteps;
+    for (int level = 0; level < kRefineLevels; ++level) {
       const std::vector<double> center = local.front().offsets;
       sweep(obj, offsets, 0, center, -window, window, 5, /*keep=*/1, local);
       window /= 3.0;

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "dsp/constants.hpp"
-#include "dsp/grid.hpp"
 #include "linalg/matrix.hpp"
-#include "sparse/fista.hpp"
 
 namespace roarray::core {
 
@@ -28,18 +26,10 @@ enum class CalibrationMethod {
   kMusic,    ///< MUSIC spectrum (Phaser's original choice).
 };
 
+/// The search grid, refinement depth, solver budget and packet count
+/// are fixed (calibration.cpp); only the driving spectrum is chosen.
 struct CalibrationConfig {
   CalibrationMethod method = CalibrationMethod::kRoArray;
-  /// Coarse search steps per offset dimension over [0, 2 pi).
-  int coarse_steps = 12;
-  /// Refinement levels; each shrinks the step 3x around the incumbent.
-  int refine_levels = 3;
-  /// AoA grid for the calibration spectra (coarser than estimation).
-  dsp::Grid aoa_grid = dsp::Grid(0.0, 180.0, 91);
-  /// Cheap solver settings for the many candidate evaluations.
-  sparse::SolveConfig solver{.max_iterations = 60, .tolerance = 1e-4};
-  /// How many packets to average the sharpness objective over.
-  linalg::index_t max_packets = 3;
 };
 
 struct CalibrationResult {

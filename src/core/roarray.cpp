@@ -159,6 +159,7 @@ void select_support_operator(const sparse::KroneckerOperator& op,
                              std::optional<sparse::SupportOperator>& sub,
                              sparse::SolveConfig& solver) {
   const sparse::CoarseFineConfig& cf = cfg.coarse_fine;
+  cf.validate();
   std::shared_ptr<const runtime::CachedOperator> coarse_cached;
   std::optional<sparse::KroneckerOperator> coarse_local;
   if (ctx.cache != nullptr) {
@@ -167,9 +168,11 @@ void select_support_operator(const sparse::KroneckerOperator& op,
   } else {
     coarse_local.emplace(
         dsp::steering_matrix_aoa(
-            sparse::decimate_grid(cfg.aoa_grid, cf.aoa_decimation), array_cfg),
+            sparse::decimate_grid(cfg.aoa_grid, sparse::kCoarseAoaDecimation),
+            array_cfg),
         dsp::steering_matrix_toa(
-            sparse::decimate_grid(cfg.toa_grid, cf.toa_decimation), array_cfg));
+            sparse::decimate_grid(cfg.toa_grid, sparse::kCoarseToaDecimation),
+            array_cfg));
   }
   const sparse::KroneckerOperator& coarse_op =
       coarse_cached ? coarse_cached->op : *coarse_local;

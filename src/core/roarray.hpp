@@ -104,7 +104,8 @@ struct RoArrayResult {
 /// iterate in full-grid coordinates (one column for a single packet, the
 /// fused l1-SVD columns for a burst), used to trace spectrum sharpening
 /// (paper Fig. 3). Throws std::invalid_argument on an empty burst, a CSI
-/// shape mismatch or max_paths < 1.
+/// shape mismatch, max_paths < 1 or an enabled coarse_fine config that
+/// fails its validate().
 [[nodiscard]] RoArrayResult roarray_estimate(
     std::span<const CMat> packets, const RoArrayConfig& cfg,
     const dsp::ArrayConfig& array_cfg,

@@ -8,6 +8,7 @@
 
 #include "dsp/angles.hpp"
 #include "dsp/constants.hpp"
+#include "fusion/loss.hpp"
 #include "fusion/ransac.hpp"
 
 namespace roarray::fusion {
@@ -31,19 +32,18 @@ struct Residual {
 };
 
 /// Slack-thresholded ToA excess over the round median, in seconds, one
-/// entry per observation (0 when the term is disabled for it). This is
+/// entry per observation (0 for an AP without a finite ToA, and for
+/// every AP when fewer than kToaMinObservations report one). This is
 /// the NLoS positive-bias estimate: independent of the position
 /// hypothesis, it only shapes the robust weights and the report.
-std::vector<double> toa_bias_estimates(std::span<const Observation> obs,
-                                       const FusionConfig& cfg) {
+std::vector<double> toa_bias_estimates(std::span<const Observation> obs) {
   std::vector<double> bias(obs.size(), 0.0);
-  if (cfg.toa_excess_weight <= 0.0) return bias;
   std::vector<double> toas;
   toas.reserve(obs.size());
   for (const Observation& o : obs) {
     if (o.has_toa && std::isfinite(o.toa_s)) toas.push_back(o.toa_s);
   }
-  if (static_cast<int>(toas.size()) < cfg.toa_min_observations) return bias;
+  if (static_cast<int>(toas.size()) < kToaMinObservations) return bias;
   // Median by partial sort; lower median for even counts keeps the
   // reference pessimistic (an early reference can only increase the
   // one-sided excess of late reporters, never hide one).
@@ -53,7 +53,7 @@ std::vector<double> toa_bias_estimates(std::span<const Observation> obs,
   const double median = toas[mid];
   for (std::size_t i = 0; i < obs.size(); ++i) {
     if (!obs[i].has_toa || !std::isfinite(obs[i].toa_s)) continue;
-    bias[i] = std::max(0.0, obs[i].toa_s - median - cfg.toa_slack_s);
+    bias[i] = std::max(0.0, obs[i].toa_s - median - kToaSlackS);
   }
   return bias;
 }
@@ -116,12 +116,11 @@ struct Scored {
 
 class Problem {
  public:
-  Problem(std::span<const Observation> obs, const Room& room,
-          const FusionConfig& cfg)
-      : obs_(obs), room_(room), cfg_(cfg), toa_bias_(toa_bias_estimates(obs, cfg)) {}
+  Problem(std::span<const Observation> obs, const Room& room)
+      : obs_(obs), room_(room), toa_bias_(toa_bias_estimates(obs)) {}
 
   [[nodiscard]] double toa_excess_m(std::size_t i) const {
-    return cfg_.toa_excess_weight * dsp::kSpeedOfLight * toa_bias_[i];
+    return kToaExcessWeight * dsp::kSpeedOfLight * toa_bias_[i];
   }
 
   [[nodiscard]] const std::vector<double>& toa_bias() const { return toa_bias_; }
@@ -148,13 +147,11 @@ class Problem {
       const Residual r = eval_residual(obs_[i], x, toa_excess_m(i));
       if (!r.usable) continue;
       const double w = obs_[i].weight;
-      s.cost += w * robust_rho(cfg_.loss, r.combined_deg,
-                               cfg_.huber_delta_deg, cfg_.tukey_c_deg);
-      s.trunc_cost += w *
-          robust_rho(cfg_.loss,
-                     std::min(r.combined_deg, cfg_.inlier_residual_deg),
-                     cfg_.huber_delta_deg, cfg_.tukey_c_deg);
-      if (r.combined_deg <= cfg_.inlier_residual_deg) ++s.inliers;
+      s.cost += w * huber_rho(r.combined_deg, kHuberDeltaDeg);
+      s.trunc_cost +=
+          w * huber_rho(std::min(r.combined_deg, kInlierResidualDeg),
+                        kHuberDeltaDeg);
+      if (r.combined_deg <= kInlierResidualDeg) ++s.inliers;
     }
     return s;
   }
@@ -164,7 +161,7 @@ class Problem {
     std::vector<char> mask(obs_.size(), 0);
     for (std::size_t i = 0; i < obs_.size(); ++i) {
       const Residual r = eval_residual(obs_[i], x, toa_excess_m(i));
-      mask[i] = r.usable && r.combined_deg <= cfg_.inlier_residual_deg ? 1 : 0;
+      mask[i] = r.usable && r.combined_deg <= kInlierResidualDeg ? 1 : 0;
     }
     return mask;
   }
@@ -183,16 +180,14 @@ class Problem {
     IrlsResult out;
     out.x = clamp_to_room(start);
     bool ever_solved = false;
-    for (int it = 0; it < cfg_.max_iterations; ++it) {
+    for (int it = 0; it < kIrlsMaxIterations; ++it) {
       double sxx = 0.0, sxy = 0.0, syy = 0.0, bx = 0.0, by = 0.0;
       for (std::size_t i = 0; i < obs_.size(); ++i) {
         if (active != nullptr && (*active)[i] == 0) continue;
         const Residual r = eval_residual(obs_[i], out.x, toa_excess_m(i));
         if (!r.usable) continue;
-        const double w =
-            stat_weight(obs_[i], r) *
-            robust_weight(cfg_.loss, r.combined_deg,
-                          cfg_.huber_delta_deg, cfg_.tukey_c_deg);
+        const double w = stat_weight(obs_[i], r) *
+                         huber_weight(r.combined_deg, kHuberDeltaDeg);
         sxx += w * r.grad.x * r.grad.x;
         sxy += w * r.grad.x * r.grad.y;
         syy += w * r.grad.y * r.grad.y;
@@ -205,10 +200,10 @@ class Problem {
       ever_solved = true;
       Vec2 step{(syy * bx - sxy * by) / det, (sxx * by - sxy * bx) / det};
       const double norm = step.norm();
-      if (norm > cfg_.max_step_m) step = step * (cfg_.max_step_m / norm);
+      if (norm > kIrlsMaxStepM) step = step * (kIrlsMaxStepM / norm);
       out.x = clamp_to_room(out.x + step);
       out.iterations = it + 1;
-      if (step.norm() < cfg_.tolerance_m) {
+      if (step.norm() < kIrlsToleranceM) {
         out.converged = true;
         break;
       }
@@ -233,9 +228,8 @@ class Problem {
       d.residual_deg = r.combined_deg;
       d.residual_m = r.combined_m;
       d.aoa_residual_deg = r.aoa_deg;
-      d.inlier = r.combined_deg <= cfg_.inlier_residual_deg;
-      d.robust_weight = robust_weight(cfg_.loss, r.combined_deg,
-                                      cfg_.huber_delta_deg, cfg_.tukey_c_deg);
+      d.inlier = r.combined_deg <= kInlierResidualDeg;
+      d.robust_weight = huber_weight(r.combined_deg, kHuberDeltaDeg);
     }
     return out;
   }
@@ -243,45 +237,10 @@ class Problem {
  private:
   std::span<const Observation> obs_;
   const Room& room_;
-  const FusionConfig& cfg_;
   std::vector<double> toa_bias_;
 };
 
 }  // namespace
-
-void FusionConfig::validate() const {
-  auto positive = [](double v, const char* what) {
-    if (!std::isfinite(v) || v <= 0.0) {
-      throw std::invalid_argument(std::string("FusionConfig: ") + what +
-                                  " must be positive and finite");
-    }
-  };
-  positive(huber_delta_deg, "huber_delta_deg");
-  positive(tukey_c_deg, "tukey_c_deg");
-  positive(tolerance_m, "tolerance_m");
-  positive(max_step_m, "max_step_m");
-  positive(inlier_residual_deg, "inlier_residual_deg");
-  if (!std::isfinite(toa_slack_s) || toa_slack_s < 0.0) {
-    throw std::invalid_argument("FusionConfig: toa_slack_s must be >= 0");
-  }
-  if (!std::isfinite(toa_excess_weight) || toa_excess_weight < 0.0) {
-    throw std::invalid_argument("FusionConfig: toa_excess_weight must be >= 0");
-  }
-  if (toa_min_observations < 2) {
-    throw std::invalid_argument("FusionConfig: toa_min_observations must be >= 2");
-  }
-  if (max_iterations < 1) {
-    throw std::invalid_argument("FusionConfig: max_iterations must be >= 1");
-  }
-  if (!std::isfinite(min_inlier_fraction) || min_inlier_fraction < 0.0 ||
-      min_inlier_fraction > 1.0) {
-    throw std::invalid_argument(
-        "FusionConfig: min_inlier_fraction must be in [0, 1]");
-  }
-  if (max_hypothesis_pairs < 1) {
-    throw std::invalid_argument("FusionConfig: max_hypothesis_pairs must be >= 1");
-  }
-}
 
 const char* fusion_fallback_name(FusionFallback f) noexcept {
   switch (f) {
@@ -295,8 +254,7 @@ const char* fusion_fallback_name(FusionFallback f) noexcept {
 
 FusionReport fuse_robust(std::span<const Observation> observations,
                          const Room& room, const Vec2& initial,
-                         const FusionConfig& cfg) {
-  cfg.validate();
+                         const FusionConfig& /*unused*/) {
   room.validate();
   if (observations.size() < 2) {
     throw std::invalid_argument("fuse_robust: need at least 2 observations");
@@ -308,7 +266,7 @@ FusionReport fuse_robust(std::span<const Observation> observations,
     }
   }
 
-  const Problem problem(observations, room, cfg);
+  const Problem problem(observations, room);
   FusionReport report;
 
   // Stage 1: IRLS from the caller's initial fix.
@@ -350,9 +308,9 @@ FusionReport fuse_robust(std::span<const Observation> observations,
   const double inlier_fraction =
       static_cast<double>(best.inliers) / static_cast<double>(n_obs);
   if (report.fallback != FusionFallback::kDegenerate &&
-      inlier_fraction < cfg.min_inlier_fraction && observations.size() >= 3) {
+      inlier_fraction < kMinInlierFraction && observations.size() >= 3) {
     report.used_ransac = true;
-    const auto hypotheses = bearing_pair_hypotheses(observations, room, cfg);
+    const auto hypotheses = bearing_pair_hypotheses(observations, room);
     Scored best_hyp;
     best_hyp.inliers = -1;
     for (const Hypothesis& h : hypotheses) {

@@ -28,31 +28,28 @@
 // when its (wrong) AoA happens to look consistent. The slack-thresholded
 // excess is reported per AP as the estimated bias.
 //
-// Solver. IRLS with a Huber (default) or Tukey loss over r_i: each
-// iteration takes one Gauss-Newton step on the robust-weighted AoA
-// residuals (the ToA term is independent of x and only shapes the
-// weights). When the converged solution explains too few APs
-// (inlier fraction below FusionConfig::min_inlier_fraction) a
-// RANSAC-style hypothesis stage runs: bearing-ray intersections of
-// minimal AP pairs (both ULA mirror folds) are scored by consensus,
-// and the best hypothesis is IRLS-polished; the candidate explaining
-// more APs (ties: lower robust cost) wins.
+// Solver. IRLS with a Huber loss over r_i: each iteration takes one
+// Gauss-Newton step on the robust-weighted AoA residuals (the ToA term
+// is independent of x and only shapes the weights). When the converged
+// solution explains too few APs (inlier fraction below
+// kMinInlierFraction) a RANSAC-style hypothesis stage runs:
+// bearing-ray intersections of minimal AP pairs (both ULA mirror folds)
+// are scored by consensus, and the best hypothesis is IRLS-polished;
+// the candidate explaining more APs (ties: lower robust cost) wins.
 //
 // Determinism contract. Every quantity is a pure function of the
-// observation list and the config: fixed loss scales (no data-driven
-// sigma), fixed iteration caps, exhaustive pair enumeration up to
-// max_hypothesis_pairs and a seeded shuffle beyond it. With
-// RobustLoss::kHuber and every residual inside the Huber band the
-// weights are exactly 1.0, so the solve is bit-identical to
-// RobustLoss::kLeastSquares (weighted Gauss-Newton) on the same data.
+// observation list: fixed loss scales (no data-driven sigma), fixed
+// iteration caps, exhaustive pair enumeration up to
+// kMaxHypothesisPairs and a seeded shuffle beyond it. With every
+// residual inside the Huber band the weights are exactly 1.0, so the
+// solve is bit-identical to plain weighted Gauss-Newton on the same
+// data.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "channel/geometry.hpp"
-#include "fusion/loss.hpp"
 
 namespace roarray::fusion {
 
@@ -72,42 +69,37 @@ struct Observation {
   double weight = 1.0;  ///< RSSI-derived weight (linear power, relative).
 };
 
-struct FusionConfig {
-  /// Robust loss over the combined per-AP angular residual (degrees).
-  RobustLoss loss = RobustLoss::kHuber;
-  double huber_delta_deg = 4.0;
-  double tukey_c_deg = 20.0;
+/// The fusion layer's fixed settings. The IRLS loop, the ToA bias
+/// model and the RANSAC trigger are the same for every caller.
+///
+/// Huber band half-width [deg]: residuals inside it get IRLS weight
+/// exactly 1.0.
+inline constexpr double kHuberDeltaDeg = 4.0;
+/// ToA positive-bias model: excess over the round-median ToA beyond
+/// this slack counts as estimated NLoS bias (the slack absorbs the
+/// per-AP channel-delay-spread variation sanitization leaves behind).
+inline constexpr double kToaSlackS = 40e-9;
+/// Scale on the ToA excess inside the combined residual.
+inline constexpr double kToaExcessWeight = 0.5;
+/// The excess needs this many APs reporting ToA (a median over fewer
+/// is meaningless).
+inline constexpr int kToaMinObservations = 3;
+/// IRLS / Gauss-Newton loop: iteration cap, step-norm early exit [m]
+/// and per-iteration step clamp [m].
+inline constexpr int kIrlsMaxIterations = 30;
+inline constexpr double kIrlsToleranceM = 1e-6;
+inline constexpr double kIrlsMaxStepM = 3.0;
+/// An AP is an inlier when its combined angular residual is at most
+/// this many degrees.
+inline constexpr double kInlierResidualDeg = 10.0;
+/// IRLS solutions explaining a smaller inlier fraction than this
+/// trigger the RANSAC hypothesis stage.
+inline constexpr double kMinInlierFraction = 0.6;
 
-  /// ToA positive-bias model: excess over the round-median ToA beyond
-  /// this slack counts as estimated NLoS bias (the slack absorbs the
-  /// per-AP channel-delay-spread variation sanitization leaves behind).
-  double toa_slack_s = 40e-9;
-  /// Scale on the ToA excess inside the combined residual; 0 disables
-  /// the ToA term. The excess needs >= toa_min_observations APs
-  /// reporting ToA (a median over fewer is meaningless).
-  double toa_excess_weight = 0.5;
-  int toa_min_observations = 3;
-
-  /// IRLS / Gauss-Newton loop.
-  int max_iterations = 30;
-  double tolerance_m = 1e-6;  ///< step-norm early exit.
-  double max_step_m = 3.0;    ///< per-iteration step clamp.
-
-  /// An AP is an inlier when its combined angular residual is below
-  /// this many degrees.
-  double inlier_residual_deg = 10.0;
-  /// IRLS solutions explaining a smaller inlier fraction than this
-  /// trigger the RANSAC hypothesis stage.
-  double min_inlier_fraction = 0.6;
-  /// Pair hypotheses actually scored: all pairs when there are at most
-  /// this many, otherwise a seeded deterministic subsample.
-  int max_hypothesis_pairs = 64;
-  std::uint64_t ransac_seed = 0x9e3779b97f4a7c15ull;
-
-  /// Throws std::invalid_argument on non-finite / non-positive scales,
-  /// iteration caps < 1, or fractions outside [0, 1].
-  void validate() const;
-};
+/// The fusion layer has no settings (see the constants above). The
+/// empty type keeps fuse_robust's signature, and LocalizeConfig's
+/// `fusion` member, stable for existing callers.
+struct FusionConfig {};
 
 /// Why the robust path did (or did not) deliver a refined fix.
 enum class FusionFallback {
@@ -122,20 +114,21 @@ enum class FusionFallback {
 
 /// Per-observation diagnostics, index-aligned with the input span.
 struct ApDiagnostics {
-  bool inlier = false;          ///< residual_deg <= inlier_residual_deg.
+  bool inlier = false;          ///< residual_deg <= kInlierResidualDeg.
   double residual_deg = 0.0;    ///< combined angular residual at the fix.
   double residual_m = 0.0;      ///< same misfit as arc length at d_i [m].
   double aoa_residual_deg = 0.0;  ///< signed AoA misfit at the final fix.
   /// Estimated NLoS positive ToA bias (slack-thresholded excess over
-  /// the round median); 0 when has_toa is false or the term is off.
+  /// the round median); 0 when has_toa is false or fewer than
+  /// kToaMinObservations APs report ToA.
   double toa_bias_s = 0.0;
-  double robust_weight = 0.0;   ///< final IRLS weight (loss only, in [0,1]).
+  double robust_weight = 0.0;   ///< final IRLS (Huber) weight, in [0, 1].
 };
 
 struct FusionReport {
   Vec2 position;
   double cost = 0.0;        ///< total robust cost at `position`.
-  bool converged = false;   ///< IRLS step norm fell below tolerance_m.
+  bool converged = false;   ///< IRLS step norm fell below kIrlsToleranceM.
   int iterations = 0;       ///< IRLS iterations of the winning solve.
   bool used_ransac = false; ///< the hypothesis stage was entered.
   FusionFallback fallback = FusionFallback::kNone;

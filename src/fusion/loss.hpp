@@ -1,75 +1,23 @@
-// Robust loss functions for the IRLS fusion solver: the rho / weight
-// pairs of the classic M-estimators, on a fixed (configured) scale so
-// every evaluation is a pure function of its inputs — no data-driven
-// scale estimate sneaks run-to-run variation into the solve.
+// The Huber loss of the IRLS fusion solver: the rho / weight pair on a
+// fixed scale, so every evaluation is a pure function of its inputs — no
+// data-driven scale estimate sneaks run-to-run variation into the solve.
+// Quadratic inside |r| <= delta and linear outside it, so an outlier
+// keeps a bounded pull on the solution.
 #pragma once
-
-#include <stdexcept>
 
 namespace roarray::fusion {
 
-/// Which M-estimator shapes the per-AP weights.
-enum class RobustLoss {
-  /// Plain weighted least squares: weight identically 1.0. Exists so
-  /// the robust path can be compared bit-for-bit against the naive
-  /// solve (with every residual inside the Huber band the kHuber
-  /// weights are also exactly 1.0, making the two paths bit-identical).
-  kLeastSquares,
-  /// Quadratic inside |r| <= delta, linear outside: outliers keep a
-  /// bounded pull on the solution.
-  kHuber,
-  /// Tukey biweight: smooth redescending influence that goes exactly to
-  /// zero at |r| >= c, so gross outliers are cut out entirely.
-  kTukey,
-};
-
-[[nodiscard]] constexpr const char* robust_loss_name(RobustLoss loss) noexcept {
-  switch (loss) {
-    case RobustLoss::kLeastSquares: return "least-squares";
-    case RobustLoss::kHuber: return "huber";
-    case RobustLoss::kTukey: return "tukey";
-  }
-  return "unknown";
-}
-
 /// IRLS weight psi(r)/r for a non-negative residual magnitude `r`.
-/// Exact 1.0 in the quadratic region of every loss (see kLeastSquares).
-[[nodiscard]] inline double robust_weight(RobustLoss loss, double r,
-                                          double huber_delta, double tukey_c) {
-  switch (loss) {
-    case RobustLoss::kLeastSquares:
-      return 1.0;
-    case RobustLoss::kHuber:
-      return r <= huber_delta ? 1.0 : huber_delta / r;
-    case RobustLoss::kTukey: {
-      if (r >= tukey_c) return 0.0;
-      const double u = r / tukey_c;
-      const double t = 1.0 - u * u;
-      return t * t;
-    }
-  }
-  throw std::invalid_argument("robust_weight: unknown loss");
+/// Exactly 1.0 inside the quadratic band: a solve whose residuals all
+/// stay inside it is plain weighted least squares, bit for bit.
+[[nodiscard]] constexpr double huber_weight(double r, double delta) noexcept {
+  return r <= delta ? 1.0 : delta / r;
 }
 
 /// The loss value rho(r) itself (used to rank hypotheses, not to drive
-/// the IRLS update). Matches robust_weight: rho'(r)/r == weight.
-[[nodiscard]] inline double robust_rho(RobustLoss loss, double r,
-                                       double huber_delta, double tukey_c) {
-  switch (loss) {
-    case RobustLoss::kLeastSquares:
-      return 0.5 * r * r;
-    case RobustLoss::kHuber:
-      return r <= huber_delta ? 0.5 * r * r
-                              : huber_delta * (r - 0.5 * huber_delta);
-    case RobustLoss::kTukey: {
-      const double c2_6 = tukey_c * tukey_c / 6.0;
-      if (r >= tukey_c) return c2_6;
-      const double u = r / tukey_c;
-      const double t = 1.0 - u * u;
-      return c2_6 * (1.0 - t * t * t);
-    }
-  }
-  throw std::invalid_argument("robust_rho: unknown loss");
+/// the IRLS update). Matches huber_weight: rho'(r)/r == weight.
+[[nodiscard]] constexpr double huber_rho(double r, double delta) noexcept {
+  return r <= delta ? 0.5 * r * r : delta * (r - 0.5 * delta);
 }
 
 }  // namespace roarray::fusion

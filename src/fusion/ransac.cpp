@@ -47,27 +47,26 @@ namespace {
 }  // namespace
 
 std::vector<Hypothesis> bearing_pair_hypotheses(
-    std::span<const Observation> observations, const Room& room,
-    const FusionConfig& cfg) {
+    std::span<const Observation> observations, const Room& room) {
   const int n = static_cast<int>(observations.size());
   std::vector<std::pair<int, int>> pairs;
   pairs.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n) / 2);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   }
-  if (static_cast<int>(pairs.size()) > cfg.max_hypothesis_pairs) {
-    // Seeded Fisher-Yates prefix: the first max_hypothesis_pairs
+  if (static_cast<int>(pairs.size()) > kMaxHypothesisPairs) {
+    // Seeded Fisher-Yates prefix: the first kMaxHypothesisPairs
     // entries after the partial shuffle are a uniform deterministic
     // subsample of the pair list.
-    std::uint64_t state = cfg.ransac_seed;
-    for (int k = 0; k < cfg.max_hypothesis_pairs; ++k) {
+    std::uint64_t state = kRansacSeed;
+    for (int k = 0; k < kMaxHypothesisPairs; ++k) {
       const auto span_left = static_cast<std::uint64_t>(
           static_cast<int>(pairs.size()) - k);
       const auto pick = static_cast<std::size_t>(
           static_cast<std::uint64_t>(k) + splitmix64(state) % span_left);
       std::swap(pairs[static_cast<std::size_t>(k)], pairs[pick]);
     }
-    pairs.resize(static_cast<std::size_t>(cfg.max_hypothesis_pairs));
+    pairs.resize(static_cast<std::size_t>(kMaxHypothesisPairs));
   }
 
   std::vector<Hypothesis> out;

@@ -7,17 +7,24 @@
 //
 // Enumeration is deterministic: pairs in (i < j) lexicographic order,
 // fold combinations in a fixed order, and — only when the pair count
-// exceeds FusionConfig::max_hypothesis_pairs — a splitmix64-seeded
+// exceeds kMaxHypothesisPairs — a splitmix64-seeded
 // Fisher-Yates subsample, so a fixed seed always scores the same
 // hypothesis list.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "fusion/fusion.hpp"
 
 namespace roarray::fusion {
+
+/// Pair hypotheses actually scored: all pairs when there are at most
+/// this many, otherwise a seeded deterministic subsample.
+inline constexpr int kMaxHypothesisPairs = 64;
+/// Seed of that subsample.
+inline constexpr std::uint64_t kRansacSeed = 0x9e3779b97f4a7c15ull;
 
 /// One candidate position and the pair that generated it.
 struct Hypothesis {
@@ -30,7 +37,6 @@ struct Hypothesis {
 /// pair, keeping only candidates inside `room` and strictly in front of
 /// both arrays. Deterministic (see the file comment).
 [[nodiscard]] std::vector<Hypothesis> bearing_pair_hypotheses(
-    std::span<const Observation> observations, const Room& room,
-    const FusionConfig& cfg);
+    std::span<const Observation> observations, const Room& room);
 
 }  // namespace roarray::fusion

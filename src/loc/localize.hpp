@@ -42,7 +42,7 @@ struct LocalizeConfig {
   /// returned as-is, exactly the pre-fusion behaviour.
   bool robust = true;
   int robust_min_aps = 3;
-  fusion::FusionConfig fusion;
+  fusion::FusionConfig fusion;  ///< empty: fusion's settings are fixed.
 };
 
 /// Typed outcome of a localize call. Only kOk yields a usable position.

@@ -49,9 +49,9 @@ std::shared_ptr<const CachedOperator> OperatorCache::get(
 
 std::shared_ptr<const CachedOperator> OperatorCache::get_coarse(
     const dsp::Grid& fine_aoa_grid, const dsp::Grid& fine_toa_grid,
-    const dsp::ArrayConfig& array_cfg, const sparse::CoarseFineConfig& cf) {
-  return get(sparse::decimate_grid(fine_aoa_grid, cf.aoa_decimation),
-             sparse::decimate_grid(fine_toa_grid, cf.toa_decimation),
+    const dsp::ArrayConfig& array_cfg, const sparse::CoarseFineConfig& /*cf*/) {
+  return get(sparse::decimate_grid(fine_aoa_grid, sparse::kCoarseAoaDecimation),
+             sparse::decimate_grid(fine_toa_grid, sparse::kCoarseToaDecimation),
              array_cfg);
 }
 

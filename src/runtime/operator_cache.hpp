@@ -78,9 +78,10 @@ class OperatorCache {
 
   /// Entry for the decimated (coarse) companion of the fine grids, as
   /// used by the coarse-to-fine solve path. Just a convenience over
-  /// get() on sparse::decimate_grid'ed grids — coarse entries share
-  /// the same memo, so repeated estimates with the same
-  /// CoarseFineConfig reuse one coarse operator.
+  /// get() on grids decimated by sparse::kCoarseAoaDecimation and
+  /// sparse::kCoarseToaDecimation — coarse entries share the same memo,
+  /// so repeated estimates reuse one coarse operator. `cf` is not read;
+  /// it keeps the signature stable for callers.
   [[nodiscard]] std::shared_ptr<const CachedOperator> get_coarse(
       const dsp::Grid& fine_aoa_grid, const dsp::Grid& fine_toa_grid,
       const dsp::ArrayConfig& array_cfg,

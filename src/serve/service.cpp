@@ -68,7 +68,6 @@ void ServeConfig::validate() const {
     throw std::invalid_argument(
         "ServeConfig: localize.robust_min_aps must be >= 2");
   }
-  localize.fusion.validate();
   // The estimator settings core::roarray_estimate rejects on every call:
   // accepting them would fail every batch (terminating a dispatcher
   // thread, or throwing out of drain() with no callback delivered).

@@ -8,6 +8,10 @@ namespace roarray::sim {
 
 namespace {
 
+/// Std-dev of the per-antenna receive-chain amplitude imbalance
+/// (relative, drawn once per AP per round).
+constexpr double kResidualGainNoise = 0.1;
+
 /// Deterministic partial Fisher-Yates: the first `take` entries of the
 /// returned index list are a uniform draw of AP indices from the round
 /// rng (rng() modulo span — the tiny modulo bias is irrelevant for a
@@ -142,28 +146,24 @@ std::vector<ApMeasurement> generate_measurements(const Testbed& testbed,
     if (blocked[ap_index]) {
       m.adversarial_blocked = true;
       // The obstruction shadows a cone around the LoS: the direct path
-      // and every path arriving within blocked_shadow_deg of it go.
+      // and every path arriving within kBlockedShadowDeg of it go.
       const double direct_aoa = m.paths.front().aoa_deg;
       std::vector<channel::Path> survivors;
       for (std::size_t p = 1; p < m.paths.size(); ++p) {
-        if (std::abs(m.paths[p].aoa_deg - direct_aoa) >
-            adv.blocked_shadow_deg) {
+        if (std::abs(m.paths[p].aoa_deg - direct_aoa) > kBlockedShadowDeg) {
           survivors.push_back(m.paths[p]);
         }
       }
       if (!survivors.empty()) {
-        if (adv.blocked_power_fraction > 0.0) {
-          // Hard NLoS keeps the total power: renormalize the surviving
-          // reflections so the AP reports its wrong AoA at full weight
-          // instead of flagging itself through a collapsed RSSI.
-          double pre = 0.0, post = 0.0;
-          for (const channel::Path& p : m.paths) pre += std::norm(p.gain);
-          for (const channel::Path& p : survivors) post += std::norm(p.gain);
-          if (post > 0.0) {
-            const double s =
-                std::sqrt(adv.blocked_power_fraction * pre / post);
-            for (channel::Path& p : survivors) p.gain *= s;
-          }
+        // Hard NLoS keeps the total power: renormalize the surviving
+        // reflections so the AP reports its wrong AoA at full weight
+        // instead of flagging itself through a collapsed RSSI.
+        double pre = 0.0, post = 0.0;
+        for (const channel::Path& p : m.paths) pre += std::norm(p.gain);
+        for (const channel::Path& p : survivors) post += std::norm(p.gain);
+        if (post > 0.0) {
+          const double s = std::sqrt(pre / post);
+          for (channel::Path& p : survivors) p.gain *= s;
         }
         m.paths = std::move(survivors);  // ToA order is preserved.
       } else {
@@ -179,7 +179,7 @@ std::vector<ApMeasurement> generate_measurements(const Testbed& testbed,
       // partially survives it, which is the symptom the fusion layer's
       // positive-bias model keys on.
       m.paths.front().toa_s += adv.toa_bias_s;
-      m.paths.front().gain *= std::pow(10.0, -adv.toa_bias_loss_db / 20.0);
+      m.paths.front().gain *= std::pow(10.0, -kToaBiasLossDb / 20.0);
       std::stable_sort(m.paths.begin(), m.paths.end(),
                        [](const channel::Path& a, const channel::Path& b) {
                          return a.toa_s < b.toa_s;
@@ -196,7 +196,7 @@ std::vector<ApMeasurement> generate_measurements(const Testbed& testbed,
         const double direct = std::abs(m.paths.front().gain);
         const double refl = std::abs(m.paths[r].gain);
         if (refl > 0.0 && direct > 0.0) {
-          const double target = adv.wrong_peak_boost * direct;
+          const double target = kWrongPeakBoost * direct;
           if (refl < target) m.paths[r].gain *= target / refl;
         }
       }
@@ -209,19 +209,10 @@ std::vector<ApMeasurement> generate_measurements(const Testbed& testbed,
     bc.snr_db = m.snr_db;
     bc.max_detection_delay_s = cfg.max_detection_delay_s;
     bc.antenna_phase_offsets_rad = cfg.antenna_phase_offsets_rad;
-    if (bc.antenna_phase_offsets_rad.empty() &&
-        cfg.residual_phase_noise_rad > 0.0) {
-      std::normal_distribution<double> resid(0.0, cfg.residual_phase_noise_rad);
-      bc.antenna_phase_offsets_rad.resize(
-          static_cast<std::size_t>(cfg.array.num_antennas));
-      for (double& o : bc.antenna_phase_offsets_rad) o = resid(rng);
-    }
-    if (cfg.residual_gain_noise > 0.0) {
-      std::normal_distribution<double> gain(1.0, cfg.residual_gain_noise);
-      bc.antenna_gains.resize(static_cast<std::size_t>(cfg.array.num_antennas));
-      for (auto& g : bc.antenna_gains) {
-        g = linalg::cxd{std::max(0.2, gain(rng)), 0.0};
-      }
+    std::normal_distribution<double> gain(1.0, kResidualGainNoise);
+    bc.antenna_gains.resize(static_cast<std::size_t>(cfg.array.num_antennas));
+    for (auto& g : bc.antenna_gains) {
+      g = linalg::cxd{std::max(0.2, gain(rng)), 0.0};
     }
     bc.polarization_scale = cfg.polarization_scale;
     bc.path_phase_jitter_rad = cfg.path_phase_jitter_rad;

@@ -27,6 +27,22 @@ enum class SnrBand {
 /// (high: [15, 25], medium: (2, 15), low: [-3, 2] dB).
 [[nodiscard]] double sample_snr_db(SnrBand band, std::mt19937_64& rng);
 
+/// The fixed shape of the adversarial corruptions below.
+///
+/// Angular half-width of the shadow a blocking obstruction casts: a
+/// cabinet occludes a cone around the LoS, not just the geometric ray,
+/// so every path within this many degrees of the direct AoA is erased
+/// with it. This keeps the surviving strongest path — the AoA the
+/// estimator locks onto — confidently wrong instead of letting a
+/// scatterer sitting near the LoS line stand in for the direct path.
+inline constexpr double kBlockedShadowDeg = 20.0;
+/// Amplitude ratio (reflection : direct) the wrong-peak boost enforces.
+/// 2.5 puts the direct's relative power at 0.16 — well under the
+/// estimator's default 0.4 min_direct_rel_power gate.
+inline constexpr double kWrongPeakBoost = 2.5;
+/// Attenuation of a late (through-wall) direct path [dB].
+inline constexpr double kToaBiasLossDb = 3.0;
+
 /// Adversarial corruption injected on top of a scenario: the NLoS
 /// failure modes the robust fusion layer (src/fusion/) defends against.
 /// All modes default off; an inactive config draws nothing from the
@@ -36,40 +52,26 @@ enum class SnrBand {
 /// coin flips), so a fixed seed always corrupts the same APs.
 struct AdversarialConfig {
   /// APs whose direct path is erased outright (hard NLoS: a cabinet or
-  /// wall fully shadows the LoS). The AP still reports — through its
-  /// reflections — so its AoA is confidently wrong, not merely noisy.
+  /// wall fully shadows the LoS), together with every path inside the
+  /// kBlockedShadowDeg cone around it. The AP still reports — through
+  /// its reflections — so its AoA is confidently wrong, not merely
+  /// noisy. Hard NLoS rarely costs much *total* power — the energy
+  /// still arrives, just via reflections instead of the LoS — so the
+  /// surviving reflections are renormalized to the pre-block total
+  /// power: the blocked AP's wrong AoA keeps its full RSSI weight
+  /// instead of flagging itself.
   int num_blocked_aps = 0;
-  /// Angular half-width of the shadow the blocking obstruction casts: a
-  /// cabinet occludes a cone around the LoS, not just the geometric
-  /// ray, so every path within this many degrees of the direct AoA is
-  /// erased with it. This keeps the surviving strongest path — the AoA
-  /// the estimator locks onto — confidently wrong instead of letting a
-  /// scatterer sitting near the LoS line stand in for the direct path.
-  double blocked_shadow_deg = 20.0;
-  /// Fraction of the pre-block total path power the shadowed channel
-  /// retains: hard NLoS rarely costs much *total* power — the energy
-  /// still arrives, just via reflections instead of the LoS — which is
-  /// exactly what makes the blocked AP's wrong AoA confident (full RSSI
-  /// weight) rather than self-attenuating. The surviving reflections
-  /// are renormalized to this fraction of the original power; lower
-  /// values model lossy obstructions, 0 disables renormalization and
-  /// the reflections keep their natural (much weaker) gains.
-  double blocked_power_fraction = 1.0;
-  /// Per-AP probability that the strongest reflection is boosted above
-  /// the direct path until the direct's relative power falls below the
-  /// estimator's min_direct_rel_power gate, making the peak picker lock
-  /// onto the reflection.
+  /// Per-AP probability that the strongest reflection is boosted to
+  /// kWrongPeakBoost times the direct path's amplitude, so the direct's
+  /// relative power falls below the estimator's min_direct_rel_power
+  /// gate and the peak picker locks onto the reflection.
   double wrong_peak_probability = 0.0;
-  /// Amplitude ratio (reflection : direct) the boost enforces. 2.5 puts
-  /// the direct's relative power at 0.16 — well under the default 0.4
-  /// gate.
-  double wrong_peak_boost = 2.5;
   /// APs whose direct path arrives late (through-wall propagation):
-  /// only the direct path is delayed — an all-path shift would be
-  /// removed wholesale by CSI sanitization — and mildly attenuated.
+  /// only the direct path is delayed by toa_bias_s — an all-path shift
+  /// would be removed wholesale by CSI sanitization — and attenuated by
+  /// kToaBiasLossDb.
   int num_toa_bias_aps = 0;
   double toa_bias_s = 80e-9;
-  double toa_bias_loss_db = 3.0;
 
   [[nodiscard]] bool active() const {
     return num_blocked_aps > 0 || wrong_peak_probability > 0.0 ||
@@ -96,15 +98,6 @@ struct ScenarioConfig {
   /// that separates smallest-ToA pickers from strongest-peak pickers.
   double los_block_probability = 0.25;
   double los_block_loss_db = 9.0;
-  /// Std-dev of the residual per-antenna phase error left after factory
-  /// calibration [rad], drawn once per AP per round. Real arrays are
-  /// never perfectly calibrated; this sets the few-degree AoA error
-  /// floor all systems share. Ignored when antenna_phase_offsets_rad is
-  /// set explicitly.
-  double residual_phase_noise_rad = 0.0;
-  /// Std-dev of the per-antenna receive-chain amplitude imbalance
-  /// (relative, drawn once per AP per round).
-  double residual_gain_noise = 0.1;
   SnrBand snr_band = SnrBand::kHigh;
   double max_detection_delay_s = 100e-9;
   /// Per-antenna phase offsets applied at every AP (empty = calibrated).

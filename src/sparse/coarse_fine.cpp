@@ -17,15 +17,19 @@ index_t decimated_size(index_t n, index_t decimation) {
   return (n - 1) / decimation + 1;
 }
 
-/// Unions [center - radius, center + radius + hi_extend] (clamped to
-/// [0, n)) into the per-cell mask. hi_extend covers the fine-grid tail
-/// past the last coarse sample when the decimation does not divide the
-/// point count evenly.
-void mark_window(std::vector<char>& mask, index_t center, index_t radius,
-                 index_t hi_extend) {
+/// The fine-grid tail past the last coarse sample (when the decimation
+/// does not divide the point count evenly) is at most decimation - 1
+/// cells long, so a radius that reaches that far keeps it inside the
+/// last coarse atom's window.
+static_assert(kAoaRefineRadius >= kCoarseAoaDecimation - 1);
+static_assert(kToaRefineRadius >= kCoarseToaDecimation - 1);
+
+/// Unions [center - radius, center + radius] (clamped to [0, n)) into
+/// the per-cell mask.
+void mark_window(std::vector<char>& mask, index_t center, index_t radius) {
   const auto n = static_cast<index_t>(mask.size());
   const index_t lo = std::max<index_t>(0, center - radius);
-  const index_t hi = std::min<index_t>(n - 1, center + radius + hi_extend);
+  const index_t hi = std::min<index_t>(n - 1, center + radius);
   for (index_t i = lo; i <= hi; ++i) mask[static_cast<std::size_t>(i)] = 1;
 }
 
@@ -40,22 +44,6 @@ std::vector<index_t> mask_to_indices(const std::vector<char>& mask) {
 }  // namespace
 
 void CoarseFineConfig::validate() const {
-  if (aoa_decimation < 1 || toa_decimation < 1) {
-    throw std::invalid_argument(
-        "CoarseFineConfig: decimation factors must be >= 1");
-  }
-  if (max_candidates < 1) {
-    throw std::invalid_argument(
-        "CoarseFineConfig: max_candidates must be >= 1");
-  }
-  if (coarse_residual_tolerance < 0.0) {
-    throw std::invalid_argument(
-        "CoarseFineConfig: coarse_residual_tolerance must be >= 0");
-  }
-  if (min_rel_gain < 0.0 || min_rel_gain >= 1.0) {
-    throw std::invalid_argument(
-        "CoarseFineConfig: min_rel_gain must lie in [0, 1)");
-  }
   if (refine_tolerance >= 1.0) {
     throw std::invalid_argument(
         "CoarseFineConfig: refine_tolerance must be < 1");
@@ -78,14 +66,13 @@ dsp::Grid decimate_grid(const dsp::Grid& fine, index_t decimation) {
 FactoredSupport select_factored_support(const KroneckerOperator& coarse_op,
                                         const CMat& snapshots,
                                         index_t fine_aoa_n, index_t fine_toa_n,
-                                        const CoarseFineConfig& cfg) {
-  cfg.validate();
+                                        const CoarseFineConfig& /*unused*/) {
   if (fine_aoa_n < 1 || fine_toa_n < 1) {
     throw std::invalid_argument(
         "select_factored_support: fine grid sizes must be >= 1");
   }
-  const index_t nc_aoa = decimated_size(fine_aoa_n, cfg.aoa_decimation);
-  const index_t nc_toa = decimated_size(fine_toa_n, cfg.toa_decimation);
+  const index_t nc_aoa = decimated_size(fine_aoa_n, kCoarseAoaDecimation);
+  const index_t nc_toa = decimated_size(fine_toa_n, kCoarseToaDecimation);
   if (coarse_op.left().cols() != nc_aoa || coarse_op.right().cols() != nc_toa) {
     throw std::invalid_argument(
         "select_factored_support: coarse operator columns (" +
@@ -99,19 +86,12 @@ FactoredSupport select_factored_support(const KroneckerOperator& coarse_op,
         "select_factored_support: snapshot rows do not match the operator");
   }
 
-  const index_t aoa_radius = cfg.aoa_refine_radius >= 0
-                                 ? cfg.aoa_refine_radius
-                                 : cfg.aoa_decimation / 2 + 1;
-  const index_t toa_radius = cfg.toa_refine_radius >= 0
-                                 ? cfg.toa_refine_radius
-                                 : cfg.toa_decimation / 2;
-
   std::vector<char> aoa_mask(static_cast<std::size_t>(fine_aoa_n), 0);
   std::vector<char> toa_mask(static_cast<std::size_t>(fine_toa_n), 0);
 
   OmpConfig omp;
-  omp.max_atoms = cfg.max_candidates;
-  omp.residual_tolerance = cfg.coarse_residual_tolerance;
+  omp.max_atoms = kCoarseMaxCandidates;
+  omp.residual_tolerance = kCoarseResidualTolerance;
 
   CVec y(snapshots.rows());
   for (index_t k = 0; k < snapshots.cols(); ++k) {
@@ -121,15 +101,13 @@ FactoredSupport select_factored_support(const KroneckerOperator& coarse_op,
     for (const index_t atom : picked.support) {
       strongest = std::max(strongest, std::abs(picked.x[atom]));
     }
-    const double gain_floor = cfg.min_rel_gain * strongest;
+    const double gain_floor = kCoarseMinRelGain * strongest;
     for (const index_t atom : picked.support) {
       if (std::abs(picked.x[atom]) < gain_floor) continue;  // noise pick
       const index_t ci = atom % nc_aoa;  // coarse AoA index (AoA-fastest)
       const index_t cj = atom / nc_aoa;  // coarse ToA index
-      mark_window(aoa_mask, ci * cfg.aoa_decimation, aoa_radius,
-                  ci == nc_aoa - 1 ? cfg.aoa_decimation : 0);
-      mark_window(toa_mask, cj * cfg.toa_decimation, toa_radius,
-                  cj == nc_toa - 1 ? cfg.toa_decimation : 0);
+      mark_window(aoa_mask, ci * kCoarseAoaDecimation, kAoaRefineRadius);
+      mark_window(toa_mask, cj * kCoarseToaDecimation, kToaRefineRadius);
     }
   }
 

@@ -17,40 +17,42 @@
 
 namespace roarray::sparse {
 
-/// Knobs of the coarse-to-fine solve path (consumed by
-/// core::RoArrayConfig; see EXPERIMENTS.md for tuning guidance).
+/// The coarse pass's fixed settings: the two-resolution design of MOMP
+/// with one decimation per axis.
+///
+/// Grid decimation factors of the coarse pass. The coarse grid keeps
+/// every decimation-th fine sample starting at index 0, so coarse atoms
+/// are fine atoms and candidates map back by index * decimation.
+inline constexpr index_t kCoarseAoaDecimation = 4;
+inline constexpr index_t kCoarseToaDecimation = 2;
+/// Half-width (in fine grid cells) of the refinement window unioned
+/// around each coarse candidate. decimation / 2 covers every fine cell
+/// whose nearest coarse sample is the candidate; the AoA radius adds
+/// one cell of slack because the broad AoA mainlobe lets noise push the
+/// coarse argmax across a bin boundary, while the ToA correlation is
+/// sharp enough (and its decimation small enough) that the exact cover
+/// suffices.
+inline constexpr index_t kAoaRefineRadius = kCoarseAoaDecimation / 2 + 1;
+inline constexpr index_t kToaRefineRadius = kCoarseToaDecimation / 2;
+/// Atom budget of the coarse greedy pass, per snapshot. Must cover the
+/// paths present; it leaves headroom over the default
+/// core::RoArrayConfig::max_paths.
+inline constexpr index_t kCoarseMaxCandidates = 8;
+/// Early-stop residual of the coarse pass, as a fraction of ||y||.
+inline constexpr double kCoarseResidualTolerance = 0.02;
+/// Coarse atoms whose least-squares coefficient magnitude falls below
+/// this fraction of the strongest atom's (per snapshot column) are
+/// noise picks — the greedy pass keeps selecting into the noise floor
+/// after the real paths are explained — and spawn no refinement window.
+/// Without this filter a moderate-SNR burst unions windows over most of
+/// the grid and the restricted solve prunes nothing.
+inline constexpr double kCoarseMinRelGain = 0.12;
+
+/// Settings of the coarse-to-fine solve path (consumed by
+/// core::RoArrayConfig).
 struct CoarseFineConfig {
   /// Off by default: the full-grid solve stays the reference path.
   bool enabled = false;
-  /// Grid decimation factors of the coarse pass (>= 1; 1 keeps every
-  /// sample along that axis). The coarse grid keeps every
-  /// decimation-th fine sample starting at index 0, so coarse atoms
-  /// are fine atoms and candidates map back by index * decimation.
-  index_t aoa_decimation = 4;
-  index_t toa_decimation = 2;
-  /// Half-width (in fine grid cells) of the refinement window unioned
-  /// around each coarse candidate. < 0 picks a per-dimension default:
-  /// decimation / 2 covers every fine cell whose nearest coarse sample
-  /// is the candidate; the AoA radius adds one cell of slack because
-  /// the broad AoA mainlobe lets noise push the coarse argmax across a
-  /// bin boundary, while the ToA correlation is sharp enough (and its
-  /// decimation small enough) that the exact cover suffices.
-  index_t aoa_refine_radius = -1;
-  index_t toa_refine_radius = -1;
-  /// Atom budget of the coarse greedy pass, per snapshot. Must cover
-  /// the paths present; the default leaves headroom over the default
-  /// core::RoArrayConfig::max_paths.
-  index_t max_candidates = 8;
-  /// Early-stop residual of the coarse pass, as a fraction of ||y||.
-  double coarse_residual_tolerance = 0.02;
-  /// Coarse atoms whose least-squares coefficient magnitude falls below
-  /// this fraction of the strongest atom's (per snapshot column) are
-  /// noise picks — the greedy pass keeps selecting into the noise floor
-  /// after the real paths are explained — and spawn no refinement
-  /// window. Without this filter a moderate-SNR burst unions windows
-  /// over most of the grid and the restricted solve prunes nothing.
-  /// Must lie in [0, 1).
-  double min_rel_gain = 0.12;
   /// Iteration cap of the restricted convex solve. The pruned
   /// subproblem is orders of magnitude smaller and far better
   /// conditioned than the full-grid one, so it stabilizes its
@@ -66,9 +68,7 @@ struct CoarseFineConfig {
   /// solver.tolerance unchanged. Must be < 1.
   double refine_tolerance = 3e-4;
 
-  /// Throws std::invalid_argument on nonsense (non-positive decimation
-  /// or candidate budget, negative residual tolerance, out-of-range
-  /// relative gain floor or refine tolerance).
+  /// Throws std::invalid_argument when refine_tolerance is not < 1.
   void validate() const;
 };
 
@@ -91,15 +91,16 @@ struct FactoredSupport {
 };
 
 /// Runs the coarse greedy (OMP) pass on every snapshot column of
-/// `snapshots` against `coarse_op` — the operator over the decimated
-/// grids — and unions the refinement windows of every selected atom
-/// into a factored fine-grid support. The grid tail past the last
-/// coarse sample (when the point count does not divide evenly) belongs
-/// to the last coarse atom's window, so every fine cell stays
-/// reachable. Returns an empty support iff no snapshot had any
+/// `snapshots` against `coarse_op` — the operator over the grids
+/// decimated by kCoarseAoaDecimation and kCoarseToaDecimation — and
+/// unions the refinement windows of every selected atom into a factored
+/// fine-grid support. The grid tail past the last coarse sample (when
+/// the point count does not divide evenly) lies within the last coarse
+/// atom's window, so every fine cell stays reachable. Returns an empty support iff no snapshot had any
 /// correlated energy (an all-zero measurement). Throws
 /// std::invalid_argument when `coarse_op` does not match the decimated
-/// fine grids.
+/// fine grids. The coarse pass reads none of the CoarseFineConfig
+/// fields; the parameter keeps the signature stable for callers.
 [[nodiscard]] FactoredSupport select_factored_support(
     const KroneckerOperator& coarse_op, const CMat& snapshots,
     index_t fine_aoa_n, index_t fine_toa_n, const CoarseFineConfig& cfg);

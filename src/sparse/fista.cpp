@@ -18,13 +18,13 @@ namespace roarray::sparse {
 
 namespace {
 
-/// 1 / (safety * lambda_max(S^H S)); `solver` names the caller in the
-/// zero-operator error.
+/// 1 / (kLipschitzSafety * lambda_max(S^H S)); `solver` names the
+/// caller in the zero-operator error.
 double resolve_step(const LinearOperator& op, const SolveConfig& cfg,
                     const char* solver) {
   const double norm_sq =
       cfg.lipschitz_hint > 0.0 ? cfg.lipschitz_hint : operator_norm_sq(op);
-  const double lip = norm_sq * cfg.lipschitz_safety;
+  const double lip = norm_sq * kLipschitzSafety;
   if (lip <= 0.0) {
     throw std::domain_error(std::string(solver) + ": zero operator");
   }

@@ -23,6 +23,10 @@
 
 namespace roarray::sparse {
 
+/// Safety factor the solver applies to its Lipschitz estimate (the
+/// step is 1 / (kLipschitzSafety * lambda_max(S^H S))).
+inline constexpr double kLipschitzSafety = 1.05;
+
 /// Solver configuration. The solver is FISTA with a monotone (function)
 /// restart, and it forms S z from cached forward applications (two
 /// operator applications per iteration; see DESIGN.md §5).
@@ -35,8 +39,6 @@ struct SolveConfig {
   /// exactly ||S^H y||_inf, so the ratio directly sets sparsity).
   double kappa = -1.0;
   double kappa_ratio = 0.15;
-  /// Safety factor applied to the Lipschitz estimate.
-  double lipschitz_safety = 1.05;
   /// Precomputed lambda_max(S^H S) (e.g. from runtime::OperatorCache).
   /// <= 0 means "estimate per call" (sparse::operator_norm_sq). Because
   /// that estimate is deterministic, a cached value equals the per-call

@@ -133,7 +133,7 @@ TEST(CornerBounces, CornerImageMergesBothWallOrdersCoherently) {
   const Vec2 corner_image{-client.x, -client.y};
   const double len = distance(ap.position, corner_image);
   const double expected_amp =
-      2.0 * cfg.amplitude_at_1m / len * cfg.reflection_loss * cfg.reflection_loss;
+      2.0 / len * cfg.reflection_loss * cfg.reflection_loss;
   bool found = false;
   for (const Path& p : paths) {
     if (p.reflections != 2) continue;
@@ -153,8 +153,7 @@ TEST(CornerBounces, CornerImageMergesBothWallOrdersCoherently) {
   for (const Path& p : paths) {
     if (p.reflections == 2 && std::abs(p.length_m - lr_len) < 1e-9) {
       EXPECT_NEAR(std::abs(p.gain),
-                  cfg.amplitude_at_1m / lr_len * cfg.reflection_loss *
-                      cfg.reflection_loss,
+                  1.0 / lr_len * cfg.reflection_loss * cfg.reflection_loss,
                   1e-9);
     }
   }

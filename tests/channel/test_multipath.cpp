@@ -148,9 +148,6 @@ TEST(Multipath, ConfigValidation) {
   cfg = MultipathConfig{};
   cfg.reflection_loss = 1.5;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = MultipathConfig{};
-  cfg.amplitude_at_1m = 0.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(Multipath, WallReflectionAoaMatchesImagePoint) {

@@ -115,10 +115,6 @@ TEST(Calibration, InvalidInputsThrow) {
   big.antenna_spacing_m = big.wavelength_m / 2.0;
   const std::vector<CMat> packets = {CMat(5, 30)};
   EXPECT_THROW(estimate_phase_offsets(packets, 90.0, big), std::invalid_argument);
-  CalibrationConfig cfg;
-  cfg.coarse_steps = 1;
-  const auto ok = offset_packets({0.0, 0.0, 0.0}, 30.0, 1, 356);
-  EXPECT_THROW(estimate_phase_offsets(ok, 118.0, kArray, cfg), std::invalid_argument);
 }
 
 TEST(Calibration, SharpnessImprovesWithCorrectOffsets) {
@@ -127,8 +123,6 @@ TEST(Calibration, SharpnessImprovesWithCorrectOffsets) {
   const CalibrationResult r = estimate_phase_offsets(packets, 118.0, kArray);
   // The optimizer's sharpness at the optimum must beat the sharpness of
   // the uncorrected hypothesis (all zeros).
-  CalibrationConfig cfg;
-  cfg.coarse_steps = 2;  // trivial search just to evaluate objective
   EXPECT_GT(r.sharpness, 1.0);
 }
 

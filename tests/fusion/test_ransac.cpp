@@ -21,6 +21,16 @@ std::vector<channel::ApPose> eight_aps() {
   };
 }
 
+/// Twelve APs: 66 pairs, more than kMaxHypothesisPairs.
+std::vector<channel::ApPose> twelve_aps() {
+  std::vector<channel::ApPose> aps = eight_aps();
+  aps.insert(aps.end(), {{{14.0, 12.0}, 20.0},
+                         {{6.0, 0.0}, 160.0},
+                         {{18.0, 6.0}, 280.0},
+                         {{0.0, 4.0}, 100.0}});
+  return aps;
+}
+
 std::vector<Observation> exact_observations(
     const std::vector<channel::ApPose>& aps, const channel::Vec2& target) {
   std::vector<Observation> obs;
@@ -42,7 +52,7 @@ TEST(RansacTest, ExactPairIntersectsAtTheTarget) {
   const auto aps = eight_aps();
   auto obs = exact_observations({aps[0], aps[3]}, target);
   const channel::Room room;
-  const auto hyps = bearing_pair_hypotheses(obs, room, FusionConfig{});
+  const auto hyps = bearing_pair_hypotheses(obs, room);
   ASSERT_FALSE(hyps.empty());
   // One of the fold combinations must land on the true target; mirror
   // ghosts may also appear (and are what the consensus stage rejects).
@@ -60,8 +70,8 @@ TEST(RansacTest, EveryPairYieldsATruthHypothesis) {
   const channel::Vec2 target{11.8, 7.6};
   const auto obs = exact_observations(eight_aps(), target);
   const channel::Room room;
-  FusionConfig cfg;  // 28 pairs < default max_hypothesis_pairs = 64.
-  const auto hyps = bearing_pair_hypotheses(obs, room, cfg);
+  // 28 pairs < kMaxHypothesisPairs = 64.
+  const auto hyps = bearing_pair_hypotheses(obs, room);
   // With exhaustive enumeration, every one of the 28 pairs contributes a
   // candidate at the true position (among its ghosts).
   int at_truth = 0;
@@ -73,12 +83,11 @@ TEST(RansacTest, EveryPairYieldsATruthHypothesis) {
 
 TEST(RansacTest, FixedSeedIsDeterministicAcrossCalls) {
   const channel::Vec2 target{6.0, 9.0};
-  const auto obs = exact_observations(eight_aps(), target);
+  const auto obs = exact_observations(twelve_aps(), target);
   const channel::Room room;
-  FusionConfig cfg;
-  cfg.max_hypothesis_pairs = 6;  // < 28: forces the seeded subsample.
-  const auto a = bearing_pair_hypotheses(obs, room, cfg);
-  const auto b = bearing_pair_hypotheses(obs, room, cfg);
+  // 66 pairs > kMaxHypothesisPairs: the seeded subsample runs.
+  const auto a = bearing_pair_hypotheses(obs, room);
+  const auto b = bearing_pair_hypotheses(obs, room);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].position.x, b[i].position.x);
@@ -90,17 +99,19 @@ TEST(RansacTest, FixedSeedIsDeterministicAcrossCalls) {
 
 TEST(RansacTest, FuseRobustIsDeterministicWithOutliersAndSubsampling) {
   const channel::Vec2 target{13.5, 4.0};
-  auto obs = exact_observations(eight_aps(), target);
+  // 66 pairs > kMaxHypothesisPairs: exercise the seeded-subsample path.
+  auto obs = exact_observations(twelve_aps(), target);
   obs[1].aoa_deg += 50.0;
   obs[4].aoa_deg -= 45.0;
   obs[6].aoa_deg += 30.0;
+  obs[9].aoa_deg -= 35.0;
+  obs[10].aoa_deg += 40.0;
   const channel::Room room;
-  FusionConfig cfg;
-  cfg.max_hypothesis_pairs = 8;  // exercise the seeded-subsample path.
   // A far-off seed makes the first IRLS converge somewhere poor so the
   // hypothesis stage actually runs.
-  const FusionReport a = fuse_robust(obs, room, {1.0, 11.0}, cfg);
-  const FusionReport b = fuse_robust(obs, room, {1.0, 11.0}, cfg);
+  const FusionReport a = fuse_robust(obs, room, {1.0, 11.0}, FusionConfig{});
+  const FusionReport b = fuse_robust(obs, room, {1.0, 11.0}, FusionConfig{});
+  EXPECT_TRUE(a.used_ransac);
   EXPECT_EQ(a.position.x, b.position.x);
   EXPECT_EQ(a.position.y, b.position.y);
   EXPECT_EQ(a.cost, b.cost);
@@ -110,24 +121,24 @@ TEST(RansacTest, FuseRobustIsDeterministicWithOutliersAndSubsampling) {
 }
 
 TEST(RansacTest, HypothesisStageRescuesABadInitialFix) {
-  // Three of eight APs lie and the initial fix sits in the wrong corner:
+  // Four of eight APs lie and the initial fix sits in the wrong corner:
   // gradient descent from there cannot cross the room, but a bearing
-  // pair of two honest APs proposes the true position directly.
+  // pair of two honest APs proposes the true position directly. Four
+  // honest of eight stay below kMinInlierFraction even at the truth, so
+  // the hypothesis stage must engage.
   const channel::Vec2 target{15.0, 3.0};
   auto obs = exact_observations(eight_aps(), target);
   obs[0].aoa_deg += 55.0;
   obs[2].aoa_deg -= 50.0;
-  obs[7].aoa_deg += 45.0;
+  obs[4].aoa_deg -= 40.0;
+  obs[6].aoa_deg += 45.0;
   const channel::Room room;
-  FusionConfig cfg;
-  // Demand near-total consensus so the hypothesis stage must engage
-  // (5 honest of 8 can never reach 90%).
-  cfg.min_inlier_fraction = 0.9;
-  const FusionReport rep = fuse_robust(obs, room, {1.0, 11.0}, cfg);
+  const FusionReport rep = fuse_robust(obs, room, {1.0, 11.0}, FusionConfig{});
   EXPECT_TRUE(rep.used_ransac);
+  EXPECT_EQ(rep.fallback, FusionFallback::kRansac);
   EXPECT_NEAR(rep.position.x, target.x, 0.5);
   EXPECT_NEAR(rep.position.y, target.y, 0.5);
-  EXPECT_GE(rep.inliers, 5);
+  EXPECT_GE(rep.inliers, 4);
 }
 
 }  // namespace

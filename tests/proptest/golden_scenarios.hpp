@@ -158,7 +158,6 @@ inline GoldenRecord compute_fusion_golden(const GoldenScenario& s) {
   sim::ScenarioConfig cfg;
   cfg.num_packets = 3;
   cfg.los_block_probability = 0.0;  // the blocked AP is the only liar
-  cfg.residual_phase_noise_rad = 0.0;
   cfg.max_detection_delay_s = 0.0;  // keep ToA absolute for the bias model
   cfg.adversarial.num_blocked_aps = 1;
   const auto round = sim::generate_measurements(tb, client, cfg, rng);

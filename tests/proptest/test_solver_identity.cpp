@@ -220,7 +220,7 @@ namespace oracle {
 double resolve_step(const LinearOperator& op, const SolveConfig& cfg) {
   const double norm_sq =
       cfg.lipschitz_hint > 0.0 ? cfg.lipschitz_hint : operator_norm_sq(op);
-  const double lip = norm_sq * cfg.lipschitz_safety;
+  const double lip = norm_sq * kLipschitzSafety;
   if (lip <= 0.0) throw std::domain_error("zero operator");
   return 1.0 / lip;
 }
@@ -881,7 +881,7 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
               cxd{bad[rng() % 3], 0.0};
         } else {
           scfg.lipschitz_hint = operator_norm_sq(op);
-          const double step = 1.0 / (scfg.lipschitz_hint * scfg.lipschitz_safety);
+          const double step = 1.0 / (scfg.lipschitz_hint * kLipschitzSafety);
           const index_t jb = e.block % nr;
           const std::optional<double> at_moved =
               e.moved ? moved_kappa(op, y, scfg, step, jb, e.rel)

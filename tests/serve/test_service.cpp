@@ -123,7 +123,7 @@ TEST(ServeConfigValidation, RejectsSolverMaxIterationsBelowOne) {
 TEST(ServeConfigValidation, RejectsAnInvalidEnabledCoarseFineConfig) {
   serve::ServeConfig cfg = small_config(0);
   cfg.estimator.coarse_fine.enabled = true;
-  cfg.estimator.coarse_fine.max_candidates = 0;
+  cfg.estimator.coarse_fine.refine_tolerance = 1.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   // A disabled coarse-to-fine config is never read by the estimator.
   cfg.estimator.coarse_fine.enabled = false;

@@ -15,48 +15,20 @@ namespace {
 
 KroneckerOperator coarse_operator(const dsp::Grid& fine_aoa,
                                   const dsp::Grid& fine_toa,
-                                  const CoarseFineConfig& cfg,
                                   const dsp::ArrayConfig& array) {
   return KroneckerOperator(
-      dsp::steering_matrix_aoa(decimate_grid(fine_aoa, cfg.aoa_decimation),
+      dsp::steering_matrix_aoa(decimate_grid(fine_aoa, kCoarseAoaDecimation),
                                array),
-      dsp::steering_matrix_toa(decimate_grid(fine_toa, cfg.toa_decimation),
+      dsp::steering_matrix_toa(decimate_grid(fine_toa, kCoarseToaDecimation),
                                array));
 }
 
 TEST(CoarseFineConfig, ValidateRejectsNonsense) {
-  {
-    CoarseFineConfig cfg;
-    cfg.aoa_decimation = 0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  }
-  {
-    CoarseFineConfig cfg;
-    cfg.toa_decimation = -1;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  }
-  {
-    CoarseFineConfig cfg;
-    cfg.max_candidates = 0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  }
-  {
-    CoarseFineConfig cfg;
-    cfg.coarse_residual_tolerance = -0.1;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  }
-  {
-    CoarseFineConfig cfg;
-    cfg.min_rel_gain = 1.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.min_rel_gain = -0.01;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  }
-  {
-    CoarseFineConfig cfg;
-    cfg.refine_tolerance = 1.0;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  }
+  CoarseFineConfig cfg;
+  cfg.refine_tolerance = 1.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.refine_tolerance = 0.0;  // <= 0 inherits the solver's tolerance.
+  EXPECT_NO_THROW(cfg.validate());
   EXPECT_NO_THROW(CoarseFineConfig{}.validate());
 }
 
@@ -92,7 +64,7 @@ TEST(SelectFactoredSupport, FindsTheCellsOfAPlantedAtom) {
   const dsp::ArrayConfig array;
   CoarseFineConfig cfg;
   cfg.enabled = true;
-  const KroneckerOperator coarse = coarse_operator(aoa, toa, cfg, array);
+  const KroneckerOperator coarse = coarse_operator(aoa, toa, array);
   const KroneckerOperator fine_op(dsp::steering_matrix_aoa(aoa, array),
                                   dsp::steering_matrix_toa(toa, array));
 
@@ -122,26 +94,22 @@ TEST(SelectFactoredSupport, FindsTheCellsOfAPlantedAtom) {
 }
 
 TEST(SelectFactoredSupport, GridTailPastLastCoarseSampleStaysReachable) {
-  // 61-point AoA grid, decimation 4: last coarse sample = fine index 60
-  // exactly; use a ToA grid whose tail does NOT divide evenly, and an
-  // atom in that tail. 29-point ToA grid, decimation 4: coarse samples
-  // at fine indices 0,4,...,28 — divides; use decimation 6 -> samples
-  // 0,6,12,18,24 and a tail of fine cells 25..28.
-  const dsp::Grid aoa(0.0, 180.0, 61);
+  // A 91-point AoA grid does not divide by the AoA decimation
+  // (91 = 22 * 4 + 3): coarse samples sit at fine indices 0, 4, ..., 88
+  // and fine cells 89 and 90 form the tail, which the last coarse
+  // sample's window must keep reachable. The grid stops at 120 deg: at
+  // half-wavelength spacing 0 and 180 deg share one steering vector, so
+  // a 180-deg atom would be picked up at 0 deg instead.
+  static_assert(kCoarseAoaDecimation == 4);
+  const dsp::Grid aoa(0.0, 120.0, 91);
   const dsp::Grid toa(0.0, 784e-9, 29);
   const dsp::ArrayConfig array;
-  CoarseFineConfig cfg;
-  cfg.toa_decimation = 6;
-  // A delay this close to the grid's wrap aliases most of its coarse
-  // correlation toward tau = 0, leaving the true last-coarse-atom pick
-  // weak; disable the gain filter so the test exercises the tail
-  // window extension in isolation.
-  cfg.min_rel_gain = 0.0;
-  const KroneckerOperator coarse = coarse_operator(aoa, toa, cfg, array);
+  const CoarseFineConfig cfg;
+  const KroneckerOperator coarse = coarse_operator(aoa, toa, array);
   const KroneckerOperator fine_op(dsp::steering_matrix_aoa(aoa, array),
                                   dsp::steering_matrix_toa(toa, array));
 
-  const index_t ti = 30, tj = 28;  // last fine ToA cell, in the tail
+  const index_t ti = 90, tj = 10;  // last fine AoA cell, in the tail
   CVec e(fine_op.cols());
   e[tj * aoa.size() + ti] = linalg::cxd{1.0, 0.0};
   CMat y(fine_op.rows(), 1);
@@ -150,6 +118,7 @@ TEST(SelectFactoredSupport, GridTailPastLastCoarseSampleStaysReachable) {
   const FactoredSupport s =
       select_factored_support(coarse, y, aoa.size(), toa.size(), cfg);
   ASSERT_FALSE(s.empty());
+  EXPECT_TRUE(std::binary_search(s.aoa.begin(), s.aoa.end(), ti));
   EXPECT_TRUE(std::binary_search(s.toa.begin(), s.toa.end(), tj));
 }
 
@@ -158,7 +127,7 @@ TEST(SelectFactoredSupport, AllZeroMeasurementYieldsEmptySupport) {
   const dsp::Grid toa(0.0, 784e-9, 15);
   const dsp::ArrayConfig array;
   const CoarseFineConfig cfg;
-  const KroneckerOperator coarse = coarse_operator(aoa, toa, cfg, array);
+  const KroneckerOperator coarse = coarse_operator(aoa, toa, array);
   const CMat y(coarse.rows(), 2);  // zero-initialized
   const FactoredSupport s =
       select_factored_support(coarse, y, aoa.size(), toa.size(), cfg);
@@ -170,7 +139,7 @@ TEST(SelectFactoredSupport, RejectsMismatchedOperatorOrShapes) {
   const dsp::Grid toa(0.0, 784e-9, 15);
   const dsp::ArrayConfig array;
   const CoarseFineConfig cfg;
-  const KroneckerOperator coarse = coarse_operator(aoa, toa, cfg, array);
+  const KroneckerOperator coarse = coarse_operator(aoa, toa, array);
   CMat y(coarse.rows(), 1);
   // Wrong fine grid sizes for this coarse operator.
   EXPECT_THROW(select_factored_support(coarse, y, 91, toa.size(), cfg),
@@ -186,9 +155,8 @@ TEST(SelectFactoredSupport, UnionsCandidatesAcrossSnapshots) {
   const dsp::Grid aoa(0.0, 180.0, 61);
   const dsp::Grid toa(0.0, 784e-9, 29);
   const dsp::ArrayConfig array;
-  CoarseFineConfig cfg;
-  cfg.max_candidates = 2;
-  const KroneckerOperator coarse = coarse_operator(aoa, toa, cfg, array);
+  const CoarseFineConfig cfg;
+  const KroneckerOperator coarse = coarse_operator(aoa, toa, array);
   const KroneckerOperator fine_op(dsp::steering_matrix_aoa(aoa, array),
                                   dsp::steering_matrix_toa(toa, array));
 

@@ -235,7 +235,7 @@ TEST(Adversarial, WrongPeakBoostsAReflectionAboveTheDirect) {
     }
     // The boost enforces the configured amplitude ratio, which puts the
     // direct path's relative power under the estimator's 0.4 gate.
-    EXPECT_GE(strongest, cfg.adversarial.wrong_peak_boost * direct - 1e-12);
+    EXPECT_GE(strongest, kWrongPeakBoost * direct - 1e-12);
   }
   EXPECT_TRUE(std::any_of(ms.begin(), ms.end(), [](const ApMeasurement& m) {
     return m.adversarial_wrong_peak;
