@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): solver and substrate costs,
 // including the design-choice ablations called out in DESIGN.md —
-// Kronecker vs dense steering operator, FISTA vs ISTA vs ADMM, and the
-// Section III-C complexity scaling of the joint solve.
+// batched vs per-column Kronecker applies, blocked vs naive GEMM, and
+// the Section III-C complexity scaling of the joint solve.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,7 +33,6 @@
 #include "music/covariance.hpp"
 #include "music/music.hpp"
 #include "music/smoothing.hpp"
-#include "sparse/admm.hpp"
 #include "sparse/coarse_fine.hpp"
 #include "sparse/fista.hpp"
 #include "sparse/l1svd.hpp"
@@ -66,6 +65,27 @@ CVec measurement_for(const dsp::ArrayConfig& arr, std::uint64_t seed) {
   return core::stack_csi(csi);
 }
 
+/// y = S x one snapshot column at a time through apply: the per-column
+/// reference the batched apply_mat_into is timed and checked against.
+void apply_mat_percolumn(const sparse::KroneckerOperator& op, const CMat& x,
+                         CMat& y) {
+  if (y.rows() != op.rows() || y.cols() != x.cols()) {
+    y = CMat(op.rows(), x.cols());
+  }
+  for (index_t j = 0; j < x.cols(); ++j) y.set_col(j, op.apply(x.col_vec(j)));
+}
+
+/// x = S^H y one column at a time through apply_adjoint.
+void apply_adjoint_mat_percolumn(const sparse::KroneckerOperator& op,
+                                 const CMat& y, CMat& x) {
+  if (x.rows() != op.cols() || x.cols() != y.cols()) {
+    x = CMat(op.cols(), y.cols());
+  }
+  for (index_t j = 0; j < y.cols(); ++j) {
+    x.set_col(j, op.apply_adjoint(y.col_vec(j)));
+  }
+}
+
 void BM_SteeringMatrixJointBuild(benchmark::State& state) {
   const dsp::Grid aoa(0.0, 180.0, 91);
   const dsp::Grid toa(0.0, 784e-9, 50);
@@ -75,19 +95,7 @@ void BM_SteeringMatrixJointBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SteeringMatrixJointBuild)->Unit(benchmark::kMillisecond);
 
-/// Ablation: dense matvec on the materialized Eq. 16 matrix ...
-void BM_DenseOperatorApply(benchmark::State& state) {
-  const dsp::Grid aoa(0.0, 180.0, 91);
-  const dsp::Grid toa(0.0, 784e-9, 50);
-  const sparse::DenseOperator op(dsp::steering_matrix_joint(aoa, toa, kArray));
-  const CVec x(op.cols(), cxd{0.01, 0.01});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(op.apply(x));
-  }
-}
-BENCHMARK(BM_DenseOperatorApply)->Unit(benchmark::kMicrosecond);
-
-/// ... vs the Kronecker-structured operator (the design DESIGN.md keeps).
+/// One forward apply of the Kronecker-structured joint operator.
 void BM_KroneckerOperatorApply(benchmark::State& state) {
   const dsp::Grid aoa(0.0, 180.0, 91);
   const dsp::Grid toa(0.0, 784e-9, 50);
@@ -126,7 +134,7 @@ void BM_GemmJointSteering(benchmark::State& state) {
 BENCHMARK(BM_GemmJointSteering)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 /// Tentpole kernel ablation: batched (reshape-trick) Kronecker block
-/// apply vs the per-column base-class path on the same operator.
+/// apply vs a per-column loop over apply on the same operator.
 void BM_KroneckerApplyMat(benchmark::State& state) {
   const bool batched = state.range(0) == 1;
   const dsp::Grid aoa(0.0, 180.0, 91);
@@ -145,7 +153,7 @@ void BM_KroneckerApplyMat(benchmark::State& state) {
     if (batched) {
       op.apply_mat_into(x, y);
     } else {
-      op.LinearOperator::apply_mat_into(x, y);
+      apply_mat_percolumn(op, x, y);
     }
     benchmark::DoNotOptimize(y.data());
   }
@@ -176,7 +184,7 @@ BENCHMARK(BM_JointSolveScaling)
     ->Args({181, 50})
     ->Unit(benchmark::kMillisecond);
 
-/// Ablation: FISTA and ADMM on the identical objective.
+/// One full-grid single-snapshot FISTA solve.
 void BM_SolverFista(benchmark::State& state) {
   const dsp::Grid aoa(0.0, 180.0, 91);
   const dsp::Grid toa(0.0, 784e-9, 50);
@@ -192,20 +200,6 @@ void BM_SolverFista(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverFista)->Unit(benchmark::kMillisecond);
 
-void BM_SolverAdmm(benchmark::State& state) {
-  const dsp::Grid aoa(0.0, 180.0, 91);
-  const dsp::Grid toa(0.0, 784e-9, 50);
-  const sparse::KroneckerOperator op(dsp::steering_matrix_aoa(aoa, kArray),
-                                     dsp::steering_matrix_toa(toa, kArray));
-  const CVec y = measurement_for(kArray, 2);
-  sparse::AdmmConfig cfg;
-  cfg.max_iterations = 200;
-  for (auto _ : state) {
-    const auto r = sparse::solve_l1_admm(op, y, cfg);
-    benchmark::DoNotOptimize(r.iterations);
-  }
-}
-BENCHMARK(BM_SolverAdmm)->Unit(benchmark::kMillisecond);
 
 void BM_MusicJointSpectrum(benchmark::State& state) {
   channel::Path d;
@@ -598,8 +592,9 @@ TraceIoReport measure_trace_io() {
                           xblk_colsum;
   const bool gemm_matches = gemm_max_abs_diff <= gemm_tol;
 
-  // Batched (reshape-trick) Kronecker block apply vs the per-column
-  // base-class path; forward and adjoint must agree bit for bit.
+  // Batched (reshape-trick) Kronecker block apply vs a per-column loop
+  // over apply / apply_adjoint; forward and adjoint must agree bit for
+  // bit.
   CMat xk(hit->op.cols(), 4);
   for (index_t j = 0; j < xk.cols(); ++j) {
     for (index_t i = 0; i < xk.rows(); ++i) {
@@ -618,13 +613,13 @@ TraceIoReport measure_trace_io() {
     kron_batched_ms = std::min(kron_batched_ms, elapsed_ms(t) / kKronReps);
     t = clock::now();
     for (int i = 0; i < kKronReps; ++i) {
-      hit->op.LinearOperator::apply_mat_into(xk, y_percol);
+      apply_mat_percolumn(hit->op, xk, y_percol);
     }
     kron_percol_ms = std::min(kron_percol_ms, elapsed_ms(t) / kKronReps);
   }
   CMat xa_batched, xa_percol;
   hit->op.apply_adjoint_mat_into(y_batched, xa_batched);
-  hit->op.LinearOperator::apply_adjoint_mat_into(y_percol, xa_percol);
+  apply_adjoint_mat_percolumn(hit->op, y_percol, xa_percol);
   bool kron_identical = true;
   for (index_t j = 0; j < y_batched.cols() && kron_identical; ++j) {
     for (index_t i = 0; i < y_batched.rows(); ++i) {

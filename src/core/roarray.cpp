@@ -267,8 +267,7 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
     out.spectrum = coefficients_to_spectrum(CMat(op.cols(), y.cols()),
                                             cfg.aoa_grid, cfg.toa_grid);
   } else {
-    const sparse::LinearOperator& solve_op =
-        sub ? static_cast<const sparse::LinearOperator&>(*sub) : op;
+    const sparse::KroneckerOperator& solve_op = sub ? *sub : op;
     // Observers see iterates in full-grid coordinates.
     sparse::IterationCallback cb = callback;
     if (sub && callback) {
@@ -328,9 +327,11 @@ dsp::Spectrum1d roarray_aoa_spectrum(const CMat& csi, const dsp::Grid& aoa_grid,
   if (csi.rows() != array_cfg.num_antennas) {
     throw std::invalid_argument("roarray_aoa_spectrum: CSI rows != antennas");
   }
-  const sparse::DenseOperator op(dsp::steering_matrix_aoa(aoa_grid, array_cfg));
-  // Every subcarrier is one spatial snapshot; the row-sparse solution's
-  // row norms are the AoA spectrum.
+  // The 1-D AoA dictionary, as A_theta (x) [1]. Every subcarrier is one
+  // spatial snapshot; the row-sparse solution's row norms are the AoA
+  // spectrum.
+  const sparse::KroneckerOperator op(
+      dsp::steering_matrix_aoa(aoa_grid, array_cfg));
   const sparse::GroupSolveResult sol = sparse::solve_group_l1(op, csi, solver);
 
   dsp::Spectrum1d out;

@@ -78,15 +78,4 @@ CMat matmul_blocked(const CMat& a, const CMat& b, const Backend* be) {
   return c;
 }
 
-CMat matmul_adj_left_blocked(const CMat& a, const CMat& b,
-                             const Backend* be) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("matmul_adj_left_blocked: shape mismatch");
-  }
-  CMat c(a.cols(), b.cols());
-  gemm_adj_left(a.cols(), b.cols(), a.rows(), a.data(), b.data(), c.data(),
-                be);
-  return c;
-}
-
 }  // namespace roarray::linalg

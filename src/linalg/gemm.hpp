@@ -47,8 +47,4 @@ void gemm_adj_left(index_t m, index_t n, index_t k, const cxd* a,
 [[nodiscard]] CMat matmul_blocked(const CMat& a, const CMat& b,
                                   const backend::Backend* be = nullptr);
 
-/// Blocked drop-in for matmul_adj_left(a, b) (C = A^H B).
-[[nodiscard]] CMat matmul_adj_left_blocked(
-    const CMat& a, const CMat& b, const backend::Backend* be = nullptr);
-
 }  // namespace roarray::linalg

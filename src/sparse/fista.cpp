@@ -20,7 +20,7 @@ namespace {
 
 /// 1 / (kLipschitzSafety * lambda_max(S^H S)); `solver` names the
 /// caller in the zero-operator error.
-double resolve_step(const LinearOperator& op, const SolveConfig& cfg,
+double resolve_step(const KroneckerOperator& op, const SolveConfig& cfg,
                     const char* solver) {
   const double norm_sq =
       cfg.lipschitz_hint > 0.0 ? cfg.lipschitz_hint : operator_norm_sq(op);
@@ -208,36 +208,34 @@ void extrapolate(const cxd* sx_new, const cxd* sx, double beta, cxd* sz,
 /// otherwise every gradient forms the full correlation, as does the
 /// first.
 ///
-/// Every result stays bit for bit the unscreened one. A non-Kronecker
-/// operator is one block that is never screened. The masks, the
-/// reference and the applies' scratch are allocated here, once per
-/// solve.
+/// Every result stays bit for bit the unscreened one. A 1-D dictionary
+/// (A (x) [1]) is one block. The masks, the reference and the applies'
+/// scratch are allocated here, once per solve.
 class BlockScreen {
  public:
-  BlockScreen(const LinearOperator& op, index_t k, double step, double shrink)
+  BlockScreen(const KroneckerOperator& op, index_t k, double step,
+              double shrink)
       : op_(op),
-        kron_(op.kronecker()),
         k_(k),
-        nl_(kron_ != nullptr ? kron_->left().cols() : op.cols()),
-        nr_(kron_ != nullptr ? kron_->right().cols() : 1),
+        nl_(op.left().cols()),
+        nr_(op.right().cols()),
         open_(static_cast<std::size_t>(nr_), 1),
         live_(static_cast<std::size_t>(nr_)) {
-    if (kron_ == nullptr) return;
     const auto in_range = [](double v) {
       return v >= 0x1p-300 && v <= 0x1p300;
     };
-    const index_t mk = kron_->left().rows() * k;
+    const index_t mk = op.left().rows() * k;
     if (in_range(step) && in_range(shrink * shrink) &&
-        in_range(kron_->left_col_norm_sq_max()) && mk <= (index_t{1} << 16)) {
-      coef_ = step * step * kron_->left_col_norm_sq_max() * (1.0 + kDelta);
+        in_range(op.left_col_norm_sq_max()) && mk <= (index_t{1} << 16)) {
+      coef_ = step * step * op.left_col_norm_sq_max() * (1.0 + kDelta);
       shrink_sq_ = shrink * shrink;
     }
     bp_ = CMat(mk, nr_);
     if (!std::isnan(coef_) && mk <= linalg::backend::kSmallRowLimit &&
-        kron_->right().rows() <= (index_t{1} << 20) &&
-        in_range(kron_->right_col_norm_sq_max())) {
-      right_norm_ = std::sqrt(kron_->right_col_norm_sq_max());
-      ref_.resize(static_cast<std::size_t>(kron_->rows() * k));
+        op.right().rows() <= (index_t{1} << 20) &&
+        in_range(op.right_col_norm_sq_max())) {
+      right_norm_ = std::sqrt(op.right_col_norm_sq_max());
+      ref_.resize(static_cast<std::size_t>(op.rows() * k));
       ref_norm_.resize(static_cast<std::size_t>(nr_));
       want_.resize(static_cast<std::size_t>(nr_));
     }
@@ -248,10 +246,6 @@ class BlockScreen {
   /// of it is +0). Screened blocks of grad are left unwritten.
   void screen_gradient(const CMat& residual, const index_t* from_rows,
                        index_t nfrom, CMat& grad) {
-    if (kron_ == nullptr) {
-      op_.apply_adjoint_mat_into(residual, grad);
-      return;
-    }
     // Blocks live in `from` stay open; every other block is screened
     // when its bound passes.
     std::fill(open_.begin(), open_.end(), std::uint8_t{0});
@@ -259,7 +253,7 @@ class BlockScreen {
       open_[static_cast<std::size_t>(from_rows[r] / nl_)] = 1;
     }
     if (!screen_from_reference(residual.data())) screen_fresh(residual.data());
-    kron_->aoa_expand(bp_, k_, open_.data(), grad.data(), ws_);
+    op_.aoa_expand(bp_, k_, open_.data(), grad.data(), ws_);
   }
 
   /// Calls f(r0, r1) for every maximal run [r0, r1) of rows the last
@@ -274,15 +268,11 @@ class BlockScreen {
   /// row +0): the forward runs on those rows' ToA blocks only.
   void forward_live(const CMat& x, const index_t* rows, index_t count,
                     CMat& y) {
-    if (kron_ == nullptr) {
-      op_.apply_mat_into(x, y);
-      return;
-    }
     std::fill(live_.begin(), live_.end(), std::uint8_t{0});
     for (index_t r = 0; r < count; ++r) {
       live_[static_cast<std::size_t>(rows[r] / nl_)] = 1;
     }
-    kron_->apply_blocks(x.data(), k_, live_.data(), y.data(), ws_);
+    op_.apply_blocks(x.data(), k_, live_.data(), y.data(), ws_);
   }
 
   [[nodiscard]] const ScreenStats& stats() const { return stats_; }
@@ -320,7 +310,7 @@ class BlockScreen {
   /// Forms the correlation of every block, gives every non-live block
   /// the exact test, and (with the stale bound on) makes r the reference.
   void screen_fresh(const cxd* r) {
-    kron_->toa_correlate(r, k_, nullptr, bp_, ws_);
+    op_.toa_correlate(r, k_, nullptr, bp_, ws_);
     ++stats_.full_correlates;
     const bool stale = !ref_.empty();
     for (index_t j = 0; j < nr_; ++j) {
@@ -384,7 +374,7 @@ class BlockScreen {
     for (index_t e = 0; e < nexact; ++e) {
       want_[static_cast<std::size_t>(exact_[static_cast<std::size_t>(e)])] = 1;
     }
-    kron_->toa_correlate(r, k_, want_.data(), bp_, ws_);
+    op_.toa_correlate(r, k_, want_.data(), bp_, ws_);
     for (index_t e = 0; e < nexact; ++e) {
       const index_t j = exact_[static_cast<std::size_t>(e)];
       open_[static_cast<std::size_t>(j)] = !bound_clears(block_sq(j));
@@ -394,8 +384,7 @@ class BlockScreen {
     return true;
   }
 
-  const LinearOperator& op_;
-  const KroneckerOperator* kron_;
+  const KroneckerOperator& op_;
   index_t k_, nl_, nr_;
   double coef_ = std::numeric_limits<double>::quiet_NaN();
   double shrink_sq_ = 0.0;
@@ -436,7 +425,7 @@ class BlockScreen {
 // operator.
 //
 // `solver` names the public entry point in error messages.
-GroupSolveResult solve(const LinearOperator& op, const CMat& y,
+GroupSolveResult solve(const KroneckerOperator& op, const CMat& y,
                        const SolveConfig& cfg,
                        const IterationCallback& callback, const char* solver) {
   const std::string name(solver);
@@ -456,7 +445,8 @@ GroupSolveResult solve(const LinearOperator& op, const CMat& y,
   if (cfg.kappa > 0.0) {
     out.kappa = cfg.kappa;
   } else {
-    const CMat g = op.apply_adjoint_mat(y);
+    CMat g;
+    op.apply_adjoint_mat_into(y, g);
     std::vector<double> row_sq(static_cast<std::size_t>(n), 0.0);
     for (index_t j = 0; j < k; ++j) {
       bk.row_sq_accumulate(g.data() + j * n, n, row_sq.data());
@@ -582,18 +572,7 @@ GroupSolveResult solve(const LinearOperator& op, const CMat& y,
 
 }  // namespace
 
-double kappa_max(const LinearOperator& op, const CVec& y) {
-  return norm_inf(op.apply_adjoint(y));
-}
-
-double l1_objective(const LinearOperator& op, const CVec& y, const CVec& x,
-                    double kappa) {
-  CVec r = op.apply(x);
-  r -= y;
-  return 0.5 * norm2_sq(r) + kappa * norm1(x);
-}
-
-SolveResult solve_l1(const LinearOperator& op, const CVec& y,
+SolveResult solve_l1(const KroneckerOperator& op, const CVec& y,
                      const SolveConfig& cfg) {
   if (y.size() != op.rows()) throw std::invalid_argument("solve_l1: rhs size");
   CMat ym(y.size(), 1);
@@ -609,7 +588,7 @@ SolveResult solve_l1(const LinearOperator& op, const CVec& y,
   return out;
 }
 
-GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
+GroupSolveResult solve_group_l1(const KroneckerOperator& op, const CMat& y,
                                 const SolveConfig& cfg,
                                 const IterationCallback& callback) {
   return solve(op, y, cfg, callback, "solve_group_l1");

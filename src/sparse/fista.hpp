@@ -50,8 +50,7 @@ struct SolveConfig {
 /// §5 item 10). Counts only, no clock: reading them or not leaves every
 /// other result bit for bit the same. Each gradient (one per iteration,
 /// two on a monotone restart) screens the ToA blocks that are not live
-/// in the point the step starts from. All zero for an operator without
-/// Kronecker structure.
+/// in the point the step starts from.
 struct ScreenStats {
   /// Gradients that formed the residual's ToA correlation on every
   /// block: the first, each reference refresh, and every gradient when
@@ -68,7 +67,7 @@ struct ScreenStats {
   friend bool operator==(const ScreenStats&, const ScreenStats&) = default;
 };
 
-/// Result of a single-snapshot solve (solve_l1 and ADMM).
+/// Result of a single-snapshot solve (solve_l1).
 struct SolveResult {
   CVec x;                         ///< recovered sparse coefficient vector.
   int iterations = 0;             ///< iterations actually run.
@@ -93,13 +92,13 @@ struct GroupSolveResult {
 /// iterate.
 using IterationCallback = std::function<void(int iteration, const CMat& x)>;
 
-/// Smallest kappa for which the l1 solution is identically zero.
-[[nodiscard]] double kappa_max(const LinearOperator& op, const CVec& y);
-
 /// Solves min_x 1/2 ||y - S x||^2 + kappa ||x||_1: solve_group_l1 on y
 /// as one column, bit for bit (errors name solve_l1).
-/// Throws std::invalid_argument on dimension mismatch.
-[[nodiscard]] SolveResult solve_l1(const LinearOperator& op, const CVec& y,
+/// Throws std::invalid_argument on dimension mismatch. The estimators
+/// call solve_group_l1; this spelling is kept because
+/// perfbench/traced.cpp calls it (tests and micro benchmarks use it
+/// too).
+[[nodiscard]] SolveResult solve_l1(const KroneckerOperator& op, const CVec& y,
                                    const SolveConfig& cfg = {});
 
 /// Solves the row-group problem
@@ -108,11 +107,7 @@ using IterationCallback = std::function<void(int iteration, const CMat& x)>;
 /// calling thread; callers parallelize across solves (one per burst),
 /// never inside one.
 [[nodiscard]] GroupSolveResult solve_group_l1(
-    const LinearOperator& op, const CMat& y, const SolveConfig& cfg = {},
+    const KroneckerOperator& op, const CMat& y, const SolveConfig& cfg = {},
     const IterationCallback& callback = nullptr);
-
-/// Objective value 1/2 ||y - S x||^2 + kappa ||x||_1 (for tests/benches).
-[[nodiscard]] double l1_objective(const LinearOperator& op, const CVec& y,
-                                  const CVec& x, double kappa);
 
 }  // namespace roarray::sparse

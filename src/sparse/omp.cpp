@@ -13,49 +13,36 @@ namespace roarray::sparse {
 namespace {
 
 /// The operator side of one OMP solve: the correlations S^H r and the
-/// picked columns S e_j. A Kronecker operator (or a restriction of one)
-/// correlates through its two factors (toa_correlate + aoa_expand, the
-/// adjoint's own stages) and forms a column with the single-block
-/// masked forward, bit for bit the plain apply / apply_adjoint, on
-/// buffers allocated once per solve. Any other operator goes through
-/// its allocating apply / apply_adjoint, exactly as before.
+/// picked columns S e_j. A correlation runs through the two factors
+/// (toa_correlate + aoa_expand, the adjoint's own stages) and a column
+/// through the single-block masked forward, bit for bit the plain
+/// apply_adjoint / apply, on buffers allocated once per solve.
 class AtomSource {
  public:
-  explicit AtomSource(const LinearOperator& op)
-      : op_(op), kron_(op.kronecker()), one_hot_(op.cols()) {
-    if (kron_ != nullptr) {
-      live_.assign(static_cast<std::size_t>(kron_->right().cols()), 0);
-    }
-  }
+  explicit AtomSource(const KroneckerOperator& op)
+      : op_(op),
+        one_hot_(op.cols()),
+        live_(static_cast<std::size_t>(op.right().cols()), 0) {}
 
   /// corr = S^H r.
   void omp_correlate(const CVec& r, CVec& corr) {
-    if (kron_ == nullptr) {
-      corr = op_.apply_adjoint(r);
-      return;
-    }
-    kron_->toa_correlate(r.data(), 1, nullptr, bp_, ws_);
-    kron_->aoa_expand(bp_, 1, nullptr, corr.data(), ws_);
+    op_.toa_correlate(r.data(), 1, nullptr, bp_, ws_);
+    op_.aoa_expand(bp_, 1, nullptr, corr.data(), ws_);
   }
 
   /// col = S e_j (rows() entries). Only ToA block j / N_l of the one-hot
   /// is nonzero, so the masked forward forms that block alone.
   void omp_column(index_t j, CVec& col) {
     one_hot_[j] = cxd{1.0, 0.0};
-    if (kron_ == nullptr) {
-      col = op_.apply(one_hot_);
-    } else {
-      const auto block = static_cast<std::size_t>(j / kron_->left().cols());
-      live_[block] = 1;
-      kron_->apply_blocks(one_hot_.data(), 1, live_.data(), col.data(), ws_);
-      live_[block] = 0;
-    }
+    const auto block = static_cast<std::size_t>(j / op_.left().cols());
+    live_[block] = 1;
+    op_.apply_blocks(one_hot_.data(), 1, live_.data(), col.data(), ws_);
+    live_[block] = 0;
     one_hot_[j] = cxd{};
   }
 
  private:
-  const LinearOperator& op_;
-  const KroneckerOperator* kron_;
+  const KroneckerOperator& op_;
   CVec one_hot_;
   std::vector<std::uint8_t> live_;
   KroneckerOperator::Workspace ws_;
@@ -126,7 +113,7 @@ void omp_refit(const CVec& y, const CMat& cols, const CVec& coeffs,
 // incremental QR performs, column by column, exactly the arithmetic of
 // refactoring the whole support (linalg::HouseholderQr), so the fit is
 // bit for bit the former per-atom lstsq.
-OmpResult solve_omp(const LinearOperator& op, const CVec& y,
+OmpResult solve_omp(const KroneckerOperator& op, const CVec& y,
                     const OmpConfig& cfg) {
   if (y.size() != op.rows()) throw std::invalid_argument("solve_omp: rhs size");
   if (cfg.max_atoms < 1) throw std::invalid_argument("solve_omp: max_atoms < 1");

@@ -30,7 +30,7 @@ struct OmpResult {
 /// repeatedly picks the atom best correlated with the residual, then
 /// re-fits all selected coefficients by least squares. Throws
 /// std::invalid_argument on dimension mismatch or a non-positive budget.
-[[nodiscard]] OmpResult solve_omp(const LinearOperator& op, const CVec& y,
+[[nodiscard]] OmpResult solve_omp(const KroneckerOperator& op, const CVec& y,
                                   const OmpConfig& cfg = {});
 
 }  // namespace roarray::sparse

@@ -13,8 +13,6 @@
 namespace roarray::sparse {
 
 using linalg::gemm;
-using linalg::gemm_adj_left;
-using linalg::matmul_blocked;
 namespace backend = linalg::backend;
 
 namespace {
@@ -22,72 +20,6 @@ namespace {
 void ensure_shape(CMat& m, index_t rows, index_t cols) {
   if (m.rows() != rows || m.cols() != cols) m = CMat(rows, cols);
 }
-
-}  // namespace
-
-void LinearOperator::apply_mat_into(const CMat& x, CMat& y) const {
-  ensure_shape(y, rows(), x.cols());
-  for (index_t j = 0; j < x.cols(); ++j) y.set_col(j, apply(x.col_vec(j)));
-}
-
-void LinearOperator::apply_adjoint_mat_into(const CMat& y, CMat& x) const {
-  ensure_shape(x, cols(), y.cols());
-  for (index_t j = 0; j < y.cols(); ++j) {
-    x.set_col(j, apply_adjoint(y.col_vec(j)));
-  }
-}
-
-CMat LinearOperator::row_gram() const {
-  const index_t m = rows();
-  CMat g(m, m);
-  for (index_t i = 0; i < m; ++i) {
-    CVec e(m);
-    e[i] = cxd{1.0, 0.0};
-    g.set_col(i, apply(apply_adjoint(e)));
-  }
-  return g;
-}
-
-CVec DenseOperator::apply(const CVec& x) const {
-  if (x.size() != s_.cols()) {
-    throw std::invalid_argument("DenseOperator::apply: size");
-  }
-  CVec y(s_.rows());
-  gemm(s_.rows(), 1, s_.cols(), s_.data(), x.data(), y.data());
-  return y;
-}
-
-CVec DenseOperator::apply_adjoint(const CVec& y) const {
-  if (y.size() != s_.rows()) {
-    throw std::invalid_argument("DenseOperator::apply_adjoint: size");
-  }
-  CVec x(s_.cols());
-  gemm_adj_left(s_.cols(), 1, s_.rows(), s_.data(), y.data(), x.data());
-  return x;
-}
-
-void DenseOperator::apply_mat_into(const CMat& x, CMat& y) const {
-  if (x.rows() != s_.cols()) {
-    throw std::invalid_argument("DenseOperator::apply_mat: rows");
-  }
-  ensure_shape(y, s_.rows(), x.cols());
-  gemm(s_.rows(), x.cols(), s_.cols(), s_.data(), x.data(), y.data());
-}
-
-void DenseOperator::apply_adjoint_mat_into(const CMat& y, CMat& x) const {
-  if (y.rows() != s_.rows()) {
-    throw std::invalid_argument("DenseOperator::apply_adjoint_mat: rows");
-  }
-  ensure_shape(x, s_.cols(), y.cols());
-  gemm_adj_left(s_.cols(), y.cols(), s_.rows(), s_.data(), y.data(),
-                x.data());
-}
-
-CMat DenseOperator::row_gram() const {
-  return matmul_blocked(s_, adjoint(s_));
-}
-
-namespace {
 
 /// Returns f after checking that every entry is finite (see the
 /// KroneckerOperator constructor).
@@ -139,6 +71,9 @@ KroneckerOperator::KroneckerOperator(CMat left, CMat right)
       right_conj_(linalg::conjugate(right_)),
       left_col_norm_sq_max_(max_col_norm_sq(left_)),
       right_col_norm_sq_max_(max_col_norm_sq(right_)) {}
+
+KroneckerOperator::KroneckerOperator(CMat left)
+    : KroneckerOperator(std::move(left), CMat(1, 1, cxd{1.0, 0.0})) {}
 
 // The reshape trick. A column-major block X of k unknown columns
 // (each N_l*N_r, AoA-fastest) is, viewed in memory, an N_l x (N_r*k)
@@ -338,25 +273,6 @@ void KroneckerOperator::apply_adjoint_mat_into(const CMat& y, CMat& x) const {
   aoa_expand(bp, y.cols(), nullptr, x.data(), ws);
 }
 
-CMat KroneckerOperator::row_gram() const {
-  const CMat gl = matmul_blocked(left_, left_adj_);         // m x m
-  const CMat gr = matmul_blocked(right_, adjoint(right_));  // l x l
-  const index_t m = gl.rows();
-  const index_t l = gr.rows();
-  CMat g(m * l, m * l);
-  for (index_t lj = 0; lj < l; ++lj) {
-    for (index_t li = 0; li < l; ++li) {
-      const cxd grv = gr(li, lj);
-      for (index_t mj = 0; mj < m; ++mj) {
-        for (index_t mi = 0; mi < m; ++mi) {
-          g(li * m + mi, lj * m + mj) = grv * gl(mi, mj);
-        }
-      }
-    }
-  }
-  return g;
-}
-
 namespace {
 
 /// Gathers the given columns of src into a new matrix, validating the
@@ -389,12 +305,13 @@ CMat gather_columns(const CMat& src, const std::vector<index_t>& support,
 SupportOperator::SupportOperator(const KroneckerOperator& full,
                                  std::vector<index_t> left_support,
                                  std::vector<index_t> right_support)
-    : left_support_(std::move(left_support)),
+    : KroneckerOperator(
+          gather_columns(full.left(), left_support, "left support"),
+          gather_columns(full.right(), right_support, "right support")),
+      left_support_(std::move(left_support)),
       right_support_(std::move(right_support)),
       full_left_cols_(full.left().cols()),
-      full_cols_(full.cols()),
-      sub_(gather_columns(full.left(), left_support_, "left support"),
-           gather_columns(full.right(), right_support_, "right support")) {}
+      full_cols_(full.cols()) {}
 
 index_t SupportOperator::full_index(index_t local) const {
   const auto ni = static_cast<index_t>(left_support_.size());
@@ -430,17 +347,6 @@ CMat SupportOperator::scatter(const CMat& x_restricted) const {
     }
   }
   return full;
-}
-
-CMat KroneckerOperator::to_dense() const {
-  const index_t n = cols();
-  CMat s(rows(), n);
-  for (index_t j = 0; j < n; ++j) {
-    CVec e(n);
-    e[j] = cxd{1.0, 0.0};
-    s.set_col(j, apply(e));
-  }
-  return s;
 }
 
 }  // namespace roarray::sparse

@@ -1,10 +1,10 @@
-// Proximal operators for l1 and group (l2,1) regularizers on complex data.
+// Proximal operators for l1 and group (l2,1) regularizers on complex
+// data: the l1 soft threshold, and the group prox's per-row decision,
+// which the FISTA engine fuses into its gradient step.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "linalg/backend/backend.hpp"
 #include "linalg/matrix.hpp"
@@ -87,36 +87,6 @@ inline void row_shrink_factors(double* scale, index_t begin, index_t end,
       if (kept_rows != nullptr) kept_rows[acc.kept] = i;
       ++acc.kept;
     }
-  }
-}
-
-/// Row-group soft-thresholding: the proximal operator of
-/// t * sum_i ||X(i, :)||_2 (the l2,1 norm used by l1-SVD multi-snapshot
-/// recovery). Shrinks each row's l2 norm by t, preserving direction.
-///
-/// Row norms are accumulated in a column-major sweep against a per-row
-/// buffer: the matrix is stored column-major, so a row-outer loop would
-/// stride by rows()*16 bytes per element (the solver calls this on tall
-/// grid-by-snapshot iterates every iteration). Per row the squared norm
-/// still sums over columns in ascending order, so the values match the
-/// row-outer formulation exactly.
-inline void group_soft_threshold_rows_inplace(
-    CMat& x, double t, const linalg::backend::Backend* be = nullptr) {
-  const auto& bk = be != nullptr ? *be : linalg::backend::active();
-  const index_t n = x.rows();
-  const index_t k = x.cols();
-  if (n == 0 || k == 0) return;
-  // scale[i] holds the squared row norm during the sweep, then the
-  // shrink factor or the zero-row marker (row_shrink_factors).
-  std::vector<double> scale(  // roarray-analyze: allow(hot-alloc) n-double scratch amortized by the O(nk) sweep
-      static_cast<std::size_t>(n), 0.0);
-  for (index_t j = 0; j < k; ++j) {
-    bk.row_sq_accumulate(x.data() + j * n, n, scale.data());
-  }
-  RowShrink shrunk;
-  row_shrink_factors(scale.data(), 0, n, t, shrunk);
-  for (index_t j = 0; j < k; ++j) {
-    bk.row_scale(x.data() + j * n, n, scale.data());
   }
 }
 

@@ -22,6 +22,7 @@
 #include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
+#include "support/reference.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::linalg::backend {

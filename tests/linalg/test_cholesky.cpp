@@ -1,4 +1,4 @@
-#include "linalg/cholesky.hpp"
+#include "support/cholesky.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/reference.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::linalg {

@@ -6,7 +6,7 @@
 // backend row_scale pass, and a momentum pass over every element. The
 // production solver must reproduce it exactly — the bytes of x and of
 // the objective history, the iteration count and the convergence flag —
-// on random Kronecker and support-restricted problems, under the scalar
+// on random Kronecker, support-restricted and 1-D problems, under the scalar
 // table and (when present) the simd table. Operator applications and
 // row scaling go through the same backend table in both, so any
 // difference is a change in the solver's own arithmetic. The oracle
@@ -44,6 +44,7 @@
 #include "sparse/fista.hpp"
 #include "sparse/operator.hpp"
 #include "sparse/power.hpp"
+#include "support/reference.hpp"
 #include "../test_util.hpp"
 
 namespace pt = roarray::proptest;
@@ -81,10 +82,9 @@ struct Coverage {
 /// LiveRows keeps its lists.
 class ScreenModel {
  public:
-  ScreenModel(const LinearOperator& op, index_t k, double step,
+  ScreenModel(const KroneckerOperator& op, index_t k, double step,
               double shrink)
-      : kron_(op.kronecker()), k_(k) {
-    if (kron_ == nullptr) return;
+      : kron_(&op), k_(k) {
     const auto in_range = [](double v) {
       return v >= 0x1p-300 && v <= 0x1p300;
     };
@@ -103,7 +103,6 @@ class ScreenModel {
   /// One gradient's screen for residual r (k columns) and a step from a
   /// point whose live rows `live` marks.
   void screen(const cxd* r, const std::vector<char>& live, Coverage& cov) {
-    if (kron_ == nullptr) return;
     const index_t nl = kron_->left().cols();
     const index_t nr = kron_->right().cols();
     std::vector<char> live_block(static_cast<std::size_t>(nr), 0);
@@ -217,7 +216,7 @@ class ScreenModel {
 
 namespace oracle {
 
-double resolve_step(const LinearOperator& op, const SolveConfig& cfg) {
+double resolve_step(const KroneckerOperator& op, const SolveConfig& cfg) {
   const double norm_sq =
       cfg.lipschitz_hint > 0.0 ? cfg.lipschitz_hint : operator_norm_sq(op);
   const double lip = norm_sq * kLipschitzSafety;
@@ -273,7 +272,7 @@ void extrapolate(const cxd* sx_new, const cxd* sx, double beta, cxd* sz,
 /// is live where the prox keeps it, z where x_new or x is. reuse = false
 /// runs the direct path: S z applied afresh instead of the momentum
 /// identity on the cached applications.
-GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
+GroupSolveResult solve_group_l1(const KroneckerOperator& op, const CMat& y,
                                 const SolveConfig& cfg, Coverage& cov,
                                 bool reuse = true) {
   GroupSolveResult out;
@@ -285,7 +284,7 @@ GroupSolveResult solve_group_l1(const LinearOperator& op, const CMat& y,
   if (cfg.kappa > 0.0) {
     out.kappa = cfg.kappa;
   } else {
-    const CMat g = op.apply_adjoint_mat(y);
+    const CMat g = apply_adjoint_mat(op, y);
     const auto& bk = be::active();
     std::vector<double> row_sq(static_cast<std::size_t>(n), 0.0);
     for (index_t j = 0; j < k; ++j) {
@@ -430,6 +429,7 @@ struct SolverCase {
   index_t m = 2, nl = 8, l = 3, nr = 6;  ///< Kronecker factor sizes.
   index_t k = 1;                         ///< snapshot columns.
   bool support = false;                  ///< solve on a SupportOperator.
+  bool one_d = false;  ///< solve on a 1-D dictionary A (x) [1] instead.
   Variant variant = Variant::kAutoKappa;
   double kappa_ratio = 0.15;
   std::uint64_t data_seed = 0;
@@ -451,6 +451,7 @@ pt::Gen<SolverCase> gen_solver_case() {
         0, static_cast<int>(Variant::kCount) - 1)(rng));
     c.kappa_ratio = std::uniform_real_distribution<double>(0.02, 0.6)(rng);
     c.data_seed = rng();
+    c.one_d = !c.support && std::uniform_int_distribution<int>(0, 3)(rng) == 0;
     return c;
   };
 }
@@ -458,7 +459,7 @@ pt::Gen<SolverCase> gen_solver_case() {
 std::string show_solver_case(const SolverCase& c) {
   std::ostringstream os;
   os << "m=" << c.m << " nl=" << c.nl << " l=" << c.l << " nr=" << c.nr
-     << " k=" << c.k << " support=" << c.support
+     << " k=" << c.k << " support=" << c.support << " one_d=" << c.one_d
      << " variant=" << static_cast<int>(c.variant)
      << " kappa_ratio=" << c.kappa_ratio << " seed=" << c.data_seed;
   return os.str();
@@ -467,7 +468,7 @@ std::string show_solver_case(const SolverCase& c) {
 /// A row-sparse truth (a few live unknowns, shared by every snapshot up
 /// to a per-column gain) plus noise, so the iterates are sparse and
 /// rows go live and dead during the solve.
-CMat make_rhs(const LinearOperator& op, index_t k, pt::Rng& rng) {
+CMat make_rhs(const KroneckerOperator& op, index_t k, pt::Rng& rng) {
   CMat x(op.cols(), k);
   const index_t live = std::min<index_t>(op.cols(), 3);
   for (index_t r = 0; r < live; ++r) {
@@ -475,7 +476,7 @@ CMat make_rhs(const LinearOperator& op, index_t k, pt::Rng& rng) {
         std::uniform_int_distribution<index_t>(0, op.cols() - 1)(rng);
     for (index_t j = 0; j < k; ++j) x(row, j) = pt::gen_cxd(rng);
   }
-  CMat y = op.apply_mat(x);
+  CMat y = apply_mat(op, x);
   const CMat noise = pt::gen_cmat(op.rows(), k, rng);
   for (index_t j = 0; j < k; ++j) {
     for (index_t i = 0; i < op.rows(); ++i) y(i, j) += 0.05 * noise(i, j);
@@ -590,7 +591,7 @@ std::optional<std::string> near_direct(const GroupSolveResult& got,
 /// y's first column equals solve_group_l1 on that column in every field,
 /// and the CVec spectrum overload equals the CMat one on its x, byte for
 /// byte (nan_any: see same_doubles); nullopt when they match.
-std::optional<std::string> single_column_match(const LinearOperator& op,
+std::optional<std::string> single_column_match(const KroneckerOperator& op,
                                                const CMat& y,
                                                const SolveConfig& cfg,
                                                const char* table,
@@ -604,7 +605,7 @@ std::optional<std::string> single_column_match(const LinearOperator& op,
                          table, nan_any)) {
     return err;
   }
-  const KroneckerOperator& kron = *op.kronecker();
+  const KroneckerOperator& kron = op;
   const roarray::dsp::Grid aoa(0.0, 1.0, kron.left().cols());
   const roarray::dsp::Grid toa(0.0, 1.0, kron.right().cols());
   const auto vec = roarray::core::coefficients_to_spectrum(got.x, aoa, toa);
@@ -622,7 +623,7 @@ std::optional<std::string> single_column_match(const LinearOperator& op,
 /// (nan_any: see same_doubles). direct also holds the solver to the
 /// oracle's direct path within rounding. Adds the oracle's coverage to
 /// `cov` and its converged runs to `converged`.
-std::optional<std::string> solvers_match(const LinearOperator& op,
+std::optional<std::string> solvers_match(const KroneckerOperator& op,
                                          const CMat& y, const SolveConfig& cfg,
                                          Coverage& cov, int& converged,
                                          bool nan_any = false,
@@ -650,14 +651,18 @@ std::optional<std::string> solvers_match(const LinearOperator& op,
   return std::nullopt;
 }
 
-/// The operator a case solves on: the full Kronecker operator, or a
-/// support restriction keeping every other AoA and ToA atom.
+/// The operator a case solves on: the full Kronecker operator, a
+/// support restriction keeping every other AoA and ToA atom, or a 1-D
+/// dictionary of M x 5 N_l atoms (one ToA block, as the calibration
+/// spectrum solves on).
 struct CaseOperator {
   KroneckerOperator full;
   std::optional<SupportOperator> sub;
 
   CaseOperator(const SolverCase& c, pt::Rng& rng)
-      : full(pt::gen_cmat(c.m, c.nl, rng), pt::gen_cmat(c.l, c.nr, rng)) {
+      : full(c.one_d ? KroneckerOperator(pt::gen_cmat(c.m, 5 * c.nl, rng))
+                     : KroneckerOperator(pt::gen_cmat(c.m, c.nl, rng),
+                                         pt::gen_cmat(c.l, c.nr, rng))) {
     if (!c.support) return;
     std::vector<index_t> ls, rs;
     for (index_t i = 0; i < c.nl; ++i) {
@@ -667,8 +672,8 @@ struct CaseOperator {
     sub.emplace(full, ls, rs);
   }
 
-  [[nodiscard]] const LinearOperator& op() const {
-    return sub ? static_cast<const LinearOperator&>(*sub) : full;
+  [[nodiscard]] const KroneckerOperator& op() const {
+    return sub ? *sub : full;
   }
 };
 
@@ -676,6 +681,7 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
   Coverage cov;
   int converged = 0;
   int support_cases = 0;
+  int one_d_cases = 0;
   const roarray::testing::BackendForceGuard guard;
   pt::CheckConfig cfg;
   cfg.cases = 40;
@@ -687,7 +693,8 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
         pt::Rng rng(c.data_seed);
         const CaseOperator cop(c, rng);
         support_cases += c.support ? 1 : 0;
-        const LinearOperator& op = cop.op();
+        one_d_cases += c.one_d ? 1 : 0;
+        const KroneckerOperator& op = cop.op();
         CMat y = make_rhs(op, c.k, rng);
         if (c.variant == Variant::kZeroRhs) y = CMat(op.rows(), c.k);
         return solvers_match(op, y, make_config(c), cov, converged, false,
@@ -696,15 +703,16 @@ TEST(ProptestSolverIdentity, GroupAndL1SolversMatchTheFrozenOracleBitwise) {
       {}, show_solver_case, cfg);
   // The generated cases must reach the paths the row-sparse passes and
   // the block screen could get wrong: single-column solves, monotone
-  // restarts, early convergence, the support-restricted operator,
-  // screened blocks, blocks that are zero where the step starts but fail
-  // the bound, and the stale-reference screen's three outcomes. A
-  // single-case replay cannot cover them all.
+  // restarts, early convergence, the support-restricted operator, the
+  // 1-D dictionary, screened blocks, blocks that are zero where the step
+  // starts but fail the bound, and the stale-reference screen's three
+  // outcomes. A single-case replay cannot cover them all.
   if (!pt::replaying()) {
     EXPECT_GT(cov.single_column, 0);
     EXPECT_GT(cov.restarts, 0);
     EXPECT_GT(converged, 0);
     EXPECT_GT(support_cases, 0);
+    EXPECT_GT(one_d_cases, 0);
     EXPECT_GT(cov.screened, 0);
     EXPECT_GT(cov.dead_open, 0);
     EXPECT_GT(cov.drift_cleared, 0);
@@ -782,7 +790,7 @@ std::string show_edge_case(const EdgeCase& e) {
 /// continuous in it (soft thresholding is), so bisection on
 /// shrink^2 - (1 + rel) bound finds the crossing. nullopt when the
 /// bound is off or has no crossing to find.
-std::optional<double> moved_kappa(const LinearOperator& op, const CMat& y,
+std::optional<double> moved_kappa(const KroneckerOperator& op, const CMat& y,
                                   const SolveConfig& scfg, double step,
                                   index_t jb, double rel) {
   const index_t k = y.cols();
@@ -800,13 +808,13 @@ std::optional<double> moved_kappa(const LinearOperator& op, const CMat& y,
     one.kappa = sigma / step;
     one.max_iterations = 1;
     const GroupSolveResult first = oracle::solve_group_l1(op, y, one, unused);
-    CMat r2 = op.apply_mat(first.x);
+    CMat r2 = apply_mat(op, first.x);
     r2 -= y;
     return model.stale_side(r2.data(), jb);
   };
   // Above hi the first step keeps no row (x1 = 0, r2 = r1) and shrink^2
   // exceeds the bound; below lo it is under the reference term alone.
-  const CMat g = op.apply_adjoint_mat(y);
+  const CMat g = apply_adjoint_mat(op, y);
   double row_max = 0.0;
   for (index_t i = 0; i < g.rows(); ++i) {
     double acc = 0.0;
@@ -843,8 +851,8 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
         const SolverCase& c = e.base;
         pt::Rng rng(c.data_seed);
         const CaseOperator cop(c, rng);
-        const LinearOperator& op = cop.op();
-        const KroneckerOperator& kron = *op.kronecker();
+        const KroneckerOperator& op = cop.op();
+        const KroneckerOperator& kron = op;
         const index_t nl = kron.left().cols();
         const index_t nr = kron.right().cols();
 
@@ -867,7 +875,7 @@ TEST(ProptestSolverIdentity, ScreeningEdgeCasesMatchTheFrozenOracleBitwise) {
         for (index_t j = 0; j < c.k; ++j) {
           x(atom_block * nl + best, j) = pt::gen_cxd(rng);
         }
-        CMat y = op.apply_mat(x);
+        CMat y = apply_mat(op, x);
 
         SolveConfig scfg;
         scfg.max_iterations = 60;

@@ -23,7 +23,7 @@ namespace rt = roarray::testing;
 TEST(Omp, RecoversExactSupportNoiseless) {
   auto rng = rt::make_rng(971);
   const CMat s = rt::random_cmat(12, 50, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   CVec x_true(50);
   x_true[4] = cxd{2.0, -1.0};
   x_true[23] = cxd{-1.0, 0.5};
@@ -47,7 +47,7 @@ TEST(Omp, RecoversExactSupportNoiseless) {
 TEST(Omp, StopsEarlyOnSmallResidual) {
   auto rng = rt::make_rng(972);
   const CMat s = rt::random_cmat(10, 30, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   CVec x_true(30);
   x_true[7] = cxd{1.0, 0.0};
   const CVec y = op.apply(x_true);
@@ -60,14 +60,14 @@ TEST(Omp, StopsEarlyOnSmallResidual) {
 }
 
 TEST(Omp, ZeroMeasurementGivesEmptySolution) {
-  const DenseOperator op(CMat(5, 10, cxd{1.0, 0.0}));
+  const KroneckerOperator op(CMat(5, 10, cxd{1.0, 0.0}));
   const OmpResult r = solve_omp(op, CVec(5));
   EXPECT_TRUE(r.support.empty());
   EXPECT_NEAR(norm2(r.x), 0.0, 1e-15);
 }
 
 TEST(Omp, InvalidInputsThrow) {
-  const DenseOperator op(CMat(5, 10, cxd{1.0, 0.0}));
+  const KroneckerOperator op(CMat(5, 10, cxd{1.0, 0.0}));
   EXPECT_THROW(solve_omp(op, CVec(4)), std::invalid_argument);
   OmpConfig cfg;
   cfg.max_atoms = 0;
@@ -77,7 +77,7 @@ TEST(Omp, InvalidInputsThrow) {
 TEST(Omp, BudgetCapsSupportSize) {
   auto rng = rt::make_rng(973);
   const CMat s = rt::random_cmat(10, 40, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(10, rng);  // dense target: never converges
   OmpConfig cfg;
   cfg.max_atoms = 4;
@@ -89,7 +89,7 @@ TEST(Omp, BudgetCapsSupportSize) {
 TEST(Omp, ResidualDecreasesWithMoreAtoms) {
   auto rng = rt::make_rng(974);
   const CMat s = rt::random_cmat(12, 40, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(12, rng);
   double prev = norm2(y);
   for (index_t k : {1, 2, 4, 8}) {
@@ -201,7 +201,7 @@ TEST(Omp, L1IsMoreRobustAtLowSnr) {
 // reproduce it bit for bit: support order, x, residual_norm, iterations,
 // and the exception when the frozen copy throws.
 
-OmpResult frozen_solve_omp(const LinearOperator& op, const CVec& y,
+OmpResult frozen_solve_omp(const KroneckerOperator& op, const CVec& y,
                            const OmpConfig& cfg) {
   if (y.size() != op.rows()) throw std::invalid_argument("solve_omp: rhs size");
   if (cfg.max_atoms < 1) throw std::invalid_argument("solve_omp: max_atoms < 1");
@@ -284,7 +284,7 @@ Outcome run_outcome(const Solve& solve) {
 
 /// Returns what the frozen copy threw ("" when it returned), so a test
 /// can check it exercised the comparison it claims to.
-std::string expect_matches_frozen(const LinearOperator& op, const CVec& y,
+std::string expect_matches_frozen(const KroneckerOperator& op, const CVec& y,
                           const OmpConfig& cfg, const std::string& what) {
   const Outcome want = run_outcome([&] { return frozen_solve_omp(op, y, cfg); });
   const Outcome got = run_outcome([&] { return solve_omp(op, y, cfg); });
@@ -301,6 +301,7 @@ std::string expect_matches_frozen(const LinearOperator& op, const CVec& y,
   return want.thrown;
 }
 
+// Random dense dictionaries, each as the 1-D operator A (x) [1].
 TEST(OmpFrozen, DenseOperatorsMatchBitForBit) {
   const rt::BackendForceGuard guard;
   for (const auto* table : rt::backend_tables()) {
@@ -314,7 +315,7 @@ TEST(OmpFrozen, DenseOperatorsMatchBitForBit) {
       if (trial % 4 == 1) {
         for (index_t i = 0; i < m; ++i) s(i, trial % n) = cxd{};  // zero column
       }
-      const DenseOperator op(s);
+      const KroneckerOperator op(s);
       const CVec y = trial % 3 == 0 ? op.apply(rt::random_cvec(n, rng))
                                     : rt::random_cvec(m, rng);
       OmpConfig cfg;
@@ -341,7 +342,7 @@ TEST(OmpFrozen, MoreAtomsThanRowsMatchesIncludingTheThrow) {
       CMat s = rt::random_cmat(5, 30, rng);
       for (index_t j = 0; j < 30; ++j)
         for (index_t i = 0; i < 5; ++i) s(i, j) *= 1e6;
-      const DenseOperator op(s);
+      const KroneckerOperator op(s);
       const CVec y = rt::random_cvec(5, rng);
       OmpConfig cfg;
       cfg.max_atoms = 5 + trial;  // > rows once past the first trial
@@ -369,7 +370,7 @@ TEST(OmpFrozen, ExactTiesPickTheFirstIndex) {
         s(i, 3) = s(i, 9);
         s(i, 17) = -s(i, 9);
       }
-      const DenseOperator op(s);
+      const KroneckerOperator op(s);
       CVec x(24);
       x[9] = cxd{3.0, 1.0};
       x[20] = cxd{0.5, -0.2};
@@ -422,7 +423,7 @@ TEST(OmpFrozen, HypotTieWithUnequalNormsPicksTheFirstIndex) {
     for (index_t j = 0; j < 12; ++j) s(0, j) *= 0.01;
     s(0, 4) = std::conj(lo);
     s(0, 7) = std::conj(hi);
-    const DenseOperator op(s);
+    const KroneckerOperator op(s);
     CVec y(6);
     y[0] = cxd{1.0, 0.0};
     OmpConfig cfg;
@@ -448,13 +449,13 @@ TEST(OmpFrozen, KroneckerOperatorsMatchBitForBit) {
   const KroneckerOperator random_op(rt::random_cmat(3, 9, rng),
                                     rt::random_cmat(5, 6, rng));
   const SupportOperator restricted(steer, {2, 3, 4, 10, 30}, {0, 5, 6, 7});
-  const std::vector<const LinearOperator*> ops = {&coarse, &steer, &random_op,
-                                                  &restricted};
+  const std::vector<const KroneckerOperator*> ops = {&coarse, &steer,
+                                                     &random_op, &restricted};
   for (const auto* table : rt::backend_tables()) {
     linalg::backend::force(table);
     int returned = 0;
     for (std::size_t o = 0; o < ops.size(); ++o) {
-      const LinearOperator& op = *ops[o];
+      const KroneckerOperator& op = *ops[o];
       for (int trial = 0; trial < 6; ++trial) {
         CVec x(op.cols());
         for (int p = 0; p < 1 + trial % 4; ++p) {

@@ -10,6 +10,7 @@
 #include <random>
 #include <vector>
 
+#include "support/reference.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::sparse {

@@ -4,9 +4,10 @@
 
 #include "dsp/steering.hpp"
 #include "linalg/eig.hpp"
-#include "sparse/admm.hpp"
 #include "sparse/fista.hpp"
 #include "sparse/operator.hpp"
+#include "support/admm.hpp"
+#include "support/reference.hpp"
 #include "../test_util.hpp"
 
 namespace roarray::sparse {
@@ -18,7 +19,7 @@ namespace rt = roarray::testing;
 /// min 1/2||y - Sx||^2 + kappa||x||_1 at x:
 ///   g = S^H (y - S x);  |g_i| <= kappa (+tol) for x_i = 0,
 ///   g_i ~= kappa * x_i / |x_i| for x_i != 0.
-void expect_kkt(const LinearOperator& op, const CVec& y, const CVec& x,
+void expect_kkt(const KroneckerOperator& op, const CVec& y, const CVec& x,
                 double kappa, double tol) {
   CVec r = op.apply(x);
   r *= cxd{-1.0, 0.0};
@@ -41,7 +42,7 @@ TEST_P(KktSweep, FistaSolutionSatisfiesOptimality) {
   const double kappa_ratio = GetParam();
   auto rng = rt::make_rng(static_cast<std::uint64_t>(kappa_ratio * 1000));
   const CMat s = rt::random_cmat(10, 40, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(10, rng);
   SolveConfig cfg;
   cfg.kappa_ratio = kappa_ratio;
@@ -58,7 +59,7 @@ TEST(SolverProperties, SolutionScalesWithMeasurement) {
   // x*(alpha * y, alpha * kappa) = alpha * x*(y, kappa) for real alpha>0.
   auto rng = rt::make_rng(901);
   const CMat s = rt::random_cmat(8, 24, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(8, rng);
   SolveConfig cfg;
   cfg.kappa = 0.2;
@@ -82,7 +83,7 @@ TEST(SolverProperties, GlobalPhaseEquivariance) {
   // (complex soft-thresholding is phase-equivariant).
   auto rng = rt::make_rng(902);
   const CMat s = rt::random_cmat(8, 30, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(8, rng);
   SolveConfig cfg;
   cfg.kappa = 0.3;
@@ -101,7 +102,7 @@ TEST(SolverProperties, GlobalPhaseEquivariance) {
 TEST(SolverProperties, SparsityMonotoneInKappa) {
   auto rng = rt::make_rng(903);
   const CMat s = rt::random_cmat(10, 60, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(10, rng);
   index_t prev_nnz = 61;
   for (double ratio : {0.05, 0.2, 0.5, 0.8}) {
@@ -125,7 +126,7 @@ TEST_P(SolverAgreement, FistaAndAdmmReachSameObjective) {
   const double kappa = GetParam();
   auto rng = rt::make_rng(static_cast<std::uint64_t>(kappa * 100 + 7));
   const CMat s = rt::random_cmat(12, 36, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(12, rng);
 
   SolveConfig fista_cfg;
@@ -148,14 +149,15 @@ INSTANTIATE_TEST_SUITE_P(Kappas, SolverAgreement,
 
 TEST(SolverProperties, KroneckerAndDenseGiveSameSolution) {
   // The structured operator must be numerically interchangeable with the
-  // materialized matrix inside the solver.
+  // materialized matrix (as a 1-D dictionary) inside the solver.
   dsp::ArrayConfig arr;
   arr.num_subcarriers = 10;
   const roarray::dsp::Grid aoa(0.0, 180.0, 19);
   const roarray::dsp::Grid toa(0.0, 700e-9, 6);
   const KroneckerOperator kop(roarray::dsp::steering_matrix_aoa(aoa, arr),
                               roarray::dsp::steering_matrix_toa(toa, arr));
-  const DenseOperator dop(roarray::dsp::steering_matrix_joint(aoa, toa, arr));
+  const KroneckerOperator dop(
+      roarray::dsp::steering_matrix_joint(aoa, toa, arr));
   auto rng = rt::make_rng(904);
   const CVec y = rt::random_cvec(kop.rows(), rng);
   SolveConfig cfg;
@@ -171,7 +173,7 @@ TEST(SolverProperties, AdmmRhoInsensitivity) {
   // Different rho values converge to the same minimizer.
   auto rng = rt::make_rng(905);
   const CMat s = rt::random_cmat(10, 30, rng);
-  const DenseOperator op(s);
+  const KroneckerOperator op(s);
   const CVec y = rt::random_cvec(10, rng);
   CVec ref;
   for (double rho : {0.3, 1.0, 4.0}) {

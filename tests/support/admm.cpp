@@ -1,17 +1,19 @@
-#include "sparse/admm.hpp"
+#include "support/admm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/cholesky.hpp"
 #include "sparse/prox.hpp"
+#include "support/cholesky.hpp"
+#include "support/reference.hpp"
 
 namespace roarray::sparse {
 
 using linalg::cholesky;
 using linalg::cholesky_solve;
 
-SolveResult solve_l1_admm(const LinearOperator& op, const CVec& y,
+SolveResult solve_l1_admm(const KroneckerOperator& op, const CVec& y,
                           const AdmmConfig& cfg) {
   if (y.size() != op.rows()) throw std::invalid_argument("solve_l1_admm: rhs size");
   if (cfg.rho <= 0.0) throw std::invalid_argument("solve_l1_admm: rho must be > 0");
@@ -27,7 +29,7 @@ SolveResult solve_l1_admm(const LinearOperator& op, const CVec& y,
 
   // Woodbury: (S^H S + rho I)^{-1} b = (b - S^H (rho I + S S^H)^{-1} S b)/rho.
   // Factor (rho I + S S^H) once.
-  CMat small = op.row_gram();
+  CMat small = row_gram(op);
   for (index_t i = 0; i < m; ++i) small(i, i) += cxd{cfg.rho, 0.0};
   const CMat l_factor = cholesky(small);
 

@@ -1,6 +1,8 @@
-// ADMM solver for the same l1 objective as fista.hpp, using the
+// ADMM solver for the same l1 objective as sparse/fista.hpp, using the
 // Woodbury identity so the per-iteration linear solve only touches the
 // small row Gram matrix S S^H (m x m), never the huge grid dimension.
+// The library never calls it: it is the tests' independent oracle for
+// the FISTA engine (a different algorithm reaching the same minimizer).
 #pragma once
 
 #include "sparse/fista.hpp"
@@ -19,7 +21,8 @@ struct AdmmConfig {
 
 /// Solves min_x 1/2||y - S x||^2 + kappa ||x||_1 by ADMM splitting
 /// (x-update via Woodbury through S S^H, z-update via soft threshold).
-[[nodiscard]] SolveResult solve_l1_admm(const LinearOperator& op, const CVec& y,
+[[nodiscard]] SolveResult solve_l1_admm(const KroneckerOperator& op,
+                                        const CVec& y,
                                         const AdmmConfig& cfg = {});
 
 }  // namespace roarray::sparse

@@ -1,4 +1,6 @@
-// Cholesky factorization for Hermitian positive-definite matrices.
+// Cholesky factorization for Hermitian positive-definite matrices: the
+// small-Gram solve of the ADMM test oracle (support/admm.hpp), its only
+// user.
 #pragma once
 
 #include "linalg/matrix.hpp"
