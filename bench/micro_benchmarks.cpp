@@ -37,7 +37,6 @@
 #include "sparse/fista.hpp"
 #include "sparse/l1svd.hpp"
 #include "sparse/omp.hpp"
-#include "sparse/prox.hpp"
 #include "sparse/operator.hpp"
 
 namespace {
@@ -700,44 +699,6 @@ TraceIoReport measure_trace_io() {
     }
   }
 
-  // Soft threshold over a quarter-million coefficients straddling the
-  // shrink boundary (magnitudes well above the simd squared-magnitude
-  // underflow divergence documented in backend.hpp).
-  double bks_scalar_ms = 1e300, bks_simd_ms = 1e300;
-  double bks_diff = 0.0, bks_tol = 0.0;
-  bool bks_matches = false;
-  {
-    const index_t nst = 1 << 18;
-    CVec st_base(nst);
-    double st_max = 0.0;
-    for (index_t i = 0; i < nst; ++i) {
-      st_base[i] = cxd{0.01 * static_cast<double>((i * 37 % 101) - 50),
-                       0.01 * static_cast<double>((i * 53 % 89) - 44)};
-      st_max = std::max(st_max, std::abs(st_base[i]));
-    }
-    const double st_t = 0.25;
-    CVec st_scalar, st_simd;
-    for (int rep = 0; rep < 5; ++rep) {
-      st_scalar = st_base;
-      t = clock::now();
-      sparse::soft_threshold_inplace(st_scalar, st_t, &be::scalar());
-      bks_scalar_ms = std::min(bks_scalar_ms, elapsed_ms(t));
-      if (simd_available) {
-        st_simd = st_base;
-        t = clock::now();
-        sparse::soft_threshold_inplace(st_simd, st_t, be::simd());
-        bks_simd_ms = std::min(bks_simd_ms, elapsed_ms(t));
-      }
-    }
-    if (simd_available) {
-      for (index_t i = 0; i < nst; ++i) {
-        bks_diff = std::max(bks_diff, std::abs(st_scalar[i] - st_simd[i]));
-      }
-      bks_tol = 4.0 * kEps * st_max;
-      bks_matches = bks_diff <= bks_tol;
-    }
-  }
-
   // Steering build (the phase-recurrence kernel). The builders have no
   // backend parameter, so pin the process-global table via force() and
   // restore env/auto selection after. Unit-modulus entries, so the
@@ -928,16 +889,6 @@ TraceIoReport measure_trace_io() {
       w.key("max_abs_diff").value(bkg_diff);
       w.key("tolerance").value(bkg_tol);
       w.key("simd_matches_scalar").value(bkg_matches);
-    }
-    w.end_object();
-    w.key("soft_threshold").begin_object();
-    w.key("scalar_ms").value(bks_scalar_ms);
-    if (simd_available) {
-      w.key("simd_ms").value(bks_simd_ms);
-      w.key("simd_speedup").value(bks_scalar_ms / std::max(bks_simd_ms, 1e-6));
-      w.key("max_abs_diff").value(bks_diff);
-      w.key("tolerance").value(bks_tol);
-      w.key("simd_matches_scalar").value(bks_matches);
     }
     w.end_object();
     w.key("steering_build").begin_object();

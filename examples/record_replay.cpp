@@ -10,6 +10,7 @@
 //   compare  -> replay must reproduce the closed-loop run exactly
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -25,8 +26,25 @@
 
 int main(int argc, char** argv) {
   using namespace roarray;
-  const char* trace_path =
-      argc > 1 ? argv[1] : "record_replay_trace.bin";
+  // Arguments are checked before anything is written, so a mistyped
+  // option can never become the name of the trace file.
+  const char* usage = "usage: record_replay [TRACE_PATH]\n"
+                      "  records a small campaign to TRACE_PATH (default "
+                      "record_replay_trace.bin) and replays it\n";
+  const char* trace_path = "record_replay_trace.bin";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "-h") == 0 ||
+        std::strcmp(argv[i], "--help") == 0) {
+      std::printf("%s", usage);
+      return 0;
+    }
+    if (argv[i][0] == '-' || i > 1) {
+      std::fprintf(stderr, "record_replay: unexpected argument %s\n%s",
+                   argv[i], usage);
+      return 2;
+    }
+    trace_path = argv[i];
+  }
 
   // A small campaign: 2 clients heard by the first 3 paper-testbed APs.
   sim::Testbed testbed = sim::make_paper_testbed();

@@ -43,8 +43,10 @@
 #                                     service via bench/serve_throughput,
 #                                     and check BENCH_serve.json parses
 #                                     with nonzero sustained throughput
-#                                     in both serving modes. Also runs
-#                                     inside the full leg.
+#                                     in every serving mode and a
+#                                     bit-identical dispatchers = 0
+#                                     replay. Also runs inside the full
+#                                     leg.
 #   scripts/ci.sh --perfbench-smoke   run the repo benchmark
 #                                     (perfbench/run.py, seed 1, 2 s,
 #                                     traced) once per workload declared
@@ -118,21 +120,22 @@ esac
 JOBS="${1:-$(nproc)}"
 
 # Records a small trace, replays it through LocalizationService in both
-# serving modes plus a --shards 1,4 ShardedService sweep
+# serving modes plus a --dispatchers 1,4 sweep on one service
 # (bench/serve_throughput does the record+replay), and verifies
-# BENCH_serve.json is well-formed with nonzero sustained throughput and
-# that the dispatchers=0 replay was bit-identical between shards=1 and
-# shards=4 (the replay_shards_identical flag — a hard correctness gate,
-# unlike the scaling numbers). Assumes the default preset is built.
+# BENCH_serve.json is well-formed with nonzero sustained throughput
+# everywhere and that the dispatchers=0 replay was bit-identical at
+# max_batch 1 and at --max-batch (the replay_batching_identical flag —
+# a hard correctness gate, unlike the throughput numbers). Assumes the
+# default preset is built.
 serve_smoke() {
-  echo "== Serve smoke (record/replay + shard sweep + BENCH_serve.json) =="
+  echo "== Serve smoke (record/replay + dispatcher sweep + BENCH_serve.json) =="
   ./build/bench/serve_throughput --clients 4 --requests 16 --iterations 20 \
-    --shards 1,4 --replay-requests 8 \
+    --dispatchers 1,4 --replay-requests 8 \
     --record build/BENCH_serve_trace.bin \
     --json build/BENCH_serve.json
   test -s build/BENCH_serve.json
-  grep -q '"replay_shards_identical": true' build/BENCH_serve.json || {
-    echo "serve smoke FAILED: sharded replay not bit-identical" >&2
+  grep -q '"replay_batching_identical": true' build/BENCH_serve.json || {
+    echo "serve smoke FAILED: replay not bit-identical across batch bounds" >&2
     exit 1
   }
   if command -v python3 >/dev/null 2>&1; then
@@ -144,19 +147,21 @@ for mode in ("batch1", "dynamic"):
     rps = report[mode]["sustained_rps"]
     if not rps > 0.0:
         raise SystemExit(f"serve smoke FAILED: {mode}.sustained_rps = {rps}")
-entries = report["shard_scaling"]
-if [e["shards"] for e in entries] != [1, 4]:
-    raise SystemExit("serve smoke FAILED: shard_scaling missing sweep entries")
+entries = report["dispatcher_scaling"]
+if [e["dispatchers"] for e in entries] != [1, 4]:
+    raise SystemExit(
+        "serve smoke FAILED: dispatcher_scaling missing sweep entries")
 for e in entries:
     if not e["sustained_rps"] > 0.0:
         raise SystemExit(
-            f"serve smoke FAILED: shards={e['shards']} sustained_rps = "
-            f"{e['sustained_rps']}")
+            f"serve smoke FAILED: dispatchers={e['dispatchers']} "
+            f"sustained_rps = {e['sustained_rps']}")
 print("serve smoke: JSON parses,",
       ", ".join(f"{m} {report[m]['sustained_rps']:.1f} req/s"
                 for m in ("batch1", "dynamic")),
-      "+ shards " + ", ".join(
-          f"{e['shards']}x {e['sustained_rps']:.1f} req/s" for e in entries))
+      "+ dispatchers " + ", ".join(
+          f"{e['dispatchers']}x {e['sustained_rps']:.1f} req/s"
+          for e in entries))
 EOF
   else
     # Fallback without python3: a zero/absent rate never matches.

@@ -81,11 +81,6 @@ double mean_power(const CMat& csi) {
   return acc / static_cast<double>(csi.size());
 }
 
-double rssi_db(const CMat& csi) {
-  const double p = mean_power(csi);
-  return 10.0 * std::log10(std::max(p, 1e-30));
-}
-
 double burst_rssi_weight(std::span<const CMat> packets) {
   if (packets.empty()) return 0.0;
   double acc = 0.0;

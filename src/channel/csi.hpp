@@ -45,9 +45,6 @@ double add_noise(CMat& csi, double snr_db, std::mt19937_64& rng);
 /// Mean per-element signal power of a CSI matrix.
 [[nodiscard]] double mean_power(const CMat& csi);
 
-/// RSSI in dB (arbitrary reference) from mean CSI power.
-[[nodiscard]] double rssi_db(const CMat& csi);
-
 /// Burst-level RSSI fusion weight: the mean of mean_power over the
 /// packets, accumulated in packet order. This exact expression (same
 /// order, same division) is shared by simulation and replay so the

@@ -136,10 +136,4 @@ std::vector<Path> trace_paths(const Room& room, const ApPose& ap,
   return merged;
 }
 
-double total_path_power(const std::vector<Path>& paths) {
-  double acc = 0.0;
-  for (const Path& p : paths) acc += std::norm(p.gain);
-  return acc;
-}
-
 }  // namespace roarray::channel

@@ -58,7 +58,4 @@ struct MultipathConfig {
     const MultipathConfig& cfg, const dsp::ArrayConfig& array_cfg,
     std::span<const Vec2> scatterers = {});
 
-/// Total received signal power (sum of squared path amplitudes).
-[[nodiscard]] double total_path_power(const std::vector<Path>& paths);
-
 }  // namespace roarray::channel

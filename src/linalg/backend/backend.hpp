@@ -1,7 +1,7 @@
 // Pluggable compute backends for the complex kernel hot path.
 //
 // A Backend is a table of raw-buffer kernels (GEMM microkernels, the
-// soft-threshold / group-prox element passes, the steering-vector
+// group-prox element passes, the steering-vector
 // phase recurrences, and the trace format's CRC-32). The `scalar`
 // table holds today's hand-separated real-arithmetic loops, extracted
 // verbatim from gemm.cpp / prox.hpp / steering.cpp, and the
@@ -13,7 +13,7 @@
 //
 // Selection is process-global and resolved once: callers reach the
 // active table through active(), or pass an explicit table to the
-// kernel entry points (gemm, soft_threshold_inplace, ...) for
+// kernel entry points (gemm, gemm_adj_left, ...) for
 // differential testing. ROARRAY_BACKEND=scalar|simd|auto overrides the
 // default (auto). Selection is deliberately NOT per-request: operator
 // caches and worker threads are shared across requests, and mixing
@@ -31,8 +31,7 @@
 //   * scalar vs simd may differ only to rounding, and the integer
 //     crc32_update not at all: the simd floating-point kernels keep
 //     ascending-k traversal but may round differently (FMA contraction,
-//     lane-split partial sums in gemm_adj_tile, squared-magnitude
-//     threshold compare in soft_threshold). Per-kernel tolerances are
+//     lane-split partial sums in gemm_adj_tile). Per-kernel tolerances are
 //     documented next to each pointer and enforced by
 //     tests/linalg/test_backend.cpp.
 #pragma once
@@ -91,14 +90,6 @@ struct Backend {
   void (*gemm_adj_tile)(index_t i0, index_t i1, index_t j0, index_t j1,
                         index_t m, index_t k, const cxd* a, const cxd* b,
                         cxd* c);
-
-  /// x[i] <- x[i] * max(0, 1 - t/|x[i]|), zeroing when |x[i]| <= t.
-  /// simd compares squared magnitudes against t^2 (no sqrt on the
-  /// shrink-to-zero branch); tolerance vs scalar: 4 * eps * |x| per
-  /// element, plus one documented divergence — inputs whose squared
-  /// magnitude underflows to zero (|x| < ~1.5e-154) are zeroed by simd
-  /// and kept by scalar when t is smaller still.
-  void (*soft_threshold)(cxd* x, index_t n, double t);
 
   /// acc[i] += |col[i]|^2 for one matrix column (the group-prox /
   /// l2,1-norm row sweep). Tolerance vs scalar: 2 * eps * |col[i]|^2

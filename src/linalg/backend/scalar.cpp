@@ -166,20 +166,6 @@ void gemm_adj_tile(index_t i0, index_t i1, index_t j0, index_t j1,
   }
 }
 
-/// Complex soft-thresholding: shrink each magnitude by t, preserving
-/// phase (the prox.hpp loop; std::abs on complex is hypot-based, which
-/// is the reference the simd squared-compare is measured against).
-void soft_threshold(cxd* x, index_t n, double t) {
-  for (index_t i = 0; i < n; ++i) {
-    const double mag = std::abs(x[i]);
-    if (mag <= t) {
-      x[i] = cxd{};
-    } else {
-      x[i] *= (1.0 - t / mag);
-    }
-  }
-}
-
 /// acc[i] += |col[i]|^2, the column-major row-norm sweep of the group
 /// prox and the l2,1 norm.
 void row_sq_accumulate(const cxd* col, index_t n, double* acc) {
@@ -240,10 +226,9 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
 }
 
 constexpr Backend kScalar = {
-    "scalar",        &gemm_tile, &gemm_cols,         &gemm_cols_depth,
-    &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &gradient_row_sq,          &phase_ramp,       &phase_ramp_accum,
-    &crc32_sliced,
+    "scalar",         &gemm_tile,        &gemm_cols,  &gemm_cols_depth,
+    &gemm_adj_tile,   &row_sq_accumulate, &row_scale, &gradient_row_sq,
+    &phase_ramp,      &phase_ramp_accum,  &crc32_sliced,
 };
 
 }  // namespace

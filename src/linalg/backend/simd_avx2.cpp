@@ -21,10 +21,9 @@
 // fixed-order horizontal folds in gemm_adj_tile) is a deterministic
 // function of the operand shapes. Differences vs the scalar table are
 // rounding-only and bounded by the per-kernel tolerances in
-// backend.hpp, with two documented exceptions (squared-magnitude
-// underflow in soft_threshold; zero-skip granularity in gemm_tile,
-// which skips only all-zero B row groups so a zero B entry next to a
-// nonzero one contributes exact +/-0 terms).
+// backend.hpp, with one documented exception (zero-skip granularity in
+// gemm_tile, which skips only all-zero B row groups so a zero B entry
+// next to a nonzero one contributes exact +/-0 terms).
 #include "linalg/backend/backend.hpp"
 #include "linalg/backend/crc32.hpp"
 
@@ -624,51 +623,6 @@ void gemm_adj_tile(index_t i0, index_t i1, index_t j0, index_t j1,
   }
 }
 
-/// Squared-magnitude soft threshold: |x|^2 <= t^2 replaces |x| <= t, so
-/// the (common, on sparse iterates) shrink-to-zero branch never touches
-/// sqrt or div — both are skipped wholesale when every lane of a vector
-/// shrinks. The unordered-NaN compare keeps NaN elements on the scale
-/// branch like the scalar kernel. Documented divergence: |x| small
-/// enough that |x|^2 underflows to zero is shrunk here but kept by
-/// scalar when t is smaller still.
-void soft_threshold(cxd* x, index_t n, double t) {
-  double* xd = reinterpret_cast<double*>(x);
-  const double t2 = t * t;
-  const __m256d vt2 = _mm256_set1_pd(t2);
-  const __m256d vt = _mm256_set1_pd(t);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  index_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d va = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d sq = _mm256_mul_pd(va, va);
-    const __m256d mag2 = _mm256_add_pd(sq, _mm256_permute_pd(sq, 0x5));
-    // Keep where mag2 > t2 OR mag2 is NaN (scalar's |x| <= t is false
-    // for NaN, so NaN inputs stay on the multiply branch there too).
-    const __m256d keep = _mm256_cmp_pd(mag2, vt2, _CMP_NLE_UQ);
-    if (_mm256_movemask_pd(keep) == 0) {
-      _mm256_storeu_pd(xd + 2 * i, zero);
-      continue;
-    }
-    const __m256d f = _mm256_sub_pd(one, _mm256_div_pd(vt, _mm256_sqrt_pd(mag2)));
-    _mm256_storeu_pd(xd + 2 * i,
-                     _mm256_and_pd(_mm256_mul_pd(va, f), keep));
-  }
-  if (i < n) {  // odd tail: same squared-compare semantics as the lanes
-    const double xr = xd[2 * i];
-    const double xi = xd[2 * i + 1];
-    const double m2 = xr * xr + xi * xi;
-    if (m2 <= t2) {
-      xd[2 * i] = 0.0;
-      xd[2 * i + 1] = 0.0;
-    } else {
-      const double f = 1.0 - t / std::sqrt(m2);
-      xd[2 * i] = xr * f;
-      xd[2 * i + 1] = xi * f;
-    }
-  }
-}
-
 /// acc[i] += |col[i]|^2 (group-prox row sweep), two rows per step.
 void row_sq_accumulate(const cxd* col, index_t n, double* acc) {
   const double* cj = reinterpret_cast<const double*>(col);
@@ -928,10 +882,9 @@ std::uint32_t crc32_update(std::uint32_t state, const unsigned char* data,
 }
 
 constexpr Backend kAvx2 = {
-    "simd-avx2",     &gemm_tile, &gemm_cols,         &gemm_cols_depth,
-    &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &gradient_row_sq, &phase_ramp,     &phase_ramp_accum,
-    &crc32_update,
+    "simd-avx2",      &gemm_tile,        &gemm_cols,  &gemm_cols_depth,
+    &gemm_adj_tile,   &row_sq_accumulate, &row_scale, &gradient_row_sq,
+    &phase_ramp,      &phase_ramp_accum,  &crc32_update,
 };
 
 }  // namespace

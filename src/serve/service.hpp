@@ -165,13 +165,6 @@ struct ServiceStats {
   std::uint64_t completed_ok = 0;
   std::uint64_t completed_no_observations = 0;
   std::uint64_t batches = 0;
-  /// Requests moved out of / into this service's queue by cross-shard
-  /// work stealing (serve::ShardedService). A transferred request stays
-  /// `accepted` on the service that originally admitted it and completes
-  /// on the receiver, so at quiescence with no rejections:
-  ///   completed == accepted - transferred_out + transferred_in.
-  std::uint64_t transferred_out = 0;
-  std::uint64_t transferred_in = 0;
   /// Response callbacks that threw (the exceptions are swallowed so the
   /// rest of the batch completes; see ResponseCallback).
   std::uint64_t callback_exceptions = 0;
@@ -194,14 +187,6 @@ struct ServiceStats {
   /// reader the ring wrapped.
   std::vector<double> latency_ticks;
   std::uint64_t latency_recorded = 0;
-};
-
-/// A queued request popped from one service for injection into another
-/// (cross-shard work stealing). The original request_id is dropped; the
-/// receiver assigns a fresh one from its own sequence.
-struct Transfer {
-  Request req;
-  ResponseCallback on_done;
 };
 
 class LocalizationService {
@@ -251,29 +236,6 @@ class LocalizationService {
   /// Requests currently queued (admitted, not yet taken into a batch).
   /// Advisory: the value may be stale by the time the caller acts on it.
   [[nodiscard]] index_t queue_depth() const ROARRAY_EXCLUDES(mutex_);
-  /// Queued plus in-flight requests; 0 means the service is idle (every
-  /// admitted request has completed). Advisory, like queue_depth().
-  [[nodiscard]] index_t load() const ROARRAY_EXCLUDES(mutex_);
-
-  /// Work-stealing hooks (used by serve::ShardedService; see DESIGN.md
-  /// §10). steal() pops up to max_n requests off the BACK of the queue
-  /// — the newest entries, so the front request that linger/deadline
-  /// rules key on is untouched unless the queue empties — and counts
-  /// them as transferred_out. The caller owns every returned Transfer
-  /// and must deliver each to submit_transfer() of some service (or
-  /// back to this one); dropping one silently breaks the exactly-once
-  /// callback contract.
-  [[nodiscard]] std::vector<Transfer> steal(index_t max_n)
-      ROARRAY_EXCLUDES(mutex_);
-
-  /// Enqueues a stolen request. Admission-exempt: no validation (the
-  /// original submit validated), no queue_capacity check (the stealing
-  /// policy bounds the overshoot), no accepted count (the victim keeps
-  /// it); counted as transferred_in. Still refuses with kStopped once
-  /// stop() has begun — `t` is left intact in that case so the caller
-  /// can re-route it (ShardedService prevents the race by ordering
-  /// steals before shard shutdown).
-  SubmitStatus submit_transfer(Transfer&& t) ROARRAY_EXCLUDES(mutex_);
 
  private:
   struct Pending {

@@ -1,12 +1,10 @@
-// Proximal operators for l1 and group (l2,1) regularizers on complex
-// data: the l1 soft threshold, and the group prox's per-row decision,
-// which the FISTA engine fuses into its gradient step.
+// The group (l2,1) prox's per-row decision on complex data, which the
+// FISTA engine fuses into its gradient step.
 #pragma once
 
 #include <cmath>
 #include <limits>
 
-#include "linalg/backend/backend.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -16,18 +14,6 @@ using linalg::CMat;
 using linalg::CVec;
 using linalg::cxd;
 using linalg::index_t;
-
-/// Complex soft-thresholding: the proximal operator of t * ||.||_1 on
-/// C^n shrinks each element's magnitude by t, preserving its phase:
-/// prox(z) = z * max(0, 1 - t / |z|). Null backend uses the
-/// process-global table; pass one explicitly only to pin a table
-/// (differential tests). simd-vs-scalar tolerances: see
-/// Backend::soft_threshold.
-inline void soft_threshold_inplace(CVec& x, double t,
-                                   const linalg::backend::Backend* be = nullptr) {
-  const auto& bk = be != nullptr ? *be : linalg::backend::active();
-  bk.soft_threshold(x.data(), x.size(), t);
-}
 
 /// Largest squared row norm the group prox may send to zero without a
 /// square root, or NaN (no value compares <= it) when shrink is not a

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dsp/steering.hpp"
 #include "../test_util.hpp"
 
@@ -125,14 +127,14 @@ TEST(Csi, AddNoiseReturnsSigma) {
 }
 
 TEST(Csi, RssiMonotoneInPower) {
+  // mean_power is the RSSI the fusion weights use (burst_rssi_weight).
   const auto strong = std::vector<Path>{make_path(90.0, 50e-9, cxd{2.0, 0.0})};
   const auto weak = std::vector<Path>{make_path(90.0, 50e-9, cxd{0.2, 0.0})};
-  EXPECT_GT(rssi_db(synthesize_csi(strong, kArray)),
-            rssi_db(synthesize_csi(weak, kArray)));
+  const double p_strong = mean_power(synthesize_csi(strong, kArray));
+  const double p_weak = mean_power(synthesize_csi(weak, kArray));
+  EXPECT_GT(p_strong, p_weak);
   // 10x amplitude = 20 dB.
-  EXPECT_NEAR(rssi_db(synthesize_csi(strong, kArray)) -
-                  rssi_db(synthesize_csi(weak, kArray)),
-              20.0, 1e-9);
+  EXPECT_NEAR(10.0 * std::log10(p_strong / p_weak), 20.0, 1e-9);
 }
 
 TEST(Burst, GeneratesRequestedPackets) {

@@ -1,18 +1,21 @@
 // Serve-layer properties.
 //
-// Differential: ShardedReplayMatchesSingleService — any generated
-// workload pushed through ShardedService{k, dispatchers = 0} in
-// deterministic pump/drain mode produces per-submission responses
-// bit-identical to a single LocalizationService{dispatchers = 0} run
-// of the same submissions, for k in {1, 2, 4}. Routing, admission
-// order, work stealing, and batch grouping all vary with k; results
-// must not (DESIGN.md §10 replay-determinism contract).
+// Differential: PumpDrainReplayIsBatchingIndependent — any generated
+// workload pushed through LocalizationService{dispatchers = 0} in
+// deterministic pump/drain mode at max_batch in {2, 4, 8} and the
+// generated pump cadence produces per-submission responses
+// bit-identical to the reference run: max_batch = 1, pumped after every
+// submission, so each request is estimated alone. Batch grouping varies
+// with max_batch and the cadence; results must not (DESIGN.md §10
+// determinism contract).
 //
-// Concurrent: randomized submitter threads against a dispatcher-mode
-// ShardedService over a shared pool — the leg the TSan build
-// instruments. Accounting invariants (callbacks == completions ==
-// accepted net of transfers; transfer conservation) are checked after
-// stop(); threads only touch atomics, never gtest asserts.
+// Concurrent: randomized submitter threads against one service with
+// 1-3 dispatchers over a shared 2-lane pool — the leg the TSan build
+// instruments. The queue is drawn small so admission sheds. Accounting
+// invariants (exactly-once callbacks, accepted + shed == submitted,
+// completions == accepted) and each response's bits against the
+// dispatchers = 0 replay of the same request are checked after stop();
+// threads only touch atomics and their own slots, never gtest asserts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,17 +31,17 @@
 #include "channel/csi.hpp"
 #include "channel/multipath.hpp"
 #include "proptest.hpp"
+#include "runtime/operator_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/service.hpp"
-#include "serve/sharded.hpp"
 
 namespace pt = roarray::proptest;
 
 namespace roarray {
 namespace {
 
-/// Small per-shard configuration (mirrors tests/serve): coarse grids,
-/// few iterations, two APs — one solve costs a few milliseconds.
+/// Small service configuration (mirrors tests/serve): coarse grids, few
+/// iterations, two APs — one solve costs a few milliseconds.
 serve::ServeConfig tiny_serve_config(int dispatchers) {
   serve::ServeConfig cfg;
   cfg.estimator.aoa_grid = dsp::Grid(0.0, 180.0, 19);
@@ -102,7 +105,8 @@ std::vector<std::uint64_t> response_bits(const serve::Response& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: sharded pump/drain replay vs the single service.
+// Differential: pump/drain replay at several batch bounds vs one request
+// per batch.
 
 struct Submission {
   std::uint64_t client_id = 0;
@@ -112,18 +116,16 @@ struct Submission {
 
 struct ServeWorkload {
   std::vector<Submission> subs;
-  int pump_every = 2;        ///< pump() after every this-many submissions.
-  int steal_min_backlog = 1;
+  int pump_every = 2;  ///< pump() after every this-many submissions.
 };
 
 pt::Gen<ServeWorkload> workload_gen() {
   return [](pt::Rng& rng) {
     ServeWorkload w;
-    std::uniform_int_distribution<int> n_dist(1, 6);
+    std::uniform_int_distribution<int> n_dist(1, 9);
     std::uniform_int_distribution<std::uint64_t> client_dist(0, 7);
     std::uniform_int_distribution<serve::Tick> gap_dist(0, 3);
     std::uniform_int_distribution<int> pump_dist(1, 4);
-    std::uniform_int_distribution<int> backlog_dist(1, 3);
     const int n = n_dist(rng);
     serve::Tick tick = 0;
     for (int i = 0; i < n; ++i) {
@@ -131,7 +133,6 @@ pt::Gen<ServeWorkload> workload_gen() {
       w.subs.push_back({client_dist(rng), tick, rng()});
     }
     w.pump_every = pump_dist(rng);
-    w.steal_min_backlog = backlog_dist(rng);
     return w;
   };
 }
@@ -158,8 +159,7 @@ pt::Shrinker<ServeWorkload> workload_shrinker() {
 pt::Show<ServeWorkload> workload_show() {
   return [](const ServeWorkload& w) {
     std::ostringstream os;
-    os << "pump_every=" << w.pump_every
-       << " steal_min_backlog=" << w.steal_min_backlog << " subs=[";
+    os << "pump_every=" << w.pump_every << " subs=[";
     for (const Submission& s : w.subs) {
       os << "(c" << s.client_id << ",t" << s.tick << ",s" << s.seed << ")";
     }
@@ -168,14 +168,17 @@ pt::Show<ServeWorkload> workload_show() {
   };
 }
 
-/// Runs the workload through `svc` (single or sharded — same surface),
-/// pumping at the workload's cadence, and returns the per-submission
-/// fingerprints. Every submission must be accepted (queue capacities
-/// are far above the generated sizes).
-template <typename Service>
+/// Runs the workload through a dispatchers = 0 service with the given
+/// batch bound, pumping after every `pump_every` submissions, and
+/// returns the per-submission fingerprints. Every submission must be
+/// accepted (the queue capacity is far above the generated sizes).
 std::optional<std::string> run_workload(
-    Service& svc, const ServeWorkload& w,
-    std::vector<std::vector<std::uint64_t>>& slots) {
+    const ServeWorkload& w, linalg::index_t max_batch, int pump_every,
+    std::vector<std::vector<std::uint64_t>>& slots,
+    std::uint64_t& multi_request_batches) {
+  serve::ServeConfig cfg = tiny_serve_config(0);
+  cfg.max_batch = max_batch;
+  serve::LocalizationService svc(cfg);
   slots.assign(w.subs.size(), {});
   for (std::size_t i = 0; i < w.subs.size(); ++i) {
     const Submission& s = w.subs[i];
@@ -187,7 +190,7 @@ std::optional<std::string> run_workload(
       return std::string("submission ") + std::to_string(i) + " rejected: " +
              serve::submit_status_name(st);
     }
-    if ((i + 1) % static_cast<std::size_t>(w.pump_every) == 0) {
+    if ((i + 1) % static_cast<std::size_t>(pump_every) == 0) {
       (void)svc.pump();
     }
   }
@@ -198,54 +201,60 @@ std::optional<std::string> run_workload(
              " never completed";
     }
   }
+  const serve::ServiceStats stats = svc.stats();
+  for (std::size_t k = 1; k < stats.batch_size_hist.size(); ++k) {
+    multi_request_batches += stats.batch_size_hist[k];
+  }
   return std::nullopt;
 }
 
-TEST(ServeProperties, ShardedReplayMatchesSingleService) {
+TEST(ServeProperties, PumpDrainReplayIsBatchingIndependent) {
   pt::CheckConfig cfg;
   cfg.cases = 6;  // each case runs 4 full service replays
+  std::uint64_t multi_request_batches = 0;
   pt::check<ServeWorkload>(
-      "sharded pump/drain replay is bit-identical to the single service",
+      "pump/drain replay at max_batch 2/4/8 is bit-identical to one "
+      "request per batch",
       workload_gen(),
-      [](const ServeWorkload& w) -> std::optional<std::string> {
+      [&multi_request_batches](
+          const ServeWorkload& w) -> std::optional<std::string> {
         std::vector<std::vector<std::uint64_t>> reference;
-        {
-          serve::LocalizationService svc(tiny_serve_config(0));
-          if (auto err = run_workload(svc, w, reference)) {
-            return "single service: " + *err;
-          }
+        std::uint64_t unused = 0;
+        if (auto err = run_workload(w, 1, 1, reference, unused)) {
+          return "max_batch=1 reference: " + *err;
         }
-        for (const int k : {1, 2, 4}) {
-          serve::ShardedConfig scfg;
-          scfg.shard = tiny_serve_config(0);
-          scfg.shards = k;
-          scfg.steal_min_backlog = w.steal_min_backlog;
-          serve::ShardedService svc(scfg);
+        for (const linalg::index_t b : {2, 4, 8}) {
           std::vector<std::vector<std::uint64_t>> got;
-          if (auto err = run_workload(svc, w, got)) {
-            return "shards=" + std::to_string(k) + ": " + *err;
+          if (auto err = run_workload(w, b, w.pump_every, got,
+                                      multi_request_batches)) {
+            return "max_batch=" + std::to_string(b) + ": " + *err;
           }
           for (std::size_t i = 0; i < reference.size(); ++i) {
             if (got[i] != reference[i]) {
-              return "shards=" + std::to_string(k) + ": submission " +
+              return "max_batch=" + std::to_string(b) + ": submission " +
                      std::to_string(i) +
-                     " differs bitwise from the single-service result";
+                     " differs bitwise from the one-per-batch result";
             }
           }
         }
         return std::nullopt;
       },
       workload_shrinker(), workload_show(), cfg);
+  // The sample must actually group requests, or the property compares
+  // the reference with itself.
+  if (!pt::replaying()) {
+    EXPECT_GT(multi_request_batches, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent submitters against dispatcher-mode shards (TSan target).
+// Concurrent submitters against a dispatcher-mode service (TSan target).
 
 struct ConcurrentPlan {
-  int submitters = 2;        ///< 2..3 threads.
-  int per_thread = 2;        ///< 2..4 submissions each.
-  int shards = 2;
-  linalg::index_t admission_depth = 0;  ///< 0 = shed only at queue capacity.
+  int submitters = 2;  ///< 2..3 threads.
+  int per_thread = 2;  ///< 2..4 submissions each.
+  int dispatchers = 1;  ///< 1..3 dispatcher threads.
+  linalg::index_t queue_capacity = 1;  ///< 1..2, so bursts shed.
   std::uint64_t seed = 1;
 };
 
@@ -254,12 +263,12 @@ pt::Gen<ConcurrentPlan> concurrent_gen() {
     ConcurrentPlan p;
     std::uniform_int_distribution<int> threads_dist(2, 3);
     std::uniform_int_distribution<int> per_dist(2, 4);
-    std::uniform_int_distribution<int> shards_dist(1, 3);
-    std::uniform_int_distribution<int> depth_dist(0, 2);
+    std::uniform_int_distribution<int> dispatchers_dist(1, 3);
+    std::uniform_int_distribution<int> capacity_dist(1, 2);
     p.submitters = threads_dist(rng);
     p.per_thread = per_dist(rng);
-    p.shards = shards_dist(rng);
-    p.admission_depth = depth_dist(rng);
+    p.dispatchers = dispatchers_dist(rng);
+    p.queue_capacity = capacity_dist(rng);
     p.seed = rng();
     return p;
   };
@@ -269,61 +278,76 @@ pt::Show<ConcurrentPlan> concurrent_show() {
   return [](const ConcurrentPlan& p) {
     std::ostringstream os;
     os << "submitters=" << p.submitters << " per_thread=" << p.per_thread
-       << " shards=" << p.shards << " admission_depth=" << p.admission_depth
-       << " seed=" << p.seed;
+       << " dispatchers=" << p.dispatchers
+       << " queue_capacity=" << p.queue_capacity << " seed=" << p.seed;
     return os.str();
   };
 }
 
-TEST(ServeProperties, ConcurrentShardedSubmitAccountsForEveryRequest) {
+TEST(ServeProperties, ConcurrentSubmitAccountsForEveryRequest) {
   pt::CheckConfig cfg;
-  cfg.cases = 4;  // each case spawns threads and real dispatcher shards
+  cfg.cases = 4;  // each case spawns submitter and dispatcher threads
+  std::uint64_t total_shed = 0;
   pt::check<ConcurrentPlan>(
-      "concurrent sharded submit: exactly-once callbacks and conserved "
-      "transfer accounting",
+      "concurrent submit: exactly-once callbacks, conserved accounting, "
+      "and responses bit-identical to the dispatchers = 0 replay",
       concurrent_gen(),
-      [](const ConcurrentPlan& p) -> std::optional<std::string> {
-        serve::ShardedConfig scfg;
-        scfg.shard = tiny_serve_config(1);
-        scfg.shard.queue_capacity = 64;
-        scfg.shards = p.shards;
-        scfg.admission_depth = p.admission_depth;
-        runtime::ThreadPool pool(2);
+      [&total_shed](const ConcurrentPlan& p) -> std::optional<std::string> {
+        const auto total =
+            static_cast<std::size_t>(p.submitters * p.per_thread);
+        auto request = [&p](std::size_t id) {
+          return seeded_request(
+              id,
+              static_cast<serve::Tick>(id % static_cast<std::size_t>(
+                                                p.per_thread)),
+              p.seed + id);
+        };
 
-        // Pre-synthesize every request so submitter threads only move
-        // data and touch atomics.
-        std::vector<std::vector<serve::Request>> plans(
-            static_cast<std::size_t>(p.submitters));
-        for (int t = 0; t < p.submitters; ++t) {
-          for (int i = 0; i < p.per_thread; ++i) {
-            const auto id =
-                static_cast<std::uint64_t>(t * p.per_thread + i);
-            plans[static_cast<std::size_t>(t)].push_back(seeded_request(
-                id, static_cast<serve::Tick>(i), p.seed + id));
+        // Reference: every request through the deterministic
+        // single-threaded service.
+        std::vector<std::vector<std::uint64_t>> reference(total);
+        {
+          serve::LocalizationService ref(tiny_serve_config(0));
+          for (std::size_t id = 0; id < total; ++id) {
+            auto* slot = &reference[id];
+            if (ref.submit(request(id), [slot](const serve::Response& r) {
+                  *slot = response_bits(r);
+                }) != serve::SubmitStatus::kAccepted) {
+              return "reference submit " + std::to_string(id) + " rejected";
+            }
           }
+          ref.drain();
         }
 
-        std::atomic<std::uint64_t> accepted{0};
-        std::atomic<std::uint64_t> shed{0};
-        std::atomic<std::uint64_t> callbacks{0};
-        std::atomic<std::uint64_t> unexpected{0};
-        serve::ShardedService svc(scfg, &pool);
+        // Pre-synthesize every request so submitter threads only move
+        // data and touch atomics and their own slots.
+        std::vector<serve::Request> requests;
+        for (std::size_t id = 0; id < total; ++id) {
+          requests.push_back(request(id));
+        }
+        std::vector<std::atomic<int>> callbacks(total);
+        std::vector<std::vector<std::uint64_t>> got(total);
+        std::vector<serve::SubmitStatus> status(total);
+
+        serve::ServeConfig scfg = tiny_serve_config(p.dispatchers);
+        scfg.queue_capacity = p.queue_capacity;
+        runtime::OperatorCache cache;
+        runtime::ThreadPool pool(2);
+        serve::LocalizationService svc(scfg, {&cache, &pool});
         {
           std::vector<std::thread> threads;
           for (int t = 0; t < p.submitters; ++t) {
             threads.emplace_back([&, t] {
-              for (serve::Request& req : plans[static_cast<std::size_t>(t)]) {
-                const auto st = svc.submit(
-                    std::move(req), [&callbacks](const serve::Response&) {
-                      callbacks.fetch_add(1, std::memory_order_relaxed);
+              for (int i = 0; i < p.per_thread; ++i) {
+                const auto id =
+                    static_cast<std::size_t>(t * p.per_thread + i);
+                status[id] = svc.submit(
+                    std::move(requests[id]),
+                    [&callbacks, &got, id](const serve::Response& r) {
+                      if (callbacks[id].fetch_add(1) == 0) {
+                        got[id] = response_bits(r);
+                      }
                     });
-                if (st == serve::SubmitStatus::kAccepted) {
-                  accepted.fetch_add(1, std::memory_order_relaxed);
-                } else if (st == serve::SubmitStatus::kQueueFull) {
-                  shed.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                  unexpected.fetch_add(1, std::memory_order_relaxed);
-                }
               }
             });
           }
@@ -331,45 +355,54 @@ TEST(ServeProperties, ConcurrentShardedSubmitAccountsForEveryRequest) {
         }
         svc.stop();
 
-        const auto total =
-            static_cast<std::uint64_t>(p.submitters * p.per_thread);
-        if (unexpected.load() != 0) {
-          return "submit returned a status other than accepted/queue-full";
-        }
-        if (accepted.load() + shed.load() != total) {
-          return "accepted + shed != submitted";
-        }
-        if (callbacks.load() != accepted.load()) {
-          return "callbacks (" + std::to_string(callbacks.load()) +
-                 ") != accepted (" + std::to_string(accepted.load()) + ")";
-        }
-        const serve::ShardedStats stats = svc.stats();
-        if (stats.aggregate.accepted != accepted.load()) {
-          return "aggregate.accepted disagrees with the submitters";
-        }
-        if (stats.aggregate.completed_ok +
-                stats.aggregate.completed_no_observations !=
-            accepted.load()) {
-          return "aggregate completions != accepted";
-        }
-        if (stats.aggregate.transferred_in != stats.aggregate.transferred_out) {
-          return "transfer accounting not conserved across shards";
-        }
-        if (stats.aggregate.transferred_out != stats.stolen_requests) {
-          return "router stolen_requests disagrees with shard transfers";
-        }
-        // Per-shard quiescence: completed == accepted net of transfers.
-        for (std::size_t s = 0; s < stats.per_shard.size(); ++s) {
-          const serve::ServiceStats& st = stats.per_shard[s];
-          if (st.completed_ok + st.completed_no_observations !=
-              st.accepted - st.transferred_out + st.transferred_in) {
-            return "shard " + std::to_string(s) +
-                   " completion accounting broken";
+        std::uint64_t accepted = 0;
+        std::uint64_t shed = 0;
+        for (std::size_t id = 0; id < total; ++id) {
+          const int calls = callbacks[id].load();
+          if (status[id] == serve::SubmitStatus::kAccepted) {
+            ++accepted;
+            if (calls != 1) {
+              return "request " + std::to_string(id) + " accepted, " +
+                     std::to_string(calls) + " callbacks";
+            }
+            if (got[id] != reference[id]) {
+              return "request " + std::to_string(id) +
+                     " differs bitwise from the dispatchers = 0 replay";
+            }
+          } else if (status[id] == serve::SubmitStatus::kQueueFull) {
+            ++shed;
+            if (calls != 0) {
+              return "request " + std::to_string(id) +
+                     " shed but called back";
+            }
+          } else {
+            return std::string("submit returned ") +
+                   serve::submit_status_name(status[id]);
           }
+        }
+        total_shed += shed;
+        if (accepted + shed != total) return "accepted + shed != submitted";
+        const serve::ServiceStats stats = svc.stats();
+        if (stats.accepted != accepted) {
+          return "stats().accepted (" + std::to_string(stats.accepted) +
+                 ") disagrees with the submitters (" +
+                 std::to_string(accepted) + ")";
+        }
+        if (stats.rejected_queue_full != shed) {
+          return "stats().rejected_queue_full disagrees with the submitters";
+        }
+        if (stats.completed_ok + stats.completed_no_observations !=
+            stats.accepted) {
+          return "completions != stats().accepted";
         }
         return std::nullopt;
       },
       /*shrink=*/{}, concurrent_show(), cfg);
+  // The drawn queue capacities must make admission shed somewhere in
+  // the sample, or the kQueueFull accounting goes unchecked.
+  if (!pt::replaying()) {
+    EXPECT_GT(total_shed, 0u);
+  }
 }
 
 }  // namespace

@@ -217,6 +217,25 @@ TEST(ServeAdmission, SubmitAfterStopIsRejected) {
   EXPECT_EQ(svc.stats().rejected_stopped, 1u);
 }
 
+TEST(ServeLifecycle, DrainThenStopIsIdempotent) {
+  serve::LocalizationService svc(small_config(0));
+  int callbacks = 0;
+  for (std::uint64_t c = 0; c < 6; ++c) {
+    ASSERT_EQ(svc.submit(clean_request(c, c),
+                         [&](const serve::Response&) { ++callbacks; }),
+              serve::SubmitStatus::kAccepted);
+  }
+  svc.drain();
+  EXPECT_EQ(callbacks, 6);
+  svc.stop();
+  svc.stop();   // idempotent
+  svc.drain();  // post-stop drain must return immediately, not wedge
+  EXPECT_EQ(svc.submit(clean_request(99, 0), {}),
+            serve::SubmitStatus::kStopped);
+  EXPECT_EQ(svc.stats().rejected_stopped, 1u);
+  EXPECT_EQ(callbacks, 6);  // nothing double-completed
+}
+
 TEST(ServeBatching, LingerHoldsUntilTickOrFullBatch) {
   serve::ServeConfig cfg = small_config(0);
   cfg.max_batch = 4;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sparse/prox.hpp"
 #include "support/cholesky.hpp"
 #include "support/reference.hpp"
 

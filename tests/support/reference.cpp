@@ -1,5 +1,6 @@
 #include "support/reference.hpp"
 
+#include <complex>
 #include <stdexcept>
 #include <vector>
 
@@ -74,6 +75,17 @@ double l1_objective(const KroneckerOperator& op, const CVec& y, const CVec& x,
   CVec r = op.apply(x);
   r -= y;
   return 0.5 * norm2_sq(r) + kappa * norm1(x);
+}
+
+void soft_threshold_inplace(CVec& x, double t) {
+  for (index_t i = 0; i < x.size(); ++i) {
+    const double mag = std::abs(x[i]);
+    if (mag <= t) {
+      x[i] = cxd{};
+    } else {
+      x[i] *= (1.0 - t / mag);
+    }
+  }
 }
 
 void group_soft_threshold_rows_inplace(CMat& x, double t,

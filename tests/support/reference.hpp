@@ -44,6 +44,12 @@ namespace roarray::sparse {
 [[nodiscard]] double l1_objective(const KroneckerOperator& op, const CVec& y,
                                   const CVec& x, double kappa);
 
+/// Complex soft-thresholding: the proximal operator of t * ||.||_1 on
+/// C^n shrinks each element's magnitude by t, preserving its phase:
+/// prox(z) = z * max(0, 1 - t / |z|), zeroing when |z| <= t. One scalar
+/// loop (std::abs on complex is hypot-based); the ADMM oracle's z-step.
+void soft_threshold_inplace(CVec& x, double t);
+
 /// Row-group soft-thresholding: the proximal operator of
 /// t * sum_i ||X(i, :)||_2 (the l2,1 norm). Shrinks each row's l2 norm
 /// by t, preserving direction: the group prox the FISTA engine fuses
