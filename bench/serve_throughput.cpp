@@ -21,10 +21,12 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -221,8 +223,9 @@ struct ModeResult {
   serve::ServiceStats stats;
 };
 
-/// Drives `svc` with o.requests submissions, retrying on kQueueFull
-/// backpressure, a 100 us wall-tick pusher running alongside. Returns
+/// Drives `svc` with o.requests submissions, each built once and
+/// retried on kQueueFull backpressure after the next completion, a
+/// 100 us wall-tick pusher running alongside. Returns
 /// the wall time; the caller snapshots stats afterwards.
 double run_load(serve::LocalizationService& svc,
                 const std::vector<io::ClientRound>& rounds, const Options& o) {
@@ -245,19 +248,40 @@ double run_load(serve::LocalizationService& svc,
     }
   });
 
+  // Every response bumps `completed`; a submitter refused with
+  // kQueueFull sleeps until the next one instead of spinning on the full
+  // queue, so it retries at most once per completion.
+  std::mutex done_mutex;
+  std::condition_variable done_cv;
+  std::uint64_t completed = 0;
+  const serve::ResponseCallback on_done = [&](const serve::Response&) {
+    {
+      const std::lock_guard<std::mutex> lk(done_mutex);
+      ++completed;
+    }
+    done_cv.notify_one();
+  };
+
   for (index_t r = 0; r < o.requests; ++r) {
     const io::ClientRound& round =
         rounds[static_cast<std::size_t>(r) % rounds.size()];
+    serve::Request req = make_request(round, round.client_id, 0);
     for (;;) {
-      const serve::SubmitStatus st =
-          svc.submit(make_request(round, round.client_id, tick_now()), {});
+      std::uint64_t seen = 0;
+      {
+        const std::lock_guard<std::mutex> lk(done_mutex);
+        seen = completed;
+      }
+      req.submit_tick = tick_now();
+      const serve::SubmitStatus st = svc.submit(req, on_done);
       if (st == serve::SubmitStatus::kAccepted) break;
       if (st != serve::SubmitStatus::kQueueFull) {
         std::fprintf(stderr, "submit rejected: %s\n",
                      serve::submit_status_name(st));
         std::exit(1);
       }
-      std::this_thread::yield();
+      std::unique_lock<std::mutex> lk(done_mutex);
+      done_cv.wait(lk, [&] { return completed != seen; });
     }
   }
   svc.drain();

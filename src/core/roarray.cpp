@@ -145,6 +145,16 @@ CMat fused_columns(const CMat& snapshots, const RoArrayConfig& cfg) {
   return trimmed;
 }
 
+/// The operator entry for (grids, array): the cache's when the context
+/// has one, else a fresh one built the way the cache builds a miss.
+std::shared_ptr<const runtime::CachedOperator> operator_entry(
+    const runtime::EstimateContext& ctx, const dsp::Grid& aoa_grid,
+    const dsp::Grid& toa_grid, const dsp::ArrayConfig& array_cfg) {
+  return ctx.cache != nullptr
+             ? ctx.cache->get(aoa_grid, toa_grid, array_cfg)
+             : runtime::build_cached_operator(aoa_grid, toa_grid, array_cfg);
+}
+
 /// The coarse-to-fine operator pick: greedy candidate selection on the
 /// decimated-grid operator, then the restriction of `op` to the refined
 /// factored support (see sparse/coarse_fine.hpp and DESIGN.md
@@ -160,25 +170,13 @@ void select_support_operator(const sparse::KroneckerOperator& op,
                              sparse::SolveConfig& solver) {
   const sparse::CoarseFineConfig& cf = cfg.coarse_fine;
   cf.validate();
-  std::shared_ptr<const runtime::CachedOperator> coarse_cached;
-  std::optional<sparse::KroneckerOperator> coarse_local;
-  if (ctx.cache != nullptr) {
-    coarse_cached =
-        ctx.cache->get_coarse(cfg.aoa_grid, cfg.toa_grid, array_cfg, cf);
-  } else {
-    coarse_local.emplace(
-        dsp::steering_matrix_aoa(
-            sparse::decimate_grid(cfg.aoa_grid, sparse::kCoarseAoaDecimation),
-            array_cfg),
-        dsp::steering_matrix_toa(
-            sparse::decimate_grid(cfg.toa_grid, sparse::kCoarseToaDecimation),
-            array_cfg));
-  }
-  const sparse::KroneckerOperator& coarse_op =
-      coarse_cached ? coarse_cached->op : *coarse_local;
+  const auto coarse = operator_entry(
+      ctx, sparse::decimate_grid(cfg.aoa_grid, sparse::kCoarseAoaDecimation),
+      sparse::decimate_grid(cfg.toa_grid, sparse::kCoarseToaDecimation),
+      array_cfg);
 
   const sparse::FactoredSupport support = sparse::select_factored_support(
-      coarse_op, y, cfg.aoa_grid.size(), cfg.toa_grid.size(), cf);
+      coarse->op, y, cfg.aoa_grid.size(), cfg.toa_grid.size(), cf);
   if (support.empty()) return;
 
   sub.emplace(op, support.aoa, support.toa);
@@ -220,20 +218,13 @@ RoArrayResult roarray_estimate(std::span<const CMat> packets,
 
   // The steering factors and the Lipschitz constant (factored, see
   // sparse/power.hpp) depend only on (grids, array); reuse them through
-  // the cache when one is supplied. The cached constant equals the
+  // the cache when one is supplied. The entry's constant equals the
   // per-call operator_norm_sq exactly, so the solve is bit-identical
   // either way.
-  std::shared_ptr<const runtime::CachedOperator> cached;
-  std::optional<sparse::KroneckerOperator> local_op;
+  const auto entry = operator_entry(ctx, cfg.aoa_grid, cfg.toa_grid, array_cfg);
   sparse::SolveConfig solver = cfg.solver;
-  if (ctx.cache != nullptr) {
-    cached = ctx.cache->get(cfg.aoa_grid, cfg.toa_grid, array_cfg);
-    if (solver.lipschitz_hint <= 0.0) solver.lipschitz_hint = cached->norm_sq;
-  } else {
-    local_op.emplace(dsp::steering_matrix_aoa(cfg.aoa_grid, array_cfg),
-                     dsp::steering_matrix_toa(cfg.toa_grid, array_cfg));
-  }
-  const sparse::KroneckerOperator& op = cached ? cached->op : *local_op;
+  if (solver.lipschitz_hint <= 0.0) solver.lipschitz_hint = entry->norm_sq;
+  const sparse::KroneckerOperator& op = entry->op;
 
   // Gather (optionally sanitized) stacked measurements.
   CMat snapshots(array_cfg.num_antennas * array_cfg.num_subcarriers,

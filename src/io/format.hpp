@@ -22,7 +22,8 @@
 //
 // Record (36 + 16*M*L bytes):
 //   offset      size    field
-//   0           4       record magic (u32, "RTRC" on disk) — resync anchor
+//   0           4       record magic (u32, "RTRC" on disk), checked
+//                       by the reader and covered by the CRC
 //   4           4       ap_id (u32)
 //   8           8       client_id (u64)
 //   16          8       timestamp_tick (u64) — caller-supplied logical time
@@ -72,8 +73,8 @@ enum class TraceErrorCode {
   kBadHeader,         ///< header truncated, CRC-corrupt, or nonsensical.
   kGeometryMismatch,  ///< record CSI shape does not match the header.
   kWriteFailed,       ///< output stream / file failure.
-  kTruncatedRecord,   ///< stream ended mid-record (strict-mode read).
-  kCorruptRecord,     ///< record magic or CRC mismatch (strict-mode read).
+  kTruncatedRecord,   ///< stream ended mid-record.
+  kCorruptRecord,     ///< record magic or CRC mismatch.
 };
 
 [[nodiscard]] const char* trace_error_name(TraceErrorCode code) noexcept;

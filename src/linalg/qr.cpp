@@ -12,12 +12,6 @@ HouseholderQr::HouseholderQr(index_t rows, index_t max_cols)
       v_(rows, work_.cols()),
       reflects_(static_cast<std::size_t>(work_.cols()), 0) {}
 
-HouseholderQr::HouseholderQr(const CMat& a)
-    : HouseholderQr(a.rows(), a.cols()) {
-  if (a.rows() < a.cols()) throw std::invalid_argument("qr: requires rows >= cols");
-  for (index_t j = 0; j < a.cols(); ++j) add_column(a.data() + j * m_);
-}
-
 // (I - 2 v v^H) b over rows k .. m - 1, v the k-th stored reflector.
 void HouseholderQr::apply_reflector(index_t k, cxd* b) const noexcept {
   const cxd* v = v_.data() + k * m_;
@@ -67,14 +61,6 @@ void HouseholderQr::add_column(const cxd* col) {
   ++n_;
 }
 
-void HouseholderQr::apply_qh(cxd* b) const noexcept {
-  for (index_t k = 0; k < n_; ++k) apply_reflector(k, b);
-}
-
-void HouseholderQr::apply_q(cxd* b) const noexcept {
-  for (index_t k = n_ - 1; k >= 0; --k) apply_reflector(k, b);
-}
-
 void HouseholderQr::back_substitute(const cxd* c, cxd* x) const {
   const double pivot_tol = kRankTol * std::max(1.0, work_max_);
   for (index_t i = n_ - 1; i >= 0; --i) {
@@ -86,53 +72,6 @@ void HouseholderQr::back_substitute(const cxd* c, cxd* x) const {
     }
     x[i] = acc / rii;
   }
-}
-
-QrResult qr(const CMat& a) {
-  const HouseholderQr h(a);
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  QrResult out;
-  out.r = CMat(n, n);
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i <= j; ++i) out.r(i, j) = h.r(i, j);
-  // Thin Q: apply Q to the first n identity columns.
-  out.q = CMat(m, n);
-  for (index_t j = 0; j < n; ++j) {
-    CVec e(m);
-    e[j] = cxd{1.0, 0.0};
-    h.apply_q(e.data());
-    out.q.set_col(j, e);
-  }
-  return out;
-}
-
-CVec lstsq(const CMat& a, const CVec& b) {
-  if (b.size() != a.rows()) throw std::invalid_argument("lstsq: size mismatch");
-  const HouseholderQr h(a);
-  CVec c = b;
-  h.apply_qh(c.data());
-  CVec x(a.cols());
-  h.back_substitute(c.data(), x.data());
-  return x;
-}
-
-CVec solve(const CMat& a, const CVec& b) {
-  if (a.rows() != a.cols()) throw std::invalid_argument("solve: matrix must be square");
-  return lstsq(a, b);
-}
-
-CMat solve(const CMat& a, const CMat& b) {
-  if (a.rows() != a.cols()) throw std::invalid_argument("solve: matrix must be square");
-  if (b.rows() != a.rows()) throw std::invalid_argument("solve: shape mismatch");
-  const HouseholderQr h(a);
-  CMat x(a.cols(), b.cols());
-  for (index_t j = 0; j < b.cols(); ++j) {
-    CVec c = b.col_vec(j);
-    h.apply_qh(c.data());
-    h.back_substitute(c.data(), x.data() + j * x.rows());
-  }
-  return x;
 }
 
 }  // namespace roarray::linalg

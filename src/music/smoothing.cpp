@@ -28,26 +28,4 @@ CMat smooth_csi(const CMat& csi, const SmoothingConfig& cfg) {
   return out;
 }
 
-CMat smooth_csi_packets(std::span<const CMat> packets,
-                        const SmoothingConfig& cfg) {
-  if (packets.empty()) {
-    throw std::invalid_argument("smooth_csi_packets: no packets");
-  }
-  const CMat first = smooth_csi(packets[0], cfg);
-  const index_t per_packet = first.cols();
-  CMat out(first.rows(), per_packet * static_cast<index_t>(packets.size()));
-  for (index_t j = 0; j < per_packet; ++j) out.set_col(j, first.col_vec(j));
-  for (std::size_t p = 1; p < packets.size(); ++p) {
-    if (packets[p].rows() != packets[0].rows() ||
-        packets[p].cols() != packets[0].cols()) {
-      throw std::invalid_argument("smooth_csi_packets: inconsistent CSI shapes");
-    }
-    const CMat s = smooth_csi(packets[p], cfg);
-    for (index_t j = 0; j < per_packet; ++j) {
-      out.set_col(static_cast<index_t>(p) * per_packet + j, s.col_vec(j));
-    }
-  }
-  return out;
-}
-
 }  // namespace roarray::music

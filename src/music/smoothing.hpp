@@ -9,8 +9,6 @@
 // and ls rows of dsp::steering_matrix_toa.
 #pragma once
 
-#include <span>
-
 #include "dsp/constants.hpp"
 #include "linalg/matrix.hpp"
 
@@ -32,9 +30,5 @@ struct SmoothingConfig {
 /// match that steering vector. Throws std::invalid_argument if the window
 /// does not fit.
 [[nodiscard]] CMat smooth_csi(const CMat& csi, const SmoothingConfig& cfg);
-
-/// Concatenates smoothed snapshots from several packets column-wise.
-[[nodiscard]] CMat smooth_csi_packets(std::span<const CMat> packets,
-                                      const SmoothingConfig& cfg);
 
 }  // namespace roarray::music

@@ -112,7 +112,7 @@ void omp_refit(const CVec& y, const CMat& cols, const CVec& coeffs,
 // Q^H y, an s x s back-substitution and an O(m s) residual refit. The
 // incremental QR performs, column by column, exactly the arithmetic of
 // refactoring the whole support (linalg::HouseholderQr), so the fit is
-// bit for bit the former per-atom lstsq.
+// bit for bit a batch least-squares solve over the support.
 OmpResult solve_omp(const KroneckerOperator& op, const CVec& y,
                     const OmpConfig& cfg) {
   if (y.size() != op.rows()) throw std::invalid_argument("solve_omp: rhs size");

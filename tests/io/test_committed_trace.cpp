@@ -26,7 +26,7 @@ TEST(TraceCompatibility, CommittedTraceDecodesAndReencodesByteForByte) {
                              std::istreambuf_iterator<char>());
 
   std::istringstream in(original, std::ios::binary);
-  io::TraceReader reader(in, io::RecoveryMode::kStrict);
+  io::TraceReader reader(in);
   std::ostringstream out(std::ios::binary);
   io::TraceWriter writer(out, reader.array_config());
   io::TraceRecord rec;

@@ -1,13 +1,16 @@
 // Trace format robustness: bit-exact round trips, typed rejection of
-// damaged headers, and strict-vs-recovery behavior on truncated or
-// corrupted records.
+// damaged headers, and latched statuses on truncated or corrupted
+// records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../test_util.hpp"
@@ -77,8 +80,59 @@ TEST(TraceRoundTrip, RecordsComeBackBitExact) {
   }
   EXPECT_EQ(reader.next(rec), io::ReadStatus::kEndOfTrace);
   EXPECT_EQ(reader.records_read(), records.size());
-  EXPECT_EQ(reader.records_skipped(), 0u);
-  EXPECT_EQ(reader.bytes_skipped(), 0u);
+}
+
+/// Hands out at most `chunk` bytes of `bytes` per underflow, so every
+/// istream::read the reader makes is served in several short pieces.
+class TrickleBuf : public std::streambuf {
+ public:
+  TrickleBuf(std::string bytes, std::size_t chunk)
+      : bytes_(std::move(bytes)), chunk_(chunk) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (pos_ == bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min(chunk_, bytes_.size() - pos_);
+    char* base = bytes_.data() + pos_;
+    setg(base, base, base + n);
+    pos_ += n;
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t chunk_;
+  std::size_t pos_ = 0;
+};
+
+TEST(TraceRoundTrip, ShortReadsDecodeLikeOneBuffer) {
+  // A stream that delivers a few bytes per underflow must yield the
+  // same records and the same terminal status as a whole-buffer one,
+  // for a clean trace and for one that ends mid-record.
+  const auto records = sample_records(4);
+  const std::string clean = build_trace(records);
+  const std::string cut = clean.substr(0, clean.size() - 17);
+  for (const std::size_t chunk : {1u, 3u, 7u, 64u, 1000u}) {
+    for (const std::string* bytes : {&clean, &cut}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk) + ", " +
+                   std::to_string(bytes->size()) + " bytes");
+      std::stringstream whole(*bytes);
+      TrickleBuf trickle_buf(*bytes, chunk);
+      std::istream trickle(&trickle_buf);
+      io::TraceReader want_reader(whole);
+      io::TraceReader got_reader(trickle);
+      io::TraceRecord want;
+      io::TraceRecord got;
+      io::ReadStatus want_status;
+      do {
+        want_status = want_reader.next(want);
+        ASSERT_EQ(got_reader.next(got), want_status);
+        if (want_status == io::ReadStatus::kOk) expect_record_eq(got, want);
+      } while (want_status == io::ReadStatus::kOk);
+      EXPECT_EQ(got_reader.records_read(), want_reader.records_read());
+    }
+  }
 }
 
 TEST(TraceRoundTrip, SimulatedRoundSurvivesRecordAndRegroup) {
@@ -247,21 +301,6 @@ TEST(TraceTruncation, StrictModeLatchesTruncated) {
   EXPECT_EQ(reader.records_read(), 2u);
 }
 
-TEST(TraceTruncation, RecoveryModeCountsTailBytes) {
-  const auto records = sample_records(3);
-  std::string bytes = build_trace(records);
-  bytes.resize(bytes.size() - 17);
-  std::stringstream ss(bytes);
-  io::TraceReader reader(ss, io::RecoveryMode::kSkipCorrupt);
-  io::TraceRecord rec;
-  ASSERT_EQ(reader.next(rec), io::ReadStatus::kOk);
-  ASSERT_EQ(reader.next(rec), io::ReadStatus::kOk);
-  EXPECT_EQ(reader.next(rec), io::ReadStatus::kEndOfTrace);
-  EXPECT_EQ(reader.records_read(), 2u);
-  EXPECT_EQ(reader.bytes_skipped(),
-            reader.header().record_size_bytes() - 17);
-}
-
 TEST(TraceCorruption, StrictModeLatchesCorrupt) {
   const auto records = sample_records(3);
   std::string bytes = build_trace(records);
@@ -278,71 +317,30 @@ TEST(TraceCorruption, StrictModeLatchesCorrupt) {
   EXPECT_EQ(reader.next(rec), io::ReadStatus::kCorrupt);  // latched
 }
 
-TEST(TraceCorruption, RecoveryModeSkipsExactlyTheDamagedRecord) {
-  const auto records = sample_records(5);
-  std::string bytes = build_trace(records);
-  const std::size_t record_size =
-      io::TraceHeader::of(dsp::ArrayConfig{}).record_size_bytes();
-  const std::size_t pos = io::kHeaderBytes + 2 * record_size + 50;
-  bytes[pos] = static_cast<char>(bytes[pos] ^ 0x01);
-  std::stringstream ss(bytes);
-  io::TraceReader reader(ss, io::RecoveryMode::kSkipCorrupt);
-  io::TraceRecord rec;
-  for (const std::size_t want : {0u, 1u, 3u, 4u}) {
-    ASSERT_EQ(reader.next(rec), io::ReadStatus::kOk);
-    expect_record_eq(rec, records[want]);
-  }
-  EXPECT_EQ(reader.next(rec), io::ReadStatus::kEndOfTrace);
-  EXPECT_EQ(reader.records_read(), 4u);
-  EXPECT_EQ(reader.records_skipped(), 1u);
-  EXPECT_EQ(reader.bytes_skipped(), record_size);
-}
-
-TEST(TraceCorruption, RecoveryResyncsPastSmashedRecordMagic) {
-  const auto records = sample_records(4);
-  std::string bytes = build_trace(records);
-  const std::size_t record_size =
-      io::TraceHeader::of(dsp::ArrayConfig{}).record_size_bytes();
-  // Destroy the magic of record 1 so resync has to scan for record 2.
-  const std::size_t pos = io::kHeaderBytes + record_size;
-  bytes[pos] = static_cast<char>(bytes[pos] ^ 0xFF);
-  std::stringstream ss(bytes);
-  io::TraceReader reader(ss, io::RecoveryMode::kSkipCorrupt);
-  io::TraceRecord rec;
-  for (const std::size_t want : {0u, 2u, 3u}) {
-    ASSERT_EQ(reader.next(rec), io::ReadStatus::kOk);
-    expect_record_eq(rec, records[want]);
-  }
-  EXPECT_EQ(reader.next(rec), io::ReadStatus::kEndOfTrace);
-  EXPECT_EQ(reader.records_skipped(), 1u);
-  EXPECT_EQ(reader.bytes_skipped(), record_size);
-}
-
-TEST(TraceCorruption, FlippedByteCorpusNeverCrashesEitherMode) {
-  // Every position in a small trace gets one bit flipped; strict must
-  // report a typed status (or a header throw) and recovery must always
-  // run to a clean end, both without UB (ASan/TSan legs run this too).
+TEST(TraceCorruption, FlippedByteCorpusNeverCrashes) {
+  // Every position in a small trace gets one bit flipped. Header damage
+  // must throw a typed TraceError; record damage must surface as kCorrupt
+  // at the damaged record, never as UB (ASan/TSan legs run this too).
   const auto records = sample_records(2);
   const std::string clean = build_trace(records);
+  const std::size_t record_size =
+      io::TraceHeader::of(dsp::ArrayConfig{}).record_size_bytes();
   for (std::size_t pos = 0; pos < clean.size(); ++pos) {
     std::string bytes = clean;
     bytes[pos] = static_cast<char>(bytes[pos] ^ 0x10);
-    for (const auto mode :
-         {io::RecoveryMode::kStrict, io::RecoveryMode::kSkipCorrupt}) {
-      std::stringstream ss(bytes);
-      try {
-        io::TraceReader reader(ss, mode);
-        io::TraceRecord rec;
-        io::ReadStatus status;
-        do {
-          status = reader.next(rec);
-        } while (status == io::ReadStatus::kOk);
-        if (mode == io::RecoveryMode::kSkipCorrupt) {
-          EXPECT_EQ(status, io::ReadStatus::kEndOfTrace) << "pos " << pos;
-        }
-      } catch (const io::TraceError&) {
-        EXPECT_LT(pos, io::kHeaderBytes) << "record damage must not throw";
-      }
+    std::stringstream ss(bytes);
+    try {
+      io::TraceReader reader(ss);
+      io::TraceRecord rec;
+      io::ReadStatus status;
+      do {
+        status = reader.next(rec);
+      } while (status == io::ReadStatus::kOk);
+      EXPECT_EQ(status, io::ReadStatus::kCorrupt) << "pos " << pos;
+      EXPECT_EQ(reader.records_read(), (pos - io::kHeaderBytes) / record_size)
+          << "pos " << pos;
+    } catch (const io::TraceError&) {
+      EXPECT_LT(pos, io::kHeaderBytes) << "record damage must not throw";
     }
   }
 }

@@ -1,7 +1,7 @@
-// A frozen copy of the batch Householder QR that linalg::qr / lstsq /
-// solve ran before they were rebuilt on the column-append
-// linalg::HouseholderQr. Differential tests compare the library with it
-// bit for bit; do not "fix" or modernize it.
+// A frozen copy of the batch Householder QR the library's batch
+// factorization and least-squares solves ran before they were rebuilt
+// on the column-append linalg::HouseholderQr. Differential tests compare
+// the library with it bit for bit; do not "fix" or modernize it.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +20,13 @@ using linalg::CMat;
 using linalg::CVec;
 using linalg::cxd;
 using linalg::index_t;
+
+/// Thin factorization A = Q R: Q (m x n, orthonormal columns), R (n x n,
+/// upper triangular).
+struct QrResult {
+  CMat q;
+  CMat r;
+};
 
 struct HouseholderQr {
   CMat work;
@@ -106,11 +113,11 @@ struct HouseholderQr {
   }
 };
 
-inline linalg::QrResult qr(const CMat& a) {
+inline QrResult qr(const CMat& a) {
   HouseholderQr h(a);
   const index_t m = a.rows();
   const index_t n = a.cols();
-  linalg::QrResult out;
+  QrResult out;
   out.r = CMat(n, n);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i <= j; ++i) out.r(i, j) = h.work(i, j);

@@ -76,30 +76,6 @@ TEST(Smoothing, SnapshotsFollowSubSteeringModel) {
   }
 }
 
-TEST(Smoothing, MultiPacketConcatenation) {
-  auto rng = rt::make_rng(112);
-  const std::vector<CMat> packets = {rt::random_cmat(3, 30, rng),
-                                     rt::random_cmat(3, 30, rng),
-                                     rt::random_cmat(3, 30, rng)};
-  const SmoothingConfig cfg;
-  const CMat all = smooth_csi_packets(packets, cfg);
-  EXPECT_EQ(all.cols(), 96);  // 3 packets * 32
-  const CMat first = smooth_csi(packets[0], cfg);
-  const CMat last = smooth_csi(packets[2], cfg);
-  rt::expect_vec_near(all.col_vec(0), first.col_vec(0), 0.0, "first snapshot");
-  rt::expect_vec_near(all.col_vec(95), last.col_vec(31), 0.0, "last snapshot");
-}
-
-TEST(Smoothing, EmptyPacketListThrows) {
-  EXPECT_THROW(smooth_csi_packets({}, SmoothingConfig{}), std::invalid_argument);
-}
-
-TEST(Smoothing, InconsistentShapesThrow) {
-  const std::vector<CMat> packets = {CMat(3, 30), CMat(2, 30)};
-  EXPECT_THROW(smooth_csi_packets(packets, SmoothingConfig{}),
-               std::invalid_argument);
-}
-
 TEST(Smoothing, RestoresRankForJointMusic) {
   // One packet = one rank-1 stacked snapshot, but smoothing yields
   // snapshots spanning a higher-dimensional space for 2 paths.

@@ -234,6 +234,28 @@ TEST(EstimateBatch, BitIdenticalAcrossThreadCountsAndVsPerCall) {
   EXPECT_EQ(cache.size(), 1u);  // one grid/array combination, shared.
 }
 
+TEST(EstimateBatch, CoarseToFineMatchesWithAndWithoutACache) {
+  // Without a cache the estimate builds its full and coarse operators
+  // the way a cache miss does; with one it shares the cached entries.
+  // Either way the estimate is the same bit for bit, single packets and
+  // bursts alike.
+  const dsp::ArrayConfig arr;
+  core::RoArrayConfig cfg;
+  cfg.solver.max_iterations = 150;
+  cfg.coarse_fine.enabled = true;
+  const auto bursts = test_bursts(3);
+
+  OperatorCache cache;
+  for (const auto& b : bursts) {
+    expect_identical_results(core::roarray_estimate(b, cfg, arr),
+                             core::roarray_estimate(b, cfg, arr, {&cache, nullptr}));
+    const std::vector<linalg::CMat> one = {b.front()};
+    expect_identical_results(core::roarray_estimate(one, cfg, arr),
+                             core::roarray_estimate(one, cfg, arr, {&cache, nullptr}));
+  }
+  EXPECT_EQ(cache.size(), 2u);  // the full and the coarse entry.
+}
+
 TEST(EstimateBatch, OneBurstOnAFourLanePoolMatchesTheContextFreeCall) {
   // A one-burst batch is not a parallel region (parallel_for runs a
   // single index on the calling thread), so its estimate runs top-level

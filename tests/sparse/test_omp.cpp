@@ -195,7 +195,8 @@ TEST(Omp, L1IsMoreRobustAtLowSnr) {
 
 // ---------------------------------------------------------------------------
 // Differential gate: a frozen copy of solve_omp as it ran before the
-// incremental QR (a fresh lstsq over the whole support at every atom, a
+// incremental QR (a fresh batch least-squares solve over the whole
+// support at every atom through tests/linalg/frozen_qr.hpp, a
 // std::find over the support, a full forward apply of a one-hot vector
 // per picked column, a std::abs of every correlation). The library must
 // reproduce it bit for bit: support order, x, residual_norm, iterations,
